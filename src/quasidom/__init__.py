@@ -8,6 +8,7 @@ cross-checked against brute-force oracles.
 from .errors import (
     ConstructionError,
     InvalidSetError,
+    MalformedSetError,
     MalformedWordError,
     PeriodNotFoundError,
     ResourceCapError,
@@ -51,6 +52,7 @@ __all__ = [
     "GridSet",
     "INFINITY",
     "InvalidSetError",
+    "MalformedSetError",
     "MalformedWordError",
     "OracleResult",
     "PeriodCertificate",

@@ -136,7 +136,7 @@ def _read_grid_set(path: str | None) -> GridSet:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         data = json.loads(text)
-        if "set" in data and isinstance(data["set"], dict):
+        if isinstance(data, dict) and isinstance(data.get("set"), dict):
             data = data["set"]  # accept a result envelope directly
         return GridSet.from_json_dict(data)
     return GridSet.from_ascii(text)

@@ -13,6 +13,10 @@ class PeriodNotFoundError(RuntimeError):
     """No period certificate found within the search bounds (raise the caps)."""
 
 
+class MalformedSetError(ValueError):
+    """A vertex set description lacks a field or holds a value of the wrong type."""
+
+
 class InvalidSetError(ValueError):
     """A candidate vertex set failed independence / [1,2]-domination checks."""
 

@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvalidSetError, UnsupportedGridError
+from .errors import InvalidSetError, MalformedSetError, UnsupportedGridError
 from .solver import run_dp
 from .words import DEFAULT_WORD_CAP
 
@@ -79,8 +79,28 @@ class GridSet:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridSet":
-        members = frozenset((int(i), int(j)) for i, j in data["members"])
-        return cls(int(data["m"]), int(data["n"]), members)
+        """Parse {"m": int, "n": int, "members": [[i, j], ...]}.
+
+        Raises MalformedSetError for anything else.
+        """
+        if not isinstance(data, dict):
+            raise MalformedSetError(f"a set must be an object, got {type(data).__name__}")
+        missing = [key for key in ("m", "n", "members") if key not in data]
+        if missing:
+            raise MalformedSetError(f"set object lacks {', '.join(missing)}")
+        m, n, members = data["m"], data["n"], data["members"]
+        if not (_is_int(m) and _is_int(n)):
+            raise MalformedSetError(f"m and n must be integers, got {m!r} and {n!r}")
+        if not isinstance(members, (list, tuple)):
+            raise MalformedSetError(f"members must be a list of [i, j] pairs, got {members!r}")
+        for v in members:
+            if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))):
+                raise MalformedSetError(f"member {v!r} is not an [i, j] pair of integers")
+        return cls(m, n, frozenset((i, j) for i, j in members))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def neighbors(m: int, n: int, i: int, j: int) -> Iterator[tuple[int, int]]:
@@ -188,7 +208,11 @@ def extract_min_set(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> GridSe
         (i + 1, j + 1) for j, w in enumerate(words) for i, ch in enumerate(w) if ch == "0"
     )
     result = GridSet(m, n, members)
-    assert len(result) == best, "extracted set size disagrees with the DP value"
+    if len(result) != best:
+        raise RuntimeError(
+            f"extracted set of {len(result)} disagrees with the DP value {best} for ({m}, {n}); "
+            "this is a bug"
+        )
     return result
 
 
@@ -217,7 +241,10 @@ def labeling_of(s: GridSet) -> list[str]:
                 for v in ((i, j - 1), (i - 1, j), (i + 1, j))
                 if v in members
             )
-            assert count <= 2  # a third dominator would have failed verification
+            if count > 2:
+                raise RuntimeError(
+                    f"({i},{j}) has {count} dominators after verification; this is a bug"
+                )
             labels.append("3" if count == 0 else str(count))
         columns.append("".join(labels))
     return columns

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import PeriodNotFoundError, UnsupportedGridError
+from .errors import PeriodNotFoundError, ResourceCapError, UnsupportedGridError
 from .tropical import (
     _INF,
     INFINITY,
@@ -51,6 +51,8 @@ _machinery_cache: dict[int, Machinery] = {}
 def machinery(m: int, max_words: int = DEFAULT_WORD_CAP) -> Machinery:
     cached = _machinery_cache.get(m)
     if cached is not None:
+        if cached.table.k > max_words:
+            raise ResourceCapError(f"more than {max_words} suitable words of length {m}")
         return cached
     table = enumerate_suitable(m, max_words=max_words)
     built = Machinery(

@@ -4,7 +4,9 @@ Costs live in the semiring (N + {inf}, min, +).  Vectors are indexed by
 suitable-word id; the transition matrix entry A[p][q] is the zero-count of
 word p when p can follow q, infinite otherwise.  Since every finite entry
 of a row equals that row's zero-count, the matrix is stored as predecessor
-lists plus one integer per row.
+lists plus one integer per row.  Every array here is computed from the word
+table's digit array: the predecessor lists come from the words.follow_pairs
+layered join, sorted by (p, q) and counted per row.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import WordTable, is_final, is_initial, successors, zeros
+from .words import WordTable, follow_pairs
 
 INFINITY = math.inf
 
@@ -26,14 +28,6 @@ _INF = np.int64(1) << 62
 def as_cost(value: np.int64 | int) -> int | float:
     """Translate an internal entry to a public cost (int or math.inf)."""
     return INFINITY if value >= _INF else int(value)
-
-
-def from_cost(cost: int | float) -> np.int64:
-    if cost == INFINITY:
-        return _INF
-    if cost < 0 or cost != int(cost):
-        raise ValueError(f"cost must be a non-negative integer or infinity: {cost!r}")
-    return np.int64(cost)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,35 +103,34 @@ class TropicalMatrix:
         return out
 
 
+def _zero_counts(table: WordTable) -> np.ndarray:
+    return np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
+
+
 def build_initial_vector(table: WordTable) -> TropicalVector:
-    """Zero-count on initial words, infinity elsewhere."""
-    data = np.array(
-        [zeros(w) if is_initial(w) else _INF for w in table.words], dtype=np.int64
-    )
-    return TropicalVector(table, data)
+    """Zero-count on initial words, infinity elsewhere.
+
+    As in is_initial: every 2 sits between two 0s, every 1 next to exactly one.
+    """
+    digits = table.digits
+    zero = np.pad(digits == 0, ((0, 0), (1, 1)))
+    up0, dn0 = zero[:, :-2], zero[:, 2:]
+    bad = ((digits == 2) & ~(up0 & dn0)) | ((digits == 1) & (up0 == dn0))
+    return TropicalVector(table, np.where(bad.any(axis=1), _INF, _zero_counts(table)))
 
 
 def final_mask(table: WordTable) -> np.ndarray:
-    return np.array([is_final(w) for w in table.words], dtype=bool)
+    """is_final of every word: no label 3."""
+    return ~(table.digits == 3).any(axis=1)
 
 
 def build_transition_matrix(table: WordTable) -> TropicalMatrix:
-    """Assemble predecessor lists via output-sensitive successor generation."""
-    k = table.k
-    index = table.index
-    preds: list[list[int]] = [[] for _ in range(k)]
-    for qid, q in enumerate(table.words):
-        for p in successors(q):
-            preds[index[p]].append(qid)
-    ptr = np.zeros(k + 1, dtype=np.int64)
-    for i, lst in enumerate(preds):
-        ptr[i + 1] = ptr[i] + len(lst)
-    if ptr[-1]:
-        idx = np.concatenate([np.asarray(lst, dtype=np.int64) for lst in preds if lst])
-    else:
-        idx = np.zeros(0, dtype=np.int64)
-    row_zeros = np.array([zeros(w) for w in table.words], dtype=np.int64)
-    return TropicalMatrix(table, row_zeros, ptr, idx)
+    """Assemble predecessor lists from the layered join of the table with itself."""
+    q, p = follow_pairs(table.digits, table.digits)
+    order = np.lexsort((q, p))
+    ptr = np.zeros(table.k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p, minlength=table.k), out=ptr[1:])
+    return TropicalMatrix(table, _zero_counts(table), ptr, q[order].astype(np.int64))
 
 
 def mat_vec(matrix: TropicalMatrix, vector: TropicalVector) -> TropicalVector:

@@ -5,12 +5,25 @@ as a word of length m: label 0 marks a vertex of S, labels 1/2 mark vertices
 outside S that already have one/two neighbors in S among their left and
 same-column neighbors, and label 3 marks a vertex whose only dominator must
 sit in the column to its right.  Position 1 is the top row.
+
+The per-word predicates (is_suitable, is_initial, is_final, can_follow) are
+the reference statement of the rules.  Tables are built by one array engine
+instead: words are rows of a uint8 digit array in lexicographic order, and
+both builders grow rows one position at a time, checking every rule through
+a small lookup table as soon as the labels it reads are placed.
+enumerate_suitable grows the word prefixes themselves; follow_pairs joins
+the prefix trie of the left-hand words with that of the right-hand words
+level by level, which yields every admissible (q, p) pair without looking
+at the pairs that fail.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
+
+import numpy as np
 
 from .errors import MalformedWordError, ResourceCapError
 
@@ -144,13 +157,18 @@ def can_follow(p: str, q: str) -> bool:
     return True
 
 
+
 @dataclass(frozen=True, eq=False)
 class WordTable:
-    """All suitable words of one length, lexicographically ordered."""
+    """All suitable words of one length, lexicographically ordered.
+
+    digits holds the same words as a read-only k x m uint8 array of labels.
+    """
 
     m: int
     words: tuple[str, ...]
     index: Mapping[str, int]
+    digits: np.ndarray
 
     @property
     def k(self) -> int:
@@ -169,141 +187,173 @@ class WordTable:
         return word in self.index
 
 
-def _prefix_ok(buf: list[str], t: int, m: int) -> bool:
-    """Prune check after placing buf[t-1]; complete once t == m."""
-    c = buf[t - 1]
-    if t >= 2:
-        b = buf[t - 2]
-        if b == c and c != "1":
-            return False
-        if (b == "0" and c == "3") or (b == "3" and c == "0"):
-            return False
-        pair = b + c
-        # rules whose left context is already fixed
-        if pair == "23" and (t < 3 or buf[t - 3] != "0"):
-            return False
-        if pair in ("21", "12") and (t < 3 or buf[t - 3] != "0"):
-            return False
-    if t >= 3:
-        a, b = buf[t - 3], buf[t - 2]
-        if a == "0" and b == "1" and c == "0":
-            return False
-        # window of the pair (t-3, t-2) is complete now
-        if a == "1" and b == "1" and c != "0" and (t < 4 or buf[t - 4] != "0"):
-            return False
-        if a == "3" and b == "2" and c != "0":
-            return False
-        if (a, b) in (("2", "1"), ("1", "2")) and c != "0":
-            return False
-    if t == m:
-        b = buf[t - 2]
-        if b == "1" and c == "1" and (t < 3 or buf[t - 3] != "0"):
-            return False
-        if b == "3" and c == "2":
-            return False
-        if (b, c) in (("2", "1"), ("1", "2")):
-            return False
+# Pseudo-labels for the lookup tables: no label (the word boundary), and a
+# label not placed yet, which passes if any real label would.
+_EDGE = 4
+_OPEN = 5
+
+
+def _window_ok(before: int, a: int, b: int, after: int) -> bool:
+    """The is_suitable rules for the pair (a, b) between labels before and after."""
+    if (a == b and a != 1) or {a, b} == {0, 3}:
+        return False
+    if (a, b) == (0, 1):
+        return after != 0  # 010
+    if (a, b) == (1, 1):
+        return before == 0 or after == 0
+    if (a, b) == (3, 2):
+        return after == 0
+    if (a, b) == (2, 3):
+        return before == 0
+    if (a, b) in ((1, 2), (2, 1)):
+        return before == 0 and after == 0
     return True
+
+
+def _follow_ok(q: int, p: int, up: int, interior: int, down: int) -> bool:
+    """The can_follow case at one position: labels q and p, p's labels up and down of it."""
+    up0, dn0 = up == 0, down == 0
+    if q == 3:
+        return p == 0
+    if q == 0:
+        return (p == 1 and not (up0 or dn0)) or (p == 2 and up0 != dn0)
+    if q == 1:
+        return p in (0, 3) or (p == 1 and up0 != dn0) or (p == 2 and up0 and dn0)
+    return p == 3 or (p == 1 and bool(interior) and up0 != dn0)
+
+
+def _lookup(rule, *sizes: int) -> np.ndarray:
+    """rule as a boolean table over index tuples whose last index is a neighbor label.
+
+    That last axis holds labels 0..3, _EDGE, and _OPEN, which passes when
+    some label 0..3 does.
+    """
+    table = np.zeros((*sizes, _OPEN + 1), dtype=bool)
+    for key in itertools.product(*(range(s) for s in sizes), range(_OPEN)):
+        table[key] = rule(*key)
+    table[..., _OPEN] = table[..., :_EDGE].any(axis=-1)
+    return table
+
+
+# _WINDOW[before, a, b, after]; _FOLLOW[q, p, up, interior, down].
+_WINDOW = _lookup(_window_ok, _EDGE + 1, 4, 4)
+_FOLLOW = _lookup(_follow_ok, 4, 4, _EDGE + 1, 2)
+
+
+def _suitable_digits(m: int, max_words: int) -> np.ndarray:
+    """Digit rows of every suitable word of length m, lexicographically.
+
+    Position t is placed on every prefix of length t: a label is kept when
+    it completes the window of the pair two back and leaves the pair it
+    forms passable by some next label (or by the boundary, at the end).
+    Every kept prefix extends to a suitable word (whether it does depends
+    only on its last three labels, and every ending that occurs can be
+    continued), so a level with more than max_words prefixes means the table
+    would have more words too, and the error comes before that level is
+    materialized.
+    """
+    labels = np.arange(4, dtype=np.uint8)
+    digits = np.zeros((1, 0), dtype=np.uint8)
+    for t in range(m):
+        a, b, c = (digits[:, t - j, None] if t >= j else _EDGE for j in (3, 2, 1))
+        ok = np.ones((len(digits), 4), dtype=bool)
+        if t >= 1:
+            ok &= _WINDOW[b, c, labels, _OPEN if t < m - 1 else _EDGE]
+        if t >= 2:
+            ok &= _WINDOW[a, b, c, labels]
+        if np.count_nonzero(ok) > max_words:
+            raise ResourceCapError(f"more than {max_words} suitable words of length {m}")
+        rows, placed = np.nonzero(ok)
+        digits = np.concatenate([digits[rows], placed.astype(np.uint8)[:, None]], axis=1)
+    return digits
+
+
+def _words_of(digits: np.ndarray) -> list[str]:
+    m = digits.shape[1]
+    return (digits + ord("0")).view(f"S{m}").ravel().astype(f"U{m}").tolist()
 
 
 def enumerate_suitable(m: int, max_words: int = DEFAULT_WORD_CAP) -> WordTable:
     """Materialize every suitable word of length m, lexicographically.
 
-    Raises ResourceCapError once more than max_words words are found.
+    Raises ResourceCapError when there are more than max_words of them.
     """
     if m < 2:
         raise MalformedWordError(f"word length must be at least 2, got {m}")
-    found: list[str] = []
-    buf: list[str] = []
-
-    def extend() -> None:
-        t = len(buf)
-        if t == m:
-            word = "".join(buf)
-            if is_suitable(word):
-                found.append(word)
-                if len(found) > max_words:
-                    raise ResourceCapError(
-                        f"more than {max_words} suitable words of length {m}"
-                    )
-            return
-        for ch in ALPHABET:
-            buf.append(ch)
-            if _prefix_ok(buf, t + 1, m):
-                extend()
-            buf.pop()
-
-    extend()
-    return WordTable(m=m, words=tuple(found), index={w: i for i, w in enumerate(found)})
+    digits = _suitable_digits(m, max_words)
+    digits.setflags(write=False)
+    words = tuple(_words_of(digits))
+    return WordTable(m=m, words=words, index=dict(zip(words, range(len(words)))), digits=digits)
 
 
-def _follow_step(qi: str, ch: str, buf: list[str], i: int, m: int):
-    """One position of the can-follow cases during successor generation.
+def _trie(digits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The prefix trie of lexicographically sorted, distinct digit rows.
 
-    Returns (ok, obligation) where obligation constrains the next label:
-    True means it must be 0, False means it must not be 0, None is free.
+    Level t holds the distinct prefixes of length t, numbered in order; the
+    last level's node ids are the row ids.  Entry t of the result gives, for
+    each node of level t, its children as a range into level t+1 (CSR
+    pointers), and the label every node of level t+1 ends with.
     """
-    up0 = i > 0 and buf[i - 1] == "0"
-    last = i == m - 1
-    if qi == "3":
-        return ch == "0", None
-    if qi == "0":
-        if ch == "1":
-            return not up0, False if not last else None
-        if ch == "2":
-            if up0:
-                return True, False if not last else None
-            return not last, True
-        return False, None
-    if qi == "1":
-        if ch in ("0", "3"):
-            return True, None
-        if ch == "1":
-            if up0:
-                return True, False if not last else None
-            return not last, True
-        if ch == "2":
-            if not up0 or last:
-                return False, None
-            return True, True
-    else:  # qi == "2"
-        if ch == "3":
-            return True, None
-        if ch == "1" and 0 < i < m - 1:
-            if up0:
-                return True, False
-            return True, True
-        return False, None
-    return False, None
+    k, m = digits.shape
+    fresh = np.zeros(k, dtype=bool)
+    fresh[:1] = True
+    starts = np.zeros(1, dtype=np.intp)  # first row of each level-t node
+    levels = []
+    for t in range(m):
+        fresh[1:] |= digits[1:, t] != digits[:-1, t]
+        below = np.flatnonzero(fresh)
+        levels.append((np.append(np.searchsorted(below, starts), below.size), digits[below, t]))
+        starts = below
+    return levels
+
+
+def _children(ptr: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every child of every node, in order: (position in nodes, child id)."""
+    first = ptr[nodes]
+    count = ptr[nodes + 1] - first
+    owner = np.repeat(np.arange(nodes.size), count)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    return owner, first[owner] + rank
+
+
+def follow_pairs(q_digits: np.ndarray, p_digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row ids (q, p) of every pair where word p can follow word q.
+
+    Both arguments are lexicographically sorted, distinct digit rows of one
+    length.  The join walks both prefix tries in step: a pair of prefixes is
+    extended by p's next label, which settles the can_follow case of the
+    position above it, then by q's next label, whose case must still pass
+    for some label below.  The result is in no particular order.
+    """
+    m = p_digits.shape[1]
+    q_trie, p_trie = _trie(q_digits), _trie(p_digits)
+    q = p = np.zeros(1, dtype=np.intp)
+    # labels of each pair at positions t-1 (q and p) and t-2 (p)
+    q_last = p_last = p_up = np.full(1, _EDGE, dtype=np.uint8)
+    for t in range(m):
+        (q_ptr, q_labels), (p_ptr, p_labels) = q_trie[t], p_trie[t]
+        i, p_next = _children(p_ptr, p)
+        p_label = p_labels[p_next]
+        if t:  # position t-1 is interior once t >= 2
+            ok = _FOLLOW[q_last[i], p_last[i], p_up[i], int(t >= 2), p_label]
+            i, p_next, p_label = i[ok], p_next[ok], p_label[ok]
+        j, q_next = _children(q_ptr, q[i])
+        i, p_next, p_label = i[j], p_next[j], p_label[j]
+        q_label = q_labels[q_next]
+        ok = _FOLLOW[q_label, p_label, p_last[i], int(0 < t < m - 1), _OPEN if t < m - 1 else _EDGE]
+        p_up = p_last[i[ok]]
+        q, p, q_last, p_last = q_next[ok], p_next[ok], q_label[ok], p_label[ok]
+    return q, p
 
 
 def successors(q: str) -> list[str]:
     """All suitable words that can follow q, in lexicographic order.
 
-    Output-sensitive generation; equivalent to filtering a full word table
-    through can_follow but without touching inadmissible words.
+    The follow_pairs join with the left-hand side fixed to q.  Raises
+    ResourceCapError when the words of that length exceed DEFAULT_WORD_CAP.
     """
     _validate(q)
-    m = len(q)
-    out: list[str] = []
-    buf: list[str] = []
-
-    def place(i: int, obligation) -> None:
-        if i == m:
-            out.append("".join(buf))
-            return
-        qi = q[i]
-        for ch in ALPHABET:
-            if obligation is True and ch != "0":
-                continue
-            if obligation is False and ch == "0":
-                continue
-            buf.append(ch)
-            if _prefix_ok(buf, i + 1, m):
-                ok, nxt = _follow_step(qi, ch, buf, i, m)
-                if ok:
-                    place(i + 1, nxt)
-            buf.pop()
-
-    place(0, None)
-    return out
+    words = _suitable_digits(len(q), DEFAULT_WORD_CAP)
+    q_digits = np.frombuffer(q.encode("ascii"), dtype=np.uint8)[None, :] - ord("0")
+    _, p = follow_pairs(q_digits, words)
+    return _words_of(words[np.sort(p)])

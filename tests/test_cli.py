@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -118,8 +119,6 @@ def test_ascii_rendering(capsys):
 
 def test_verify_accepts_piped_envelope(capsys, monkeypatch, tmp_path):
     # extract --json | verify --json
-    import io
-
     _, env = run_json(capsys, "extract", "4", "6")
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(env)))
     code, verdict = run_json(capsys, "verify")
@@ -133,3 +132,22 @@ def test_results_do_not_depend_on_threads_or_seed(capsys):
     _, a = run_json(capsys, "extract", "3", "8")
     _, b = run_json(capsys, "extract", "3", "8", "--seed", "1")
     assert a["set"] == b["set"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"m": 2}',
+        '{"n": 2, "members": []}',
+        '{"m": 2, "members": []}',
+        '{"m": 2, "n": 2, "members": 5}',
+        '{"m": 2, "n": 2, "members": [[1, "a"]]}',
+        '{"m": 2, "n": 2, "members": [[1]]}',
+        '{"m": 2, "n": 2, "members": [3]}',
+    ],
+)
+def test_verify_rejects_malformed_set_objects(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, env = run_json(capsys, "verify")
+    assert code == 1
+    assert env["error"]["type"] == "MalformedSetError"

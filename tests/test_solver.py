@@ -2,12 +2,13 @@ import math
 
 import pytest
 
-from quasidom.errors import PeriodNotFoundError, UnsupportedGridError
+from quasidom.errors import PeriodNotFoundError, ResourceCapError, UnsupportedGridError
 from quasidom.solver import (
     big_grid_value,
     closed_form,
     detect_period,
     extend_by_period,
+    machinery,
     solve_width,
     value,
 )
@@ -189,3 +190,9 @@ def test_value_dispatch():
 def test_solve_width_rejects_single_row():
     with pytest.raises(UnsupportedGridError):
         solve_width(1, 5)
+
+
+def test_machinery_cache_respects_a_smaller_cap():
+    assert machinery(8).table.k == 532
+    with pytest.raises(ResourceCapError):
+        machinery(8, max_words=100)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from quasidom.tropical import (
     final_mask,
     mat_vec,
 )
-from quasidom.words import can_follow, enumerate_suitable, zeros
+from quasidom.words import can_follow, enumerate_suitable, is_final, is_initial, zeros
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def test_transition_matrix_entries(t2):
     assert matrix.entry("01", "01") == INFINITY
 
 
-@pytest.mark.parametrize("m", (2, 3, 4))
+@pytest.mark.parametrize("m", range(2, 8))
 def test_matrix_matches_can_follow(m):
     table = enumerate_suitable(m)
     matrix = build_transition_matrix(table)
@@ -58,6 +59,37 @@ def test_matrix_matches_can_follow(m):
                 assert dense[pi, qi] == zeros(p)
             else:
                 assert dense[pi, qi] == _INF
+
+
+# width: (k, finite entries, sha256 prefix of pred_ptr || pred_idx as little-endian int64)
+MATRIX_FINGERPRINTS = {
+    12: (10464, 28376, "e2dc68c7adb81419"),
+    13: (22036, 64112, "5a71f862e3dfd89f"),
+    14: (46399, 144940, "f2abc24caf51d156"),
+    15: (97704, 327611, "372f57ab35ae90ac"),
+}
+
+
+@pytest.mark.parametrize(
+    "m", [12, 13, pytest.param(14, marks=pytest.mark.slow), pytest.param(15, marks=pytest.mark.slow)]
+)
+def test_matrix_fingerprint(m):
+    matrix = build_transition_matrix(enumerate_suitable(m))
+    blob = matrix.pred_ptr.astype("<i8").tobytes() + matrix.pred_idx.astype("<i8").tobytes()
+    digest = hashlib.sha256(blob).hexdigest()[:16]
+    assert (matrix.k, matrix.finite_entries, digest) == MATRIX_FINGERPRINTS[m]
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_vectors_match_word_predicates(m):
+    table = enumerate_suitable(m)
+    initial = build_initial_vector(table)
+    matrix = build_transition_matrix(table)
+    assert [initial.entry(w) for w in table] == [
+        zeros(w) if is_initial(w) else INFINITY for w in table
+    ]
+    assert final_mask(table).tolist() == [is_final(w) for w in table]
+    assert matrix.row_zeros.tolist() == [zeros(w) for w in table]
 
 
 def test_mat_vec_absorbs_infinity(t2):

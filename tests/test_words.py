@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -69,6 +70,27 @@ def test_malformed_words_rejected():
 def test_enumeration_cap():
     with pytest.raises(ResourceCapError):
         enumerate_suitable(8, max_words=100)
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_enumeration_cap_is_exact(m):
+    k = enumerate_suitable(m).k
+    assert enumerate_suitable(m, max_words=k).k == k
+    with pytest.raises(ResourceCapError):
+        enumerate_suitable(m, max_words=k - 1)
+
+
+def test_enumeration_cap_raises_before_allocating():
+    # width 17 has about 430,000 suitable words; a cap of 1,000 must stop the
+    # growth at the first level above it, long before the table's megabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError):
+            enumerate_suitable(17, max_words=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_initial_examples():
