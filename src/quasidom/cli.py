@@ -49,7 +49,7 @@ def _render_value(v) -> str | int:
 def _envelope(command: str, inputs: dict, started: float, **fields) -> dict:
     env = {"command": command, "inputs": inputs}
     env.update(fields)
-    env["elapsed_ms"] = round((time.time() - started) * 1000, 3)
+    env["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
     return env
 
 
@@ -68,7 +68,7 @@ def _emit_set(gs: GridSet, args) -> str:
 
 
 def _cmd_value(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     v = value(args.m, args.n)
     env = _envelope("value", {"m": args.m, "n": args.n}, t, value=_render_value(v))
     _emit(env, args, f"value({args.m},{args.n}) = {_render_value(v)}")
@@ -76,7 +76,7 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     v = solve_width(args.m, args.n)
     env = _envelope("solve", {"m": args.m, "n": args.n}, t, value=_render_value(v))
     _emit(env, args, f"solve({args.m},{args.n}) = {_render_value(v)}")
@@ -84,7 +84,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_formula(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     v = closed_form(args.m, args.n)
     env = _envelope("formula", {"m": args.m, "n": args.n}, t, value=v)
     _emit(env, args, f"formula({args.m},{args.n}) = {v}")
@@ -92,7 +92,7 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_period(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     cert = detect_period(args.m, max_d=args.max_d, max_n=args.max_n)
     payload = {
         "m": cert.m,
@@ -111,7 +111,7 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     gs, info = build_big_grid_set(args.m, args.n, with_info=True)
     env = _envelope(
         "pattern", {"m": args.m, "n": args.n}, t,
@@ -122,7 +122,7 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     gs = extract_min_set(args.m, args.n)
     env = _envelope(
         "extract", {"m": args.m, "n": args.n}, t, value=len(gs), set=gs.to_json_dict()
@@ -143,7 +143,7 @@ def _read_grid_set(path: str | None) -> GridSet:
 
 
 def _cmd_verify(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     gs = _read_grid_set(args.file)
     report = verify_set(gs)
     env = _envelope(
@@ -166,7 +166,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     m, n = args.m, args.n
     if m > n:
         m, n = n, m
@@ -194,7 +194,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_words(args) -> int:
-    t = time.time()
+    t = time.perf_counter()
     table = enumerate_suitable(args.m)
     payload = {"m": args.m, "k": table.k}
     if args.list:

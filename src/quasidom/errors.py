@@ -14,7 +14,7 @@ class PeriodNotFoundError(RuntimeError):
 
 
 class MalformedSetError(ValueError):
-    """A vertex set description lacks a field or holds a value of the wrong type."""
+    """A vertex set description is unparsable, lacks a field, or does not fit its grid."""
 
 
 class InvalidSetError(ValueError):

@@ -24,11 +24,11 @@ class GridSet:
 
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
-            raise ValueError(f"grid dimensions must be positive, got ({self.m}, {self.n})")
+            raise MalformedSetError(f"grid dimensions must be positive, got ({self.m}, {self.n})")
         object.__setattr__(self, "members", frozenset(self.members))
         for i, j in self.members:
             if not (1 <= i <= self.m and 1 <= j <= self.n):
-                raise ValueError(f"vertex ({i}, {j}) outside the {self.m}x{self.n} grid")
+                raise MalformedSetError(f"vertex ({i}, {j}) outside the {self.m}x{self.n} grid")
 
     def __len__(self) -> int:
         return len(self.members)
@@ -53,25 +53,26 @@ class GridSet:
 
     @classmethod
     def from_ascii(cls, text: str) -> "GridSet":
+        """Parse the `to_ascii` format; raises MalformedSetError for anything else."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
-            raise ValueError("empty grid description")
+            raise MalformedSetError("empty grid description")
         try:
             m, n = map(int, lines[0].split())
         except ValueError as exc:
-            raise ValueError(f"first line must be 'm n', got {lines[0]!r}") from exc
+            raise MalformedSetError(f"first line must be 'm n', got {lines[0]!r}") from exc
         body = lines[1:]
         if len(body) != m:
-            raise ValueError(f"expected {m} rows, got {len(body)}")
+            raise MalformedSetError(f"expected {m} rows, got {len(body)}")
         members = set()
         for i, row in enumerate(body, start=1):
             if len(row) != n:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {n}")
+                raise MalformedSetError(f"row {i} has {len(row)} cells, expected {n}")
             for j, ch in enumerate(row, start=1):
                 if ch == "#":
                     members.add((i, j))
                 elif ch != ".":
-                    raise ValueError(f"unexpected cell {ch!r} at ({i}, {j})")
+                    raise MalformedSetError(f"unexpected cell {ch!r} at ({i}, {j})")
         return cls(m, n, frozenset(members))
 
     def to_json_dict(self) -> dict:

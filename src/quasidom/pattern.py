@@ -2,29 +2,31 @@
 
 The extended (m+2) x (n+2) grid is partitioned into five diagonal residue
 classes V_s = {(i, j): 2i + j = s (mod 5)}; each is a perfect code of the
-infinite grid.  Projecting the boundary of the best class onto the inner
-grid and repairing the border regions yields a valid set of exactly
-floor((m+2)(n+2)/5) - 4 vertices, which matches the known lower bound.
+infinite grid.  For m >= 16 the smallest class (`choose_residue`) is
+projected onto the inner grid and its four 8x8 corner regions are repaired,
+which yields a valid set of exactly floor((m+2)(n+2)/5) - 4 vertices, the
+known lower bound.  Widths 14 and 15 take the set from the transfer-matrix
+extractor instead.
 
-Repairs are exact column-sweep searches over small border regions: cells
+A repair is an exact column-sweep search over one corner region: cells
 outside the region stay fixed, region columns are re-chosen subject to
 independence and [1,2]-domination of every affected cell, and the member
-count must drop by the region's share of the deficit.
+count must drop by one unless the class already misses that extended-grid
+corner.  A repair reads only the cells near its corner, so the output of
+every grid is a translate of one of finitely many small grids away from the
+corners; `test_corner_repair_is_periodic` in tests/test_pattern.py checks
+this and states the argument.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ConstructionError
-from .grids import GridSet, verify_set
+from .grids import GridSet, extract_min_set, verify_set
 
-# Free rows per column at or below this bound are enumerated exhaustively;
-# taller regions only consider columns within FLIP_LIMIT changes of the
-# current pattern.
-SUBSET_ROW_LIMIT = 10
-FLIP_LIMIT = 3
+# side of the square corner regions that the repair search re-chooses
+CORNER_SIZE = 8
 
 _CACHE_MAX = 4096
 _MISS = object()
@@ -111,7 +113,6 @@ def _solve_region(
     n: int,
     region: _Region,
     net: int,
-    flip_limit: int | None,
 ) -> frozenset | None:
     """Re-choose the region's cells keeping the composition locally valid.
 
@@ -154,7 +155,6 @@ def _solve_region(
         jend - jstart,
         tuple(col_bits(j) for j in range(jstart - 2, jend + 2)),
         net,
-        flip_limit,
     )
     cached = _region_cache.get(sig, _MISS)
     if cached is not _MISS:
@@ -189,20 +189,11 @@ def _solve_region(
 
     def candidates(j: int) -> list[int]:
         fixed = col_bits(j) & ~free_mask
-        base_free = col_bits(j) & free_mask
-        if flip_limit is None or bin(free_mask).count("1") <= SUBSET_ROW_LIMIT:
-            frees = _submasks(free_mask)
-        else:
-            free_bits = [b for b in range(h) if free_mask >> b & 1]
-            seen = set()
-            for r in range(flip_limit + 1):
-                for combo in itertools.combinations(free_bits, r):
-                    v = base_free
-                    for b in combo:
-                        v ^= 1 << b
-                    seen.add(v)
-            frees = sorted(seen)
-        return [fixed | v for v in frees if not ((fixed | v) & ((fixed | v) >> 1))]
+        return [
+            fixed | v
+            for v in _submasks(free_mask)
+            if not ((fixed | v) & ((fixed | v) >> 1))
+        ]
 
     base_in_region = sum(
         1 for i in range(r1, r2 + 1) for j in range(c1, c2 + 1) if (i, j) in members
@@ -270,50 +261,22 @@ def _solve_region(
 
 
 # ---------------------------------------------------------------------------
-# plan assembly
+# corner repairs
 # ---------------------------------------------------------------------------
 
 
-def _corner_regions(m: int, n: int, size: int) -> list[_Region]:
-    tr = min(size, m // 2)
-    tc = min(size, n // 2)
+def _corner_regions(m: int, n: int) -> list[_Region]:
+    k = CORNER_SIZE
     return [
-        _Region("top-left", (1, tr), (1, tc)),
-        _Region("top-right", (1, tr), (n - tc + 1, n)),
-        _Region("bottom-left", (m - tr + 1, m), (1, tc)),
-        _Region("bottom-right", (m - tr + 1, m), (n - tc + 1, n)),
+        _Region("top-left", (1, k), (1, k)),
+        _Region("top-right", (1, k), (n - k + 1, n)),
+        _Region("bottom-left", (m - k + 1, m), (1, k)),
+        _Region("bottom-right", (m - k + 1, m), (n - k + 1, n)),
     ]
-
-
-def _side_strips(m: int, n: int) -> list[_Region]:
-    # the 9-column border strips; disjoint once n >= 18
-    return [
-        _Region("left", (1, m), (1, 9)),
-        _Region("right", (1, m), (n - 8, n)),
-    ]
-
-
-def _plans(m: int, n: int) -> list[tuple[list[_Region], int | None]]:
-    """Repair plans as (regions, per-column flip bound), tried in order.
-
-    Widths 14 and 15 skip straight to the dynamic-programming constructor:
-    their border repairs are not reliably expressible with few changes per
-    column, while the word table at those widths is still small.
-    """
-    if m <= 15:
-        return []
-    plans: list[tuple[list[_Region], int | None]] = [(_corner_regions(m, n, 8), None)]
-    if n >= 18 and m <= 17:
-        plans.append((_side_strips(m, n), FLIP_LIMIT))
-        plans.append((_side_strips(m, n), FLIP_LIMIT + 1))
-    if m >= 18:
-        bigger = min(10, m // 2, n // 2)
-        if bigger > 8:
-            plans.append((_corner_regions(m, n, bigger), None))
-    return plans
 
 
 def _corner_prepaid(m: int, n: int, s: int) -> dict[str, bool]:
+    """Which extended-grid corners lie in V_s (projection already drops them)."""
     return {
         "top-left": 0 % 5 == s,
         "top-right": (n + 1) % 5 == s,
@@ -322,94 +285,59 @@ def _corner_prepaid(m: int, n: int, s: int) -> dict[str, bool]:
     }
 
 
-def _net_vectors(k: int, total: int, default: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All ways to split `total` over k regions, nearest to `default` first."""
-    vectors = [
-        v
-        for v in itertools.product(range(total + 1), repeat=k)
-        if sum(v) == total
-    ]
-    vectors.sort(key=lambda v: (sum(abs(a - b) for a, b in zip(v, default)), v))
-    return vectors
-
-
-def _default_nets(regions: list[_Region], m: int, n: int, s: int, total: int) -> tuple[int, ...]:
-    prepaid = _corner_prepaid(m, n, s)
-    if len(regions) == 4:
-        nets = tuple(0 if prepaid[r.name] else 1 for r in regions)
-    elif len(regions) == 2:
-        nets = (
-            (0 if prepaid["top-left"] else 1) + (0 if prepaid["bottom-left"] else 1),
-            (0 if prepaid["top-right"] else 1) + (0 if prepaid["bottom-right"] else 1),
-        )
-    else:
-        nets = (total,)
-    if sum(nets) != total:
-        base = total // len(regions)
-        nets = tuple(
-            base + (1 if i < total - base * len(regions) else 0)
-            for i in range(len(regions))
-        )
-    return nets
-
-
 def build_big_grid_set(m: int, n: int, with_info: bool = False):
     """An independent [1,2]-set of size floor((m+2)(n+2)/5) - 4 for 14 <= m <= n.
 
-    Tries each residue class (smallest first), projects it inward and runs
-    the border repair plans until a verified set of the exact target size
-    comes out.  Falls back to the width-m dynamic program for m <= 17.
+    Widths 14 and 15 use the width-m dynamic program.  Wider grids project
+    the class V_s of `choose_residue(m, n)` inward and repair its four 8x8
+    corner regions in the order top-left, top-right, bottom-left,
+    bottom-right; each region drops one member unless V_s already misses
+    its extended-grid corner.  The result is verified before it is returned.
+
+    With `with_info`, also returns {"s", "regions", "nets"} describing the
+    repair ({"s": None, "regions": [], "nets": [], "fallback": "dp"} for
+    widths 14 and 15).  Raises ConstructionError if a corner has no repair
+    or the result fails verification.
     """
     if not 14 <= m <= n:
         raise ValueError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
     target = (m + 2) * (n + 2) // 5 - 4
 
-    order = sorted(range(5), key=lambda s: (len(diagonal_partition(m, n, s)), s))
-    for regions, flip in _plans(m, n):
-        for s in order:
-            base = project_inner(diagonal_partition(m, n, s), m, n)
-            total = len(base) - target
-            if total < 0 or total > 6:
-                continue
-            default = _default_nets(regions, m, n, s, total)
-            for nets in _net_vectors(len(regions), total, default):
-                current = set(base.members)
-                feasible = True
-                for reg, net in zip(regions, nets):
-                    sol = _solve_region(frozenset(current), m, n, reg, net, flip)
-                    if sol is None:
-                        feasible = False
-                        break
-                    current -= reg.cells()
-                    current |= sol
-                if not feasible:
-                    continue
-                result = GridSet(m, n, frozenset(current))
-                if len(result) == target and verify_set(result).ok:
-                    if with_info:
-                        info = {
-                            "s": s,
-                            "regions": [
-                                {"name": r.name, "rows": list(r.rows), "cols": list(r.cols)}
-                                for r in regions
-                            ],
-                            "nets": list(nets),
-                        }
-                        return result, info
-                    return result
-
-    # exact fallback: the transfer-matrix DP is feasible up to width 17
-    if m <= 17:
-        from .grids import extract_min_set
-
+    if m <= 15:
+        # the top and bottom 8x8 corners would overlap; the DP is exact here
         result = extract_min_set(m, n)
         if len(result) != target:
             raise ConstructionError(
-                f"DP fallback for ({m}, {n}) produced {len(result)} members, expected {target}"
+                f"DP extraction for ({m}, {n}) produced {len(result)} members, expected {target}"
             )
         if with_info:
             return result, {"s": None, "regions": [], "nets": [], "fallback": "dp"}
         return result
-    raise ConstructionError(
-        f"repair search failed for ({m}, {n}); target {target} not reached"
-    )
+
+    s = choose_residue(m, n)
+    regions = _corner_regions(m, n)
+    prepaid = _corner_prepaid(m, n, s)
+    nets = [0 if prepaid[r.name] else 1 for r in regions]
+    current = set(project_inner(diagonal_partition(m, n, s), m, n).members)
+    for reg, net in zip(regions, nets):
+        sol = _solve_region(frozenset(current), m, n, reg, net)
+        if sol is None:
+            raise ConstructionError(f"no repair of the {reg.name} corner of ({m}, {n}) with s={s}")
+        current -= reg.cells()
+        current |= sol
+    result = GridSet(m, n, frozenset(current))
+    if len(result) != target or not verify_set(result).ok:
+        raise ConstructionError(
+            f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "
+            f"members; target {target}"
+        )
+    if with_info:
+        info = {
+            "s": s,
+            "regions": [
+                {"name": r.name, "rows": list(r.rows), "cols": list(r.cols)} for r in regions
+            ],
+            "nets": nets,
+        }
+        return result, info
+    return result

@@ -8,7 +8,6 @@ shift, a period certificate extends the computed window to every larger n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -29,10 +28,6 @@ from .words import DEFAULT_WORD_CAP, WordTable, enumerate_suitable
 
 DEFAULT_MAX_D = 15
 DEFAULT_MAX_N = 100
-
-# The oracle is the only engine for single-row grids (the column-word rules
-# assume at least two rows); it is capped at this many columns.
-ORACLE_ROW_LIMIT = 50
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,9 +81,13 @@ def run_dp(
 def solve_width(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> int | float:
     """Minimum independent [1,2]-set size of the m x n grid, by the DP.
 
-    Returns math.inf if no final word is reachable (never the case for the
-    grids in range; treat it as a bug signal).
+    The grid is transposed so the DP runs over the shorter side, unless that
+    side is a single row, which the word machinery does not cover.  Returns
+    math.inf if no final word is reachable (never the case for the grids in
+    range; treat it as a bug signal).
     """
+    if 2 <= n < m:
+        m, n = n, m
     mach, trace = run_dp(m, n, max_words=max_words)
     return trace[-1].min_where(mach.finals)
 
@@ -214,22 +213,14 @@ def value(m: int, n: int) -> int:
     """Minimum independent [1,2]-set size for any grid, by regime dispatch.
 
     Accepts dimensions in either order: the grid is symmetric under
-    transposition so (m, n) is normalized to m <= n first.
+    transposition so (m, n) is normalized to m <= n first.  A single row is
+    a path, which every third vertex dominates: (n + 2) // 3.
     """
     if m < 1 or n < 1:
         raise UnsupportedGridError(f"grid dimensions must be positive, got ({m}, {n})")
     m, n = min(m, n), max(m, n)
     if m == 1:
-        if n > ORACLE_ROW_LIMIT:
-            raise UnsupportedGridError(
-                f"single-row grids are solved by the oracle, capped at n={ORACLE_ROW_LIMIT}"
-            )
-        from .oracle import profile_dp_min
-
-        result = profile_dp_min(1, n, mode="i12")
-        if result.value == math.inf:
-            raise UnsupportedGridError(f"no independent [1,2]-set for path of {n} vertices")
-        return int(result.value)
+        return (n + 2) // 3
     if m <= 13:
         return closed_form(m, n)
     return big_grid_value(m, n)

@@ -144,6 +144,16 @@ def test_results_do_not_depend_on_threads_or_seed(capsys):
         '{"m": 2, "n": 2, "members": [[1, "a"]]}',
         '{"m": 2, "n": 2, "members": [[1]]}',
         '{"m": 2, "n": 2, "members": [3]}',
+        '{"m": 2, "n": 2, "members": [[3, 1]]}',
+        '{"m": 0, "n": 2, "members": []}',
+        "",
+        "  \n",
+        "5\n",
+        "2 x\n#.\n..\n",
+        "2 2\n#.\n",
+        "2 2\n#.\n...\n",
+        "2 2\n#.\n.x\n",
+        "0 3\n",
     ],
 )
 def test_verify_rejects_malformed_set_objects(capsys, monkeypatch, text):
@@ -151,3 +161,11 @@ def test_verify_rejects_malformed_set_objects(capsys, monkeypatch, text):
     code, env = run_json(capsys, "verify")
     assert code == 1
     assert env["error"]["type"] == "MalformedSetError"
+
+
+def test_solve_normalizes_orientation(capsys):
+    code, wide = run_json(capsys, "solve", "20", "5")
+    assert code == 0
+    _, narrow = run_json(capsys, "solve", "5", "20")
+    assert wide["value"] == narrow["value"] == 25
+    assert wide["inputs"] == {"m": 20, "n": 5}

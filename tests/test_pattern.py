@@ -1,5 +1,6 @@
 import pytest
 
+from quasidom import pattern
 from quasidom.grids import verify_set
 from quasidom.pattern import (
     build_big_grid_set,
@@ -115,6 +116,126 @@ def test_wider_grids_beyond_the_default_sweep():
         s = build_big_grid_set(m, n)
         assert len(s) == big_grid_value(m, n), (m, n)
         assert verify_set(s).ok, (m, n)
+
+
+# A corner repair reads rows at most WINDOW_ROWS from its horizontal border and
+# columns at most WINDOW_COLS from its vertical border (see _solve_region).
+WINDOW_ROWS = 10
+WINDOW_COLS = 11
+
+
+def _representative(m, n):
+    """The small grid whose corner repairs (m, n) repeats, with its (a, b) shift."""
+    m_rep = m if m < 20 else 20 + (m - 20) % 5
+    if n < 22:
+        return (m_rep, n), ((m - m_rep) // 5, 0)
+    low = max(m_rep, 22)
+    n_rep = low + (n - low) % 5
+    return (m_rep, n_rep), ((m - m_rep) // 5, (n - n_rep) // 5)
+
+
+def _representatives():
+    for m in range(16, 25):
+        low = max(m, 22)
+        for n in [*range(m, 22), *range(low, low + 5)]:
+            yield m, n
+
+
+def _corner_windows(m, n):
+    rows = {"top": (1, WINDOW_ROWS), "bottom": (m - WINDOW_ROWS + 1, m)}
+    cols = {"left": (1, WINDOW_COLS), "right": (n - WINDOW_COLS + 1, n)}
+    return {(r, c): (rows[r], cols[c]) for r in rows for c in cols}
+
+
+def _inside(members, rows, cols):
+    return {(i, j) for i, j in members if rows[0] <= i <= rows[1] and cols[0] <= j <= cols[1]}
+
+
+def test_representatives_cover_every_wide_grid():
+    reps = set(_representatives())
+    assert len(reps) == 66
+    assert max(n for _, n in reps) == 28
+    for m in range(16, 80):
+        for n in range(m, 90):
+            rep, (a, b) = _representative(m, n)
+            assert rep in reps, (m, n)
+            assert (rep[0] + 5 * a, rep[1] + 5 * b) == (m, n)
+            assert a == 0 or rep[0] >= 20, (m, n)
+            assert b == 0 or rep[1] >= 22, (m, n)
+
+
+def test_corner_repair_is_periodic():
+    """The corner repair gives a verified set for every grid with m >= 16.
+
+    Locality.  `_solve_region` is a deterministic function of its net and
+    of the cells it reads, which form its cache key: rows at most 10 from
+    its horizontal border and columns at most 11 from its vertical border.  Top and bottom windows
+    are disjoint once m >= 20; left and right windows once n >= 22.  The
+    base pattern (the projected class V_s) is invariant under shifts by 5
+    in either direction, and `choose_residue` and the nets depend only on
+    (m mod 5, n mod 5).  So adding 5 rows (when m >= 20) or 5 columns
+    (when n >= 22) translates every corner window, and with it every
+    repair.  Every grid with m >= 16 is a copy (m' + 5a, n' + 5b) of one
+    of 66 representatives, with m' <= 24 and n' <= 28, where a = 0 when
+    m' < 20 (see `_representative`).  Its set is the representative's
+    corner windows, translated, over the base pattern.
+
+    Validity.  A cell's verdict reads three consecutive rows and columns.
+    Outside the 8x8 corner regions the set is the base pattern, so rows
+    9..m-8 and columns 9..n-8 repeat with period 5.  Once such a stretch
+    holds 7 lines (m or n >= 23), five more lines add no new window.  So
+    for a >= 1 copy (a + 1, b) is valid when copy (a, b) is, and likewise
+    for b.  Every copy thus follows from the copies with a, b <= 1, which
+    are built and verified here; the far copies check the translation.
+    The slow test below repeats the far copies without the region cache.
+    """
+    for m0, n0 in _representatives():
+        rep, rep_info = build_big_grid_set(m0, n0, with_info=True)
+        assert len(rep) == big_grid_value(m0, n0), (m0, n0)
+        assert verify_set(rep).ok, (m0, n0)
+        row_shifts = (0, 1, 4) if m0 >= 20 else (0,)
+        col_shifts = (0, 1, 4) if n0 >= 22 else (0,)
+        for a in row_shifts:
+            for b in col_shifts:
+                if (a, b) != (0, 0) and m0 + 5 * a <= n0 + 5 * b:
+                    copy = _assert_translated_copy(rep, rep_info, a, b)
+                    if a <= 1 and b <= 1:
+                        assert verify_set(copy).ok, (copy.m, copy.n)
+
+
+@pytest.mark.slow
+def test_corner_repair_search_reads_only_its_window(monkeypatch):
+    # _region_cache is keyed by the window, so the test above only exercises
+    # the search on representatives; here the far copies are searched afresh
+    for m0, n0 in _representatives():
+        if n0 < 22:
+            continue
+        rep, rep_info = build_big_grid_set(m0, n0, with_info=True)
+        monkeypatch.setattr(pattern, "_region_cache", {})
+        _assert_translated_copy(rep, rep_info, 4 if m0 >= 20 else 0, 4)
+        monkeypatch.undo()
+
+
+def _assert_translated_copy(rep, rep_info, a, b):
+    """Build the copy shifted by (5a, 5b) and compare it with `rep`."""
+    m, n = rep.m + 5 * a, rep.n + 5 * b
+    copy, info = build_big_grid_set(m, n, with_info=True)
+    assert (info["s"], info["nets"]) == (rep_info["s"], rep_info["nets"]), (m, n)
+    rep_windows = _corner_windows(rep.m, rep.n)
+    for (r, c), (rows, cols) in _corner_windows(m, n).items():
+        di = 5 * a if r == "bottom" else 0
+        dj = 5 * b if c == "right" else 0
+        expected = {(i + di, j + dj) for i, j in _inside(rep.members, *rep_windows[r, c])}
+        assert _inside(copy.members, rows, cols) == expected, (m, n, r, c)
+    base = project_inner(diagonal_partition(m, n, info["s"]), m, n)
+    repaired = {
+        (i, j)
+        for region in info["regions"]
+        for i in range(region["rows"][0], region["rows"][1] + 1)
+        for j in range(region["cols"][0], region["cols"][1] + 1)
+    }
+    assert copy.members - repaired == base.members - repaired, (m, n)
+    return copy
 
 
 def test_interior_is_a_perfect_code():

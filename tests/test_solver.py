@@ -3,6 +3,7 @@ import math
 import pytest
 
 from quasidom.errors import PeriodNotFoundError, ResourceCapError, UnsupportedGridError
+from quasidom.oracle import profile_dp_min
 from quasidom.solver import (
     big_grid_value,
     closed_form,
@@ -181,10 +182,17 @@ def test_value_dispatch():
     assert value(13, 73) == 220
     assert value(14, 14) == 47
     assert value(30, 14) == big_grid_value(14, 30)
-    assert value(1, 3) == 1  # single-row grids go to the oracle
+    assert value(1, 3) == 1  # single-row grids: (n + 2) // 3
     assert value(3, 1) == 1
     with pytest.raises(UnsupportedGridError):
         value(0, 5)
+
+
+def test_single_row_value_matches_the_oracle():
+    for n in range(1, 51):
+        assert value(1, n) == profile_dp_min(1, n, "i12").value, n
+    assert value(1, 10**6) == 333334
+    assert value(10**6, 1) == 333334
 
 
 def test_solve_width_rejects_single_row():
