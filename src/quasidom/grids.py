@@ -9,9 +9,19 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvalidSetError, MalformedSetError, UnsupportedGridError
+from .errors import InvalidSetError, MalformedSetError, ResourceCapError, UnsupportedGridError
 from .solver import run_dp
 from .words import DEFAULT_WORD_CAP
+
+# largest m * n a vertex set may span; sets are frozensets of tuples and
+# verify_set visits every cell in Python, so larger grids are refused up front
+MAX_CELLS = 4_000_000
+
+
+def check_cell_cap(m: int, n: int) -> None:
+    """Refuse a grid above MAX_CELLS before any per-cell work starts."""
+    if m * n > MAX_CELLS:
+        raise ResourceCapError(f"a {m}x{n} grid has more than {MAX_CELLS} cells")
 
 
 @dataclass(frozen=True)
@@ -25,6 +35,7 @@ class GridSet:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise MalformedSetError(f"grid dimensions must be positive, got ({self.m}, {self.n})")
+        check_cell_cap(self.m, self.n)
         object.__setattr__(self, "members", frozenset(self.members))
         for i, j in self.members:
             if not (1 <= i <= self.m and 1 <= j <= self.n):
@@ -174,8 +185,12 @@ def extract_min_set(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> GridSe
     """Backtrack the DP trace into a concrete minimum independent [1,2]-set.
 
     Picks the smallest final word id achieving the minimum, then the smallest
-    predecessor id achieving each step, so the output is deterministic.
+    predecessor id achieving each step, so the output is deterministic.  As
+    in `solve_width`, a grid with 2 <= n < m is solved over its n rows and
+    transposed back.
     """
+    if 2 <= n < m:
+        return extract_min_set(n, m, max_words).transpose()
     mach, trace = run_dp(m, n, keep_trace=True, max_words=max_words)
     last = trace[-1]
     finals = mach.finals

@@ -8,14 +8,15 @@ which yields a valid set of exactly floor((m+2)(n+2)/5) - 4 vertices, the
 known lower bound.  Widths 14 and 15 take the set from the transfer-matrix
 extractor instead.
 
-A repair is an exact column-sweep search over one corner region: cells
-outside the region stay fixed, region columns are re-chosen subject to
-independence and [1,2]-domination of every affected cell, and the member
-count must drop by one unless the class already misses that extended-grid
-corner.  A repair reads only the cells near its corner, so the output of
-every grid is a translate of one of finitely many small grids away from the
-corners; `test_corner_repair_is_periodic` in tests/test_pattern.py checks
-this and states the argument.
+A repair is an exact column sweep over one corner region that keeps the
+cells outside it fixed and drops one member unless the class already
+misses that extended-grid corner.  Its state is the last two columns as
+row bitmasks plus the members used; choosing a column settles the one
+before it, whose non-members each need one or two of the masks left,
+right, up and down (the bit test of the oracle's `_BitGrid`).  A repair
+reads only the cells near its corner, so the output of every grid is a
+translate of one of finitely many small grids away from the corners;
+`test_corner_repair_is_periodic` in tests/test_pattern.py checks this.
 """
 
 from __future__ import annotations
@@ -23,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConstructionError
-from .grids import GridSet, extract_min_set, verify_set
+from .grids import GridSet, check_cell_cap, extract_min_set, verify_set
 
 # side of the square corner regions that the repair search re-chooses
 CORNER_SIZE = 8
 
 _CACHE_MAX = 4096
-_MISS = object()
 
 
 def diagonal_partition(m: int, n: int, s: int) -> frozenset[tuple[int, int]]:
@@ -68,8 +68,11 @@ def project_inner(cells: frozenset[tuple[int, int]], m: int, n: int) -> GridSet:
 
 
 def choose_residue(m: int, n: int) -> int:
-    """Residue whose class is smallest on the extended grid (ties: smallest s)."""
-    sizes = [len(diagonal_partition(m, n, s)) for s in range(5)]
+    """Residue whose class is smallest on the extended grid (ties: smallest s).
+
+    Row i meets V_s in the columns j = (s - 2i) mod 5, +5, +10, ... <= n + 1.
+    """
+    sizes = [sum((n + 6 - (s - 2 * i) % 5) // 5 for i in range(m + 2)) for s in range(5)]
     return min(range(5), key=lambda s: (sizes[s], s))
 
 
@@ -92,18 +95,6 @@ class _Region:
         )
 
 
-def _submasks(mask: int) -> list[int]:
-    out = []
-    s = mask
-    while True:
-        out.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    out.reverse()
-    return out
-
-
 _region_cache: dict[tuple, frozenset | None] = {}
 
 
@@ -118,31 +109,27 @@ def _solve_region(
 
     Returns the replacement member set for the region rectangle (grid
     coordinates), holding exactly `net` fewer members than the region does
-    now, or None if no such choice exists.  Every cell whose closed
-    neighborhood meets the region is re-checked; farther cells cannot be
-    affected by the change.
+    now, or None if no such choice exists.  The sweep runs over columns
+    c1-1..c2+2 as bitmasks of rows r1-2..r2+2 (clipped to the grid); a
+    state is (column j, column j-1, region members used).  Choosing column
+    j settles column j-1: each of its non-member cells in rows r1-1..r2+1
+    needs one or two of the masks left, right, up and down.  States are
+    expanded in sorted order and keep the first predecessor found.
     """
     r1, r2 = region.rows
     c1, c2 = region.cols
     lr1, lr2 = max(1, r1 - 2), min(m, r2 + 2)
     h = lr2 - lr1 + 1
-    full = (1 << h) - 1
-    free_mask = 0
-    for i in range(r1, r2 + 1):
-        free_mask |= 1 << (i - lr1)
-    check_mask = 0
-    for i in range(max(1, r1 - 1), min(m, r2 + 1) + 1):
-        check_mask |= 1 << (i - lr1)
-    lane_lsb = sum(1 << (3 * b) for b in range(h))
+
+    def span(lo: int, hi: int) -> int:
+        return ((1 << (hi - lo + 1)) - 1) << (lo - lr1)
+
+    free_mask = span(r1, r2)
+    check_mask = span(max(1, r1 - 1), min(m, r2 + 1))
 
     def col_bits(j: int) -> int:
-        if j < 1 or j > n:
-            return 0
-        bits = 0
-        for i in range(lr1, lr2 + 1):
-            if (i, j) in members:
-                bits |= 1 << (i - lr1)
-        return bits
+        rows = range(lr1, lr2 + 1) if 1 <= j <= n else ()
+        return sum(1 << (i - lr1) for i in rows if (i, j) in members)
 
     jstart, jend = max(1, c1 - 1), min(n, c2 + 1)
     sig = (
@@ -156,108 +143,55 @@ def _solve_region(
         tuple(col_bits(j) for j in range(jstart - 2, jend + 2)),
         net,
     )
-    cached = _region_cache.get(sig, _MISS)
-    if cached is not _MISS:
-        if cached is None:
-            return None
-        return frozenset((i + r1, j + c1) for i, j in cached)
 
-    def spread3(x: int) -> int:
-        out = 0
-        b = 0
-        while x:
-            if x & 1:
-                out |= 1 << (3 * b)
-            x >>= 1
-            b += 1
-        return out
-
-    def counts_of(prev_mem: int, mem: int) -> int:
-        return (
-            spread3(prev_mem)
-            + spread3((mem << 1) & full)
-            + spread3(mem >> 1)
-        )
-
-    def finalize_ok(mem: int, cnt: int, right_mem: int) -> bool:
-        total = cnt + spread3(right_mem)
-        b0 = total & lane_lsb
-        b1 = (total >> 1) & lane_lsb
-        b2 = (total >> 2) & lane_lsb
-        bad = (b2 | (b1 & b0)) | (lane_lsb & ~(b0 | b1 | b2))
-        return not (bad & spread3((~mem) & check_mask))
-
-    def candidates(j: int) -> list[int]:
+    def candidates(j: int) -> list[tuple[int, int]]:
+        """(column, region members it adds) in increasing column order."""
+        if not c1 <= j <= c2:
+            return [(col_bits(j), 0)]
         fixed = col_bits(j) & ~free_mask
-        return [
-            fixed | v
-            for v in _submasks(free_mask)
-            if not ((fixed | v) & ((fixed | v) >> 1))
-        ]
+        cols = (fixed | v << (r1 - lr1) for v in range(1 << (r2 - r1 + 1)))
+        return [(c, bin(c & free_mask).count("1")) for c in cols if not c & (c >> 1)]
 
-    base_in_region = sum(
-        1 for i in range(r1, r2 + 1) for j in range(c1, c2 + 1) if (i, j) in members
-    )
-    target = base_in_region - net
-    solution: frozenset | None = None
-
-    if target >= 0:
-        # state: (column membership, its left/up/down counts, members used)
-        seed_prev = col_bits(jstart - 1)
-        seed = (seed_prev, counts_of(col_bits(jstart - 2), seed_prev), 0)
-        layer: dict[tuple[int, int, int], tuple[int, int, int] | None] = {seed: None}
-        layers = [layer]
-        sweep = list(range(jstart, jend + 2))
-        dead = False
+    def search() -> frozenset | None:
+        """The repair in coordinates relative to (r1, c1)."""
+        target = sum(bin(col_bits(j) & free_mask).count("1") for j in range(c1, c2 + 1)) - net
+        if target < 0:
+            return None
+        sweep = range(jstart, jend + 2)
+        layers = [{(col_bits(jstart - 1), col_bits(jstart - 2), 0): None}]
         for j in sweep:
-            cands = candidates(j) if c1 <= j <= c2 else [col_bits(j)]
-            in_region = c1 <= j <= c2
-            finalize = j - 1 >= jstart
-            nxt: dict[tuple[int, int, int], tuple[int, int, int]] = {}
+            cands = candidates(j)
+            nxt: dict[tuple[int, int, int], tuple] = {}
             for key in sorted(layers[-1]):
-                prev_mem, prev_cnt, used = key
-                for mem in cands:
-                    if mem & prev_mem:
-                        continue
-                    if finalize and not finalize_ok(prev_mem, prev_cnt, mem):
-                        continue
-                    used2 = used + (bin(mem & free_mask).count("1") if in_region else 0)
-                    if used2 > target:
-                        continue
-                    nkey = (mem, counts_of(prev_mem, mem), used2)
-                    if nkey not in nxt:
-                        nxt[nkey] = key
+                prev, left, used = key
+                up, down = prev << 1, prev >> 1
+                # column jstart - 1 lies outside the checked stretch
+                need = check_mask & ~prev if j > jstart else 0
+                if need & left & up & down:
+                    continue
+                once = left | up | down
+                twice = (left & up) | (left & down) | (up & down)
+                for mem, cost in cands:
+                    ok = not (mem & prev or need & ~(once | mem) or need & twice & mem)
+                    if ok and used + cost <= target:
+                        nxt.setdefault((mem, prev, used + cost), key)
             if not nxt:
-                dead = True
-                break
+                return None
             layers.append(nxt)
-        if not dead:
-            final_key = None
-            for key in sorted(layers[-1]):
-                if key[2] == target:
-                    final_key = key
-                    break
-            if final_key is not None:
-                chain = [final_key]
-                for layer in reversed(layers[1:]):
-                    chain.append(layer[chain[-1]])
-                chain.reverse()  # seed, then one state per sweep column
-                sol = set()
-                for idx, j in enumerate(sweep):
-                    if c1 <= j <= c2:
-                        mem = chain[idx + 1][0]
-                        for b in range(h):
-                            if mem >> b & 1 and free_mask >> b & 1:
-                                sol.add((lr1 + b, j))
-                solution = frozenset(sol)
+        key = min((k for k in layers[-1] if k[2] == target), default=None)
+        if key is None:
+            return None
+        sol = set()
+        for j, layer in zip(reversed(sweep), reversed(layers)):
+            if c1 <= j <= c2:
+                sol.update((i - r1, j - c1) for i in range(r1, r2 + 1) if key[0] >> (i - lr1) & 1)
+            key = layer[key]
+        return frozenset(sol)
 
+    rel = _region_cache[sig] if sig in _region_cache else search()
     if len(_region_cache) < _CACHE_MAX:
-        _region_cache[sig] = (
-            None
-            if solution is None
-            else frozenset((i - r1, j - c1) for i, j in solution)
-        )
-    return solution
+        _region_cache.setdefault(sig, rel)
+    return None if rel is None else frozenset((i + r1, j + c1) for i, j in rel)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +231,11 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
     With `with_info`, also returns {"s", "regions", "nets"} describing the
     repair ({"s": None, "regions": [], "nets": [], "fallback": "dp"} for
     widths 14 and 15).  Raises ConstructionError if a corner has no repair
-    or the result fails verification.
+    or the result fails verification, and ResourceCapError above grids.MAX_CELLS cells.
     """
     if not 14 <= m <= n:
         raise ValueError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
+    check_cell_cap(m, n)
     target = (m + 2) * (n + 2) // 5 - 4
 
     if m <= 15:

@@ -1,5 +1,6 @@
 import io
 import json
+import time
 
 import pytest
 
@@ -169,3 +170,19 @@ def test_solve_normalizes_orientation(capsys):
     _, narrow = run_json(capsys, "solve", "5", "20")
     assert wide["value"] == narrow["value"] == 25
     assert wide["inputs"] == {"m": 20, "n": 5}
+
+
+@pytest.mark.parametrize(
+    "argv,stdin",
+    [
+        (["verify"], '{"m": 100000, "n": 100000, "members": []}'),
+        (["pattern", "100000", "100000"], ""),
+    ],
+)
+def test_oversized_grids_are_refused_up_front(capsys, monkeypatch, argv, stdin):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    started = time.perf_counter()
+    code, env = run_json(capsys, *argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert env["error"]["type"] == "ResourceCapError"

@@ -1,7 +1,7 @@
 import pytest
 
-from quasidom.errors import InvalidSetError
-from quasidom.grids import GridSet, extract_min_set, labeling_of, verify_set
+from quasidom.errors import InvalidSetError, ResourceCapError
+from quasidom.grids import MAX_CELLS, GridSet, extract_min_set, labeling_of, verify_set
 from quasidom.solver import solve_width
 from quasidom.words import can_follow, is_final, is_initial, is_suitable, zeros
 
@@ -42,6 +42,12 @@ def test_coordinates_validated():
         gs(0, 2)
 
 
+def test_cell_cap_is_exact():
+    assert len(GridSet(MAX_CELLS, 1, frozenset())) == 0
+    with pytest.raises(ResourceCapError):
+        GridSet(MAX_CELLS + 1, 1, frozenset())
+
+
 def test_ascii_round_trip():
     s = gs(2, 3, (1, 1), (2, 3))
     text = s.to_ascii()
@@ -64,6 +70,14 @@ def test_transpose_preserves_validity():
 def test_extraction_closure(m, n):
     s = extract_min_set(m, n)
     assert len(s) == solve_width(m, n)
+    assert verify_set(s).ok
+
+
+def test_extraction_normalizes_orientation():
+    # solved over the 5 rows and transposed, as solve_width does
+    s = extract_min_set(20, 5)
+    assert (s.m, s.n) == (20, 5)
+    assert len(s) == solve_width(20, 5) == 25
     assert verify_set(s).ok
 
 
