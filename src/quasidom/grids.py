@@ -7,14 +7,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+
+import numpy as np
 
 from .errors import InvalidSetError, MalformedSetError, ResourceCapError, UnsupportedGridError
 from .solver import run_dp
+from .tropical import _INF, as_cost
 from .words import DEFAULT_WORD_CAP
 
 # largest m * n a vertex set may span; sets are frozensets of tuples and
-# verify_set visits every cell in Python, so larger grids are refused up front
+# verify_set builds an array over every cell, so larger grids are refused up front
 MAX_CELLS = 4_000_000
 
 
@@ -115,17 +118,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def neighbors(m: int, n: int, i: int, j: int) -> Iterator[tuple[int, int]]:
-    if i > 1:
-        yield (i - 1, j)
-    if i < m:
-        yield (i + 1, j)
-    if j > 1:
-        yield (i, j - 1)
-    if j < n:
-        yield (i, j + 1)
-
-
 @dataclass(frozen=True)
 class Violation:
     vertex: tuple[int, int]
@@ -144,85 +136,98 @@ class VerificationReport:
         return self.independent and self.dominated_ok
 
 
+def _padded(s: GridSet) -> np.ndarray:
+    """Membership of s as 0/1 on an (m+2) x (n+2) int8 array with a zero border.
+
+    Cell (i, j) sits at [i, j], so the neighbors of the inner block
+    [1:-1, 1:-1] are its shifts by one row or column.
+    """
+    g = np.zeros((s.m + 2, s.n + 2), dtype=np.int8)
+    flat = np.fromiter(chain.from_iterable(s.members), dtype=np.int64, count=2 * len(s))
+    g[flat[0::2], flat[1::2]] = 1
+    return g
+
+
+def _cells(mask: np.ndarray, *values: np.ndarray) -> zip:
+    """1-based (i, j) of the nonzero cells of an m x n mask in row-major order,
+    each followed by the entries of values at that cell."""
+    rows, cols = np.nonzero(mask)
+    return zip((rows + 1).tolist(), (cols + 1).tolist(), *(v[rows, cols].tolist() for v in values))
+
+
 def verify_set(s: GridSet) -> VerificationReport:
     """Per-vertex diagnosis of independence and [1,2]-domination.
 
     Independence fails on any grid-adjacent member pair; domination fails on
     a non-member with zero neighbors in the set (undominated) or three or
-    more (over-dominated).
+    more (over-dominated).  Adjacent pairs come first, by member in sorted
+    order, the right neighbor before the lower one; then the domination
+    failures in row-major order.
     """
+    g = _padded(s)
+    member = g[1:-1, 1:-1]
+    right = member & g[1:-1, 2:]
+    down = member & g[2:, 1:-1]
     violations: list[Violation] = []
-    members = s.members
-    for i, j in sorted(members):
-        for v in ((i, j + 1), (i + 1, j)):
-            if v in members:
+    # row-major order of the cells is the sorted order of the members
+    for i, j, r, d in _cells(right | down, right, down):
+        for hit, v in ((r, (i, j + 1)), (d, (i + 1, j))):
+            if hit:
                 violations.append(
                     Violation((i, j), "adjacent-pair", f"members ({i},{j}) and {v} are adjacent")
                 )
     independent = not violations
-    dominated_ok = True
-    for i in range(1, s.m + 1):
-        for j in range(1, s.n + 1):
-            if (i, j) in members:
-                continue
-            count = sum(1 for v in neighbors(s.m, s.n, i, j) if v in members)
-            if count == 0:
-                dominated_ok = False
-                violations.append(
-                    Violation((i, j), "undominated", f"({i},{j}) has no neighbor in the set")
-                )
-            elif count > 2:
-                dominated_ok = False
-                violations.append(
-                    Violation(
-                        (i, j), "over-dominated", f"({i},{j}) has {count} neighbors in the set"
-                    )
-                )
-    return VerificationReport(independent, dominated_ok, tuple(violations))
+    count = g[:-2, 1:-1] + g[2:, 1:-1] + g[1:-1, :-2] + g[1:-1, 2:]
+    bad = (member == 0) & ((count == 0) | (count > 2))
+    for i, j, c in _cells(bad, count):
+        if c == 0:
+            violations.append(
+                Violation((i, j), "undominated", f"({i},{j}) has no neighbor in the set")
+            )
+        else:
+            violations.append(
+                Violation((i, j), "over-dominated", f"({i},{j}) has {c} neighbors in the set")
+            )
+    return VerificationReport(independent, not bad.any(), tuple(violations))
 
 
 def extract_min_set(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> GridSet:
     """Backtrack the DP trace into a concrete minimum independent [1,2]-set.
 
     Picks the smallest final word id achieving the minimum, then the smallest
-    predecessor id achieving each step, so the output is deterministic.  As
-    in `solve_width`, a grid with 2 <= n < m is solved over its n rows and
-    transposed back.
+    predecessor id achieving each step, so the output is deterministic.  The
+    trace is read through its fold, so memory stays at the columns up to the
+    width's first repeat, whatever n is.  As in `solve_width`, a grid with
+    2 <= n < m is solved over its n rows and transposed back.
     """
     if 2 <= n < m:
         return extract_min_set(n, m, max_words).transpose()
     mach, trace = run_dp(m, n, keep_trace=True, max_words=max_words)
-    last = trace[-1]
     finals = mach.finals
-    best = last.min_where(finals)
-    if best == math.inf:
+    data, shift = trace.column(n)
+    low = as_cost(data[finals].min(initial=_INF))
+    if low == math.inf:
         raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
-    data = last.data
-    p = min(
-        pid for pid in range(len(data)) if finals[pid] and data[pid] == best
-    )
+    best = low + shift
+    p = int(np.flatnonzero(finals & (data == low))[0])
     matrix = mach.matrix
     ids = [p]
-    for r in range(n - 1, 0, -1):
-        prev = trace[r - 1].data
-        target = trace[r].data[p] - matrix.row_zeros[p]
+    for r in range(n, 1, -1):
+        prev, prev_shift = trace.column(r - 1)
+        # X^r[p] = row_zeros[p] + X^{r-1}[q] for the chosen q, shifts taken out
+        target = data[p] + shift - prev_shift - matrix.row_zeros[p]
         row = matrix.predecessors(p)
-        chosen = None
-        for q in row:  # predecessor ids are sorted, first hit is smallest
-            if prev[q] == target:
-                chosen = int(q)
-                break
-        if chosen is None:
+        hits = np.flatnonzero(prev[row] == target)
+        if not hits.size:
             raise RuntimeError(
-                f"DP trace inconsistent at column {r + 1} for ({m}, {n}); this is a bug"
+                f"DP trace inconsistent at column {r} for ({m}, {n}); this is a bug"
             )
-        p = chosen
+        p = int(row[hits[0]])  # predecessor ids are sorted, first hit is smallest
         ids.append(p)
+        data, shift = prev, prev_shift
     ids.reverse()
-    words = [mach.table.words[i] for i in ids]
-    members = frozenset(
-        (i + 1, j + 1) for j, w in enumerate(words) for i, ch in enumerate(w) if ch == "0"
-    )
+    cols, rows = np.nonzero(mach.table.digits[ids] == 0)
+    members = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
     result = GridSet(m, n, members)
     if len(result) != best:
         raise RuntimeError(
@@ -244,23 +249,11 @@ def labeling_of(s: GridSet) -> list[str]:
         raise InvalidSetError(
             f"not an independent [1,2]-set: {'; '.join(v.detail for v in report.violations[:3])}"
         )
-    members = s.members
-    columns = []
-    for j in range(1, s.n + 1):
-        labels = []
-        for i in range(1, s.m + 1):
-            if (i, j) in members:
-                labels.append("0")
-                continue
-            count = sum(
-                1
-                for v in ((i, j - 1), (i - 1, j), (i + 1, j))
-                if v in members
-            )
-            if count > 2:
-                raise RuntimeError(
-                    f"({i},{j}) has {count} dominators after verification; this is a bug"
-                )
-            labels.append("3" if count == 0 else str(count))
-        columns.append("".join(labels))
-    return columns
+    g = _padded(s)
+    member = g[1:-1, 1:-1]
+    count = g[1:-1, :-2] + g[:-2, 1:-1] + g[2:, 1:-1]
+    for i, j, c in _cells((member == 0) & (count > 2), count):
+        raise RuntimeError(f"({i},{j}) has {c} dominators after verification; this is a bug")
+    labels = np.where(member == 1, 0, np.where(count == 0, 3, count))
+    text = (labels.T + ord("0")).astype(np.uint8)
+    return [row.tobytes().decode() for row in text]

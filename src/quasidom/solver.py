@@ -2,8 +2,12 @@
 
 The minimum size of an independent [1,2]-set of the m x n grid is obtained by
 iterating the min-plus transition matrix on the initial vector and minimizing
-over final words.  Once consecutive cost vectors repeat up to a constant
-shift, a period certificate extends the computed window to every larger n.
+over final words.  The iteration stops at the first column that repeats an
+earlier one up to a constant shift: since mat_vec(x + c) = mat_vec(x) + c,
+every later column is a stored one plus a multiple of c, so a run computes
+only the columns before that repeat, whatever n is.  A period certificate
+states the same repetition for the grid values and extends them to every
+larger n.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ class Machinery:
 
 _machinery_cache: dict[int, Machinery] = {}
 
+# first repeat of each width, (t, d, c) with X^t = X^{t-d} + c; filled by the
+# first run_dp call that reaches column t
+_repeat_cache: dict[int, tuple[int, int, int]] = {}
+
 
 def machinery(m: int, max_words: int = DEFAULT_WORD_CAP) -> Machinery:
     cached = _machinery_cache.get(m)
@@ -60,22 +68,110 @@ def machinery(m: int, max_words: int = DEFAULT_WORD_CAP) -> Machinery:
     return built
 
 
+@dataclass(frozen=True, eq=False)
+class FoldedTrace:
+    """The columns X^1..X^n of one DP run, stored only up to the first repeat.
+
+    columns holds X^first..X^last.  When last < n the run stopped at its first
+    repeat X^{last+1} = X^{last+1-d} + c, and column r > last is read as
+    X^{s + (r - s) mod d} plus c * ((r - s) // d), where s = last + 1 - d.
+    Infinite entries stay infinite.
+    """
+
+    columns: list[TropicalVector]
+    first: int
+    n: int
+    d: int
+    c: int
+
+    def __len__(self) -> int:
+        return self.n
+
+    def _locate(self, r: int) -> tuple[TropicalVector, int]:
+        last = self.first + len(self.columns) - 1
+        if not (self.first <= r <= self.n):
+            raise IndexError(f"column {r} is not held by this trace")
+        if r <= last:
+            return self.columns[r - self.first], 0
+        s = last + 1 - self.d
+        q, off = divmod(r - s, self.d)
+        return self.columns[s + off - self.first], q * self.c
+
+    def column(self, r: int) -> tuple[np.ndarray, int]:
+        """Stored data of X^r (1-based) and the constant its entries lack."""
+        vec, shift = self._locate(r)
+        return vec.data, shift
+
+    def __getitem__(self, i: int) -> TropicalVector:
+        """X^{i+1}, indexed like the list of all n columns."""
+        if not -self.n <= i < self.n:
+            raise IndexError(f"column index {i} out of range for {self.n} columns")
+        vec, shift = self._locate(i % self.n + 1)
+        return vec.plus(shift) if shift else vec
+
+
+def _shape_key(x: TropicalVector) -> int:
+    """Hash of where x is infinite and of its finite entries less their minimum.
+
+    Columns that differ by a constant on their finite entries share a key, so
+    comparing keys rules out most candidates before _uniform_shift runs.
+    """
+    data = x.data
+    return hash(np.where(data < _INF, data - data.min(), -1).tobytes())
+
+
+def _find_shift(
+    columns: list[TropicalVector], keys: list[int], x: TropicalVector, key: int
+) -> tuple[int, int] | None:
+    """The smallest d <= DEFAULT_MAX_D and its c with x = columns[-d] + c.
+
+    keys[-d] is the _shape_key of columns[-d], and key that of x.
+    """
+    for d in range(1, min(DEFAULT_MAX_D, len(columns)) + 1):
+        if keys[-d] == key:
+            c = _uniform_shift(columns[-d].data, x.data)
+            if c is not None:
+                return d, c
+    return None
+
+
 def run_dp(
     m: int, n: int, keep_trace: bool = False, max_words: int = DEFAULT_WORD_CAP
-) -> tuple[Machinery, list[TropicalVector]]:
-    """Iterate X^1..X^n; returns all vectors when keep_trace, else just X^n."""
+) -> tuple[Machinery, FoldedTrace | list[TropicalVector]]:
+    """Iterate X^1..X^n, stopping at the width's first repeat.
+
+    Returns the FoldedTrace of all n columns when keep_trace, else [X^n].
+    The first run that reaches a repeat records it in _repeat_cache; later
+    runs at that width compute min(n, t - 1) columns without checking.
+    Without keep_trace only the last DEFAULT_MAX_D columns are held.
+    """
     if m < 2:
         raise UnsupportedGridError("the word machinery needs at least 2 rows; use the oracle for paths")
     if n < 1:
         raise UnsupportedGridError(f"column count must be positive, got {n}")
     mach = machinery(m, max_words=max_words)
+    repeat = _repeat_cache.get(m)
+    last = n if repeat is None else min(n, repeat[0] - 1)
     x = mach.initial
-    trace = [x]
-    for _ in range(n - 1):
+    columns, first = [x], 1
+    keys = [] if repeat else [_shape_key(x)]
+    for r in range(2, last + 1):
         x = mat_vec(mach.matrix, x)
-        if keep_trace:
-            trace.append(x)
-    return mach, trace if keep_trace else [x]
+        if repeat is None:
+            key = _shape_key(x)
+            found = _find_shift(columns, keys, x, key)
+            if found is not None:
+                repeat = _repeat_cache[m] = (r, *found)
+                break
+            keys.append(key)
+            del keys[:-DEFAULT_MAX_D]
+        columns.append(x)
+        if not keep_trace and len(columns) > DEFAULT_MAX_D:
+            del columns[0]
+            first += 1
+    _, d, c = repeat or (0, 0, 0)
+    trace = FoldedTrace(columns, first, n, d, c)
+    return mach, trace if keep_trace else [trace[-1]]
 
 
 def solve_width(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> int | float:
@@ -108,15 +204,19 @@ class PeriodCertificate:
     boundary: Mapping[int, int]
 
 
-def _uniform_shift(a: np.ndarray, b: np.ndarray) -> int | None:
-    """The constant c >= 1 with b = a + c on finite entries, if it exists."""
+def _uniform_shift(a: np.ndarray, b: np.ndarray, lift: int = 0) -> int | None:
+    """The constant c >= 1 with b + lift = a + c on finite entries, if it exists.
+
+    lift is the constant that the stored entries of b lack relative to a's,
+    as read from a FoldedTrace.
+    """
     fa = a < _INF
     fb = b < _INF
     if not np.array_equal(fa, fb) or not fa.any():
         return None
     diffs = b[fa] - a[fa]
-    c = int(diffs[0])
-    if c >= 1 and bool((diffs == c).all()):
+    c = int(diffs[0]) + lift
+    if c >= 1 and bool((diffs == diffs[0]).all()):
         return c
     return None
 
@@ -137,7 +237,9 @@ def detect_period(
     mach, trace = run_dp(m, max_n, keep_trace=True, max_words=max_words)
     for d in range(1, max_d + 1):
         for n0 in range(1, max_n - d + 1):
-            c = _uniform_shift(trace[n0 - 1].data, trace[n0 + d - 1].data)
+            a, shift_a = trace.column(n0)
+            b, shift_b = trace.column(n0 + d)
+            c = _uniform_shift(a, b, shift_b - shift_a)
             if c is None:
                 continue
             boundary = {}

@@ -1,13 +1,122 @@
+import hashlib
+import json
+import tracemalloc
+
 import pytest
+from hypothesis import given, strategies as st
 
 from quasidom.errors import InvalidSetError, ResourceCapError
-from quasidom.grids import MAX_CELLS, GridSet, extract_min_set, labeling_of, verify_set
-from quasidom.solver import solve_width
+from quasidom.grids import (
+    MAX_CELLS,
+    GridSet,
+    VerificationReport,
+    Violation,
+    extract_min_set,
+    labeling_of,
+    verify_set,
+)
+from quasidom.solver import _repeat_cache, machinery, solve_width
 from quasidom.words import can_follow, is_final, is_initial, is_suitable, zeros
 
 
 def gs(m, n, *members):
     return GridSet(m, n, frozenset(members))
+
+
+def reference_verify_set(s):
+    """verify_set as a per-cell loop over the member set; the vectorised one must agree."""
+
+    def neighbors(i, j):
+        if i > 1:
+            yield (i - 1, j)
+        if i < s.m:
+            yield (i + 1, j)
+        if j > 1:
+            yield (i, j - 1)
+        if j < s.n:
+            yield (i, j + 1)
+
+    violations = []
+    members = s.members
+    for i, j in sorted(members):
+        for v in ((i, j + 1), (i + 1, j)):
+            if v in members:
+                violations.append(
+                    Violation((i, j), "adjacent-pair", f"members ({i},{j}) and {v} are adjacent")
+                )
+    independent = not violations
+    dominated_ok = True
+    for i in range(1, s.m + 1):
+        for j in range(1, s.n + 1):
+            if (i, j) in members:
+                continue
+            count = sum(1 for v in neighbors(i, j) if v in members)
+            if count == 0:
+                dominated_ok = False
+                violations.append(
+                    Violation((i, j), "undominated", f"({i},{j}) has no neighbor in the set")
+                )
+            elif count > 2:
+                dominated_ok = False
+                violations.append(
+                    Violation(
+                        (i, j), "over-dominated", f"({i},{j}) has {count} neighbors in the set"
+                    )
+                )
+    return VerificationReport(independent, dominated_ok, tuple(violations))
+
+
+def reference_labeling(s):
+    """labeling_of as a per-cell loop: 0, else left + up + down members, 3 for none."""
+    return [
+        "".join(
+            "0" if (i, j) in s.members
+            else str(sum(v in s.members for v in ((i, j - 1), (i - 1, j), (i + 1, j))) or 3)
+            for i in range(1, s.m + 1)
+        )
+        for j in range(1, s.n + 1)
+    ]
+
+
+@st.composite
+def _grid_sets(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=8))
+    cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+    return GridSet(m, n, frozenset(draw(st.sets(st.sampled_from(cells)))))
+
+
+@given(_grid_sets())
+def test_verify_set_matches_the_reference_loop(s):
+    assert verify_set(s) == reference_verify_set(s)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        gs(1, 1),  # the only cell is undominated
+        gs(1, 2, (1, 1), (1, 2)),  # one adjacent pair, right
+        gs(2, 1, (1, 1), (2, 1)),  # one adjacent pair, down
+        gs(2, 2, (1, 1), (1, 2), (2, 1)),  # right and down from one member
+        gs(3, 3, (1, 2), (2, 1), (2, 3), (3, 2)),  # over-dominated by 4
+        gs(2, 3, (1, 2), (2, 1), (2, 3)),  # over-dominated by 3
+        gs(4, 5, (1, 1), (1, 2), (3, 3), (4, 5)),  # every kind at once
+    ],
+)
+def test_verify_set_hand_cases_match_the_reference_loop(s):
+    report = verify_set(s)
+    assert report == reference_verify_set(s)
+    assert report.violations
+
+
+def test_verify_set_violation_text():
+    report = verify_set(gs(3, 4, (1, 1), (1, 2), (2, 3), (3, 2)))
+    assert [(v.vertex, v.kind, v.detail) for v in report.violations] == [
+        ((1, 1), "adjacent-pair", "members (1,1) and (1, 2) are adjacent"),
+        ((1, 4), "undominated", "(1,4) has no neighbor in the set"),
+        ((2, 2), "over-dominated", "(2,2) has 3 neighbors in the set"),
+        ((3, 4), "undominated", "(3,4) has no neighbor in the set"),
+    ]
 
 
 def test_verify_examples():
@@ -114,3 +223,64 @@ def test_labeling_matches_membership():
     for j, word in enumerate(columns, start=1):
         for i, ch in enumerate(word, start=1):
             assert (ch == "0") == ((i, j) in s)
+
+
+@pytest.mark.parametrize("m,n", [(2, 7), (3, 7), (5, 9), (7, 4), (8, 8)])
+def test_labeling_matches_the_reference_loop(m, n):
+    s = extract_min_set(m, n)
+    assert labeling_of(s) == reference_labeling(s)
+    assert labeling_of(s.transpose()) == reference_labeling(s.transpose())
+
+
+# first 16 hex digits of sha256(json.dumps(sorted members)) of extract_min_set(m, n),
+# computed with the DP that iterated every column; n is one before, at and one
+# after the width's first repeat column, and 1500
+EXTRACT_DIGESTS = {
+    (2, 5): "f8a74488ec2a9dbd", (2, 6): "46b377fca25a61f0",
+    (2, 7): "534c4180fe78a479", (2, 1500): "4d5d749a4bff86e0",
+    (3, 10): "90200548654f7972", (3, 11): "f45fdcbba1398bba",
+    (3, 12): "b5501aba0d5cd76d", (3, 1500): "edeadee32caf1b66",
+    (4, 11): "acce201fec4dccb0", (4, 12): "2cdc779fb8a7910e",
+    (4, 13): "e9c07e12a97c4e30", (4, 1500): "8ede2ea6d6da933d",
+    (5, 19): "ef3e7a18e53eed40", (5, 20): "caf3865f2d114cf1",
+    (5, 21): "3250ab1b44e413eb", (5, 1500): "b1b7c5ffb7516b6f",
+    (6, 15): "184038a80225a237", (6, 16): "175c9b77d2d857dc",
+    (6, 17): "e1d2abfe88bb3483", (6, 1500): "bda739a7ca750420",
+    (7, 14): "49ba79d30f23d6c9", (7, 15): "85aebd9a637e77c1",
+    (7, 16): "b37ece73e294e3f3", (7, 1500): "054623bcb7c6c7f8",
+    (8, 25): "a7d5b2f3293d3100", (8, 26): "5b1fd6f9c072decd",
+    (8, 27): "1d7e7ec522dd3242", (8, 1500): "32596879b8818bef",
+    (9, 27): "852515ba7b8d7d7b", (9, 28): "9975b909b180077e",
+    (9, 29): "95ef813fa2cd2636", (9, 1500): "f04f9fe007fdb297",
+    (10, 54): "86778c0eed025934", (10, 55): "6f673f473bf8dc53",
+    (10, 56): "e0494b9bbe8a871f", (10, 1500): "979e0f8e6af37595",
+    (11, 60): "817a12941579a6cd", (11, 61): "f5871e663ac977c5",
+    (11, 62): "55fd920066e1fb7e", (11, 1500): "c528ba97bb763d38",
+    (12, 39): "a6e6a5a950f396f8", (12, 40): "f0583005e59aea22",
+    (12, 41): "a8feb24c8821d9ec", (12, 1500): "b38b407c85ef8ee6",
+    (13, 84): "ccf779b2b627f144", (13, 85): "c0dffabfd4e26e55",
+    (13, 86): "d5ce25e36dc246cf", (13, 1500): "8a79205fef0735b3",}
+
+
+@pytest.mark.parametrize("m,n", sorted(EXTRACT_DIGESTS))
+def test_extraction_through_the_fold_matches_pinned_digests(m, n):
+    _repeat_cache.clear()
+    s = extract_min_set(m, n)
+    digest = hashlib.sha256(json.dumps(s.sorted_members()).encode()).hexdigest()[:16]
+    assert digest == EXTRACT_DIGESTS[m, n]
+
+
+def test_extraction_memory_is_bounded_by_the_fold():
+    machinery(15)
+    _repeat_cache.pop(15, None)
+    tracemalloc.start()
+    try:
+        s = extract_min_set(15, 5000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s) == 17 * 5002 // 5 - 4 == 17002
+    assert verify_set(s).ok
+    # the fold keeps the 66 columns before width 15's first repeat, about
+    # 52 MB; all 5000 columns of 97,704 entries would take 3.9 GB
+    assert peak < 200 * 2**20

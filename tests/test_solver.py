@@ -1,18 +1,22 @@
 import math
+import time
 
 import pytest
 
 from quasidom.errors import PeriodNotFoundError, ResourceCapError, UnsupportedGridError
 from quasidom.oracle import profile_dp_min
 from quasidom.solver import (
+    _repeat_cache,
     big_grid_value,
     closed_form,
     detect_period,
     extend_by_period,
     machinery,
+    run_dp,
     solve_width,
     value,
 )
+from quasidom.tropical import mat_vec
 
 # boundary values of the finite-difference recurrences, per published table
 TABLE2 = {
@@ -204,3 +208,50 @@ def test_machinery_cache_respects_a_smaller_cap():
     assert machinery(8).table.k == 532
     with pytest.raises(ResourceCapError):
         machinery(8, max_words=100)
+
+
+# first column t of each width with X^t = X^{t-d} + c for some d <= 15
+FIRST_REPEAT = {2: 6, 3: 11, 4: 12, 5: 20, 6: 16, 7: 15, 8: 26, 9: 28, 10: 55, 11: 61, 12: 40, 13: 85}
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_folded_trace_matches_plain_iteration(m):
+    for memo in ("cold", "warm"):
+        if memo == "cold":
+            _repeat_cache.pop(m, None)
+        mach, trace = run_dp(m, 300, keep_trace=True)
+        assert _repeat_cache[m][0] == FIRST_REPEAT[m], memo
+        assert len(trace) == 300
+        assert len(trace.columns) == FIRST_REPEAT[m] - 1
+        x = mach.initial
+        for r in range(300):
+            if r:
+                x = mat_vec(mach.matrix, x)
+            assert trace[r].same_entries(x), (memo, r)
+            if r in (0, FIRST_REPEAT[m] - 2, FIRST_REPEAT[m] - 1, 299):
+                if memo == "cold":
+                    _repeat_cache.pop(m, None)
+                assert run_dp(m, r + 1)[1][-1].same_entries(x), (memo, r)
+        assert trace[-1].same_entries(x)
+
+
+def test_runs_before_the_first_repeat_keep_every_column():
+    _repeat_cache.pop(13, None)
+    _, trace = run_dp(13, 40, keep_trace=True)
+    assert 13 not in _repeat_cache
+    assert len(trace.columns) == 40
+    with pytest.raises(IndexError):
+        trace[40]
+
+
+@pytest.mark.parametrize("m", range(2, 16))
+def test_solve_width_reaches_a_million_columns(m):
+    # closed forms for m <= 13, floor((m+2)(n+2)/5) - 4 for m = 14, 15
+    assert solve_width(m, 10**6) == value(m, 10**6)
+
+
+def test_solve_width_at_a_million_columns_is_fast():
+    _repeat_cache.pop(13, None)
+    start = time.perf_counter()
+    solve_width(13, 10**6)
+    assert time.perf_counter() - start < 1.0
