@@ -17,6 +17,7 @@ from . import __version__
 from .errors import (
     ConstructionError,
     InvalidSetError,
+    MalformedSetError,
     MalformedWordError,
     PeriodNotFoundError,
     ResourceCapError,
@@ -135,7 +136,10 @@ def _read_grid_set(path: str | None) -> GridSet:
     text = sys.stdin.read() if path is None else open(path, encoding="utf-8").read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError as exc:
+            raise MalformedSetError("set JSON is nested too deeply to parse") from exc
         if isinstance(data, dict) and isinstance(data.get("set"), dict):
             data = data["set"]  # accept a result envelope directly
         return GridSet.from_json_dict(data)

@@ -5,15 +5,13 @@ Coordinates are 1-based (i, j) with i the row (1 = top) and j the column.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import InvalidSetError, MalformedSetError, ResourceCapError, UnsupportedGridError
+from .errors import InvalidSetError, MalformedSetError, ResourceCapError
 from .solver import run_dp
-from .tropical import _INF, as_cost
 from .words import DEFAULT_WORD_CAP
 
 # largest m * n a vertex set may span; sets are frozensets of tuples and
@@ -192,40 +190,18 @@ def verify_set(s: GridSet) -> VerificationReport:
 
 
 def extract_min_set(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> GridSet:
-    """Backtrack the DP trace into a concrete minimum independent [1,2]-set.
+    """Backtrack the width's DP window into a concrete minimum independent [1,2]-set.
 
-    Picks the smallest final word id achieving the minimum, then the smallest
-    predecessor id achieving each step, so the output is deterministic.  The
-    trace is read through its fold, so memory stays at the columns up to the
-    width's first repeat, whatever n is.  As in `solve_width`, a grid with
-    2 <= n < m is solved over its n rows and transposed back.
+    The columns come from the width's kept window, so this only backtracks
+    (see solver.DPWindow.backtrack): the smallest final word id achieving the
+    minimum, then the smallest predecessor id achieving each step, so the
+    output is deterministic.  As in `solve_width`, a grid with 2 <= n < m is
+    solved over its n rows and transposed back.
     """
     if 2 <= n < m:
         return extract_min_set(n, m, max_words).transpose()
     mach, trace = run_dp(m, n, keep_trace=True, max_words=max_words)
-    finals = mach.finals
-    data, shift = trace.column(n)
-    low = as_cost(data[finals].min(initial=_INF))
-    if low == math.inf:
-        raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
-    best = low + shift
-    p = int(np.flatnonzero(finals & (data == low))[0])
-    matrix = mach.matrix
-    ids = [p]
-    for r in range(n, 1, -1):
-        prev, prev_shift = trace.column(r - 1)
-        # X^r[p] = row_zeros[p] + X^{r-1}[q] for the chosen q, shifts taken out
-        target = data[p] + shift - prev_shift - matrix.row_zeros[p]
-        row = matrix.predecessors(p)
-        hits = np.flatnonzero(prev[row] == target)
-        if not hits.size:
-            raise RuntimeError(
-                f"DP trace inconsistent at column {r} for ({m}, {n}); this is a bug"
-            )
-        p = int(row[hits[0]])  # predecessor ids are sorted, first hit is smallest
-        ids.append(p)
-        data, shift = prev, prev_shift
-    ids.reverse()
+    ids, best = trace.window.backtrack(n)
     cols, rows = np.nonzero(mach.table.digits[ids] == 0)
     members = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
     result = GridSet(m, n, members)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstructionError
+from .errors import ConstructionError, UnsupportedGridError
 from .grids import GridSet, check_cell_cap, extract_min_set, verify_set
 
 # side of the square corner regions that the repair search re-chooses
@@ -230,11 +230,12 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
 
     With `with_info`, also returns {"s", "regions", "nets"} describing the
     repair ({"s": None, "regions": [], "nets": [], "fallback": "dp"} for
-    widths 14 and 15).  Raises ConstructionError if a corner has no repair
-    or the result fails verification, and ResourceCapError above grids.MAX_CELLS cells.
+    widths 14 and 15).  Raises UnsupportedGridError outside 14 <= m <= n,
+    ConstructionError if a corner has no repair or the result fails
+    verification, and ResourceCapError above grids.MAX_CELLS cells.
     """
     if not 14 <= m <= n:
-        raise ValueError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
+        raise UnsupportedGridError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
     check_cell_cap(m, n)
     target = (m + 2) * (n + 2) // 5 - 4
 

@@ -2,17 +2,20 @@
 
 The minimum size of an independent [1,2]-set of the m x n grid is obtained by
 iterating the min-plus transition matrix on the initial vector and minimizing
-over final words.  The iteration stops at the first column that repeats an
-earlier one up to a constant shift: since mat_vec(x + c) = mat_vec(x) + c,
-every later column is a stored one plus a multiple of c, so a run computes
-only the columns before that repeat, whatever n is.  A period certificate
-states the same repetition for the grid values and extends them to every
-larger n.
+over final words.  The iteration stops at the first column t that repeats an
+earlier one up to a constant shift, X^t = X^{t-d} + c: since
+mat_vec(x + c) = mat_vec(x) + c, every later column is a stored one plus a
+multiple of c.  The columns X^1..X^{t-1} depend only on m, so each width
+keeps them once, in a DPWindow that grows on demand: solving or extracting
+at any n only reads and backtracks once the window holds min(n, t - 1)
+columns.  The first repeat is also the period certificate: the grid values
+repeat with period d and increment c from n0 = t - d on, which extends them
+to every larger n.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -33,6 +36,9 @@ from .words import DEFAULT_WORD_CAP, WordTable, enumerate_suitable
 DEFAULT_MAX_D = 15
 DEFAULT_MAX_N = 100
 
+# offset of an infinite entry in a kept column; finite offsets are 0..254
+OFF_INF = 255
+
 
 @dataclass(frozen=True, eq=False)
 class Machinery:
@@ -45,10 +51,6 @@ class Machinery:
 
 
 _machinery_cache: dict[int, Machinery] = {}
-
-# first repeat of each width, (t, d, c) with X^t = X^{t-d} + c; filled by the
-# first run_dp call that reaches column t
-_repeat_cache: dict[int, tuple[int, int, int]] = {}
 
 
 def machinery(m: int, max_words: int = DEFAULT_WORD_CAP) -> Machinery:
@@ -68,124 +70,182 @@ def machinery(m: int, max_words: int = DEFAULT_WORD_CAP) -> Machinery:
     return built
 
 
-@dataclass(frozen=True, eq=False)
-class FoldedTrace:
-    """The columns X^1..X^n of one DP run, stored only up to the first repeat.
+def _compact(data: np.ndarray) -> tuple[int, np.ndarray]:
+    """Minimum of a column and its entries less that minimum, as uint8 offsets."""
+    finite = data < _INF
+    low = int(data.min())
+    spread = data - low
+    top = int(spread[finite].max(initial=0))
+    if top >= OFF_INF:
+        raise RuntimeError(
+            f"a DP column spreads {top} above its minimum, "
+            f"more than the {OFF_INF - 1} a uint8 offset holds"
+        )
+    return low, np.where(finite, spread, OFF_INF).astype(np.uint8)
 
-    columns holds X^first..X^last.  When last < n the run stopped at its first
-    repeat X^{last+1} = X^{last+1-d} + c, and column r > last is read as
-    X^{s + (r - s) mod d} plus c * ((r - s) // d), where s = last + 1 - d.
-    Infinite entries stay infinite.
+
+@dataclass(eq=False)
+class DPWindow:
+    """The columns X^1..X^len of one width's DP, kept up to its first repeat.
+
+    Column r is stored as mins[r-1] plus offsets[r-1], a uint8 array holding
+    OFF_INF where X^r is infinite; values[r-1] is the grid value at n = r.
+    Once repeat = (t, d, c) is set the window is complete: X^r for r >= t is
+    the stored column s + (r - s) mod d plus c * ((r - s) // d), s = t - d.
     """
 
-    columns: list[TropicalVector]
-    first: int
+    mach: Machinery
+    mins: list[int] = field(default_factory=list)
+    offsets: list[np.ndarray] = field(default_factory=list)
+    values: list[int | float] = field(default_factory=list)
+    repeat: tuple[int, int, int] | None = None
+
+    def __len__(self) -> int:
+        return len(self.mins)
+
+    def grow(self, n: int) -> None:
+        """Store the columns up to min(n, t - 1) not yet held; find t if t <= n.
+
+        Column t is the first that equals one of the DEFAULT_MAX_D columns
+        before it plus a constant c >= 1, taking the smallest such d.
+        Equal offsets mean equal columns up to the difference of the minima.
+        """
+        while self.repeat is None and len(self) < n:
+            r = len(self) + 1
+            if r == 1:
+                data = self.mach.initial.data
+            else:
+                prev = TropicalVector(self.mach.table, self.column(r - 1))
+                data = mat_vec(self.mach.matrix, prev).data
+            low, off = _compact(data)
+            for d in range(1, min(DEFAULT_MAX_D, r - 1) + 1):
+                c = low - self.mins[-d]
+                if c >= 1 and np.array_equal(off, self.offsets[-d]):
+                    self.repeat = (r, d, c)
+                    return
+            self.mins.append(low)
+            self.offsets.append(off)
+            best = int(off[self.mach.finals].min(initial=OFF_INF))
+            self.values.append(INFINITY if best == OFF_INF else low + best)
+
+    def locate(self, r: int) -> tuple[int, int]:
+        """Index of the stored column that X^r reads, and the constant it lacks."""
+        if 1 <= r <= len(self):
+            return r - 1, 0
+        if r < 1 or self.repeat is None:
+            raise IndexError(f"column {r} is not held by this window")
+        t, d, c = self.repeat
+        q, phase = divmod(r - t + d, d)
+        return t - d - 1 + phase, q * c
+
+    def column(self, r: int) -> np.ndarray:
+        """X^r (1-based) as int64 entries with the _INF sentinel."""
+        i, shift = self.locate(r)
+        off = self.offsets[i]
+        return np.where(off == OFF_INF, _INF, off + np.int64(self.mins[i] + shift))
+
+    def value(self, r: int) -> int | float:
+        """The grid value at n = r: the minimum of X^r over final words."""
+        i, shift = self.locate(r)
+        return self.values[i] + shift
+
+    def backtrack(self, n: int) -> tuple[list[int], int]:
+        """Word ids of a minimum chain of columns 1..n, and its cost.
+
+        Picks the smallest final word id achieving the minimum, then the
+        smallest predecessor id achieving each step, so the chain is
+        deterministic.  Steps compare the stored uint8 offsets with a scalar
+        target built from the column minima and the fold's shift.  Past the
+        first repeat a step depends only on the stored column pair and the
+        word, so each is searched once per call.
+        """
+        m, matrix, finals = self.mach.table.m, self.mach.matrix, self.mach.finals
+        mins, offsets = self.mins, self.offsets
+        i, shift = self.locate(n)
+        low = int(offsets[i][finals].min(initial=OFF_INF))
+        if low == OFF_INF:
+            raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
+        p = int(np.flatnonzero(finals & (offsets[i] == low))[0])
+        ids = [p]
+        steps: dict[tuple[int, int, int], int] = {}  # (column, previous column, p) -> q
+        for r in range(n, 1, -1):
+            j, prev_shift = self.locate(r - 1)
+            q = steps.get((i, j, p))
+            if q is None:
+                # X^r[p] = row_zeros[p] + X^{r-1}[q] for the chosen q, as an offset of X^{r-1}
+                target = (
+                    mins[i] + shift + int(offsets[i][p]) - int(matrix.row_zeros[p])
+                    - mins[j] - prev_shift
+                )
+                row = matrix.predecessors(p)
+                hits = np.flatnonzero(offsets[j][row] == target) if 0 <= target < OFF_INF else ()
+                if not len(hits):
+                    raise RuntimeError(
+                        f"DP window inconsistent at column {r} for ({m}, {n}); this is a bug"
+                    )
+                q = steps[i, j, p] = int(row[hits[0]])  # sorted ids: first hit is smallest
+            ids.append(q)
+            p, i, shift = q, j, prev_shift
+        ids.reverse()
+        return ids, self.value(n)
+
+
+# each width's window, next to its machinery; filled by run_dp, never by machinery()
+_window_cache: dict[int, DPWindow] = {}
+
+
+@dataclass(frozen=True, eq=False)
+class FoldedTrace:
+    """X^1..X^n of one DP run, read from its width's window."""
+
+    window: DPWindow
     n: int
-    d: int
-    c: int
 
     def __len__(self) -> int:
         return self.n
-
-    def _locate(self, r: int) -> tuple[TropicalVector, int]:
-        last = self.first + len(self.columns) - 1
-        if not (self.first <= r <= self.n):
-            raise IndexError(f"column {r} is not held by this trace")
-        if r <= last:
-            return self.columns[r - self.first], 0
-        s = last + 1 - self.d
-        q, off = divmod(r - s, self.d)
-        return self.columns[s + off - self.first], q * self.c
-
-    def column(self, r: int) -> tuple[np.ndarray, int]:
-        """Stored data of X^r (1-based) and the constant its entries lack."""
-        vec, shift = self._locate(r)
-        return vec.data, shift
 
     def __getitem__(self, i: int) -> TropicalVector:
         """X^{i+1}, indexed like the list of all n columns."""
         if not -self.n <= i < self.n:
             raise IndexError(f"column index {i} out of range for {self.n} columns")
-        vec, shift = self._locate(i % self.n + 1)
-        return vec.plus(shift) if shift else vec
-
-
-def _shape_key(x: TropicalVector) -> int:
-    """Hash of where x is infinite and of its finite entries less their minimum.
-
-    Columns that differ by a constant on their finite entries share a key, so
-    comparing keys rules out most candidates before _uniform_shift runs.
-    """
-    data = x.data
-    return hash(np.where(data < _INF, data - data.min(), -1).tobytes())
-
-
-def _find_shift(
-    columns: list[TropicalVector], keys: list[int], x: TropicalVector, key: int
-) -> tuple[int, int] | None:
-    """The smallest d <= DEFAULT_MAX_D and its c with x = columns[-d] + c.
-
-    keys[-d] is the _shape_key of columns[-d], and key that of x.
-    """
-    for d in range(1, min(DEFAULT_MAX_D, len(columns)) + 1):
-        if keys[-d] == key:
-            c = _uniform_shift(columns[-d].data, x.data)
-            if c is not None:
-                return d, c
-    return None
+        return TropicalVector(self.window.mach.table, self.window.column(i % self.n + 1))
 
 
 def run_dp(
     m: int, n: int, keep_trace: bool = False, max_words: int = DEFAULT_WORD_CAP
 ) -> tuple[Machinery, FoldedTrace | list[TropicalVector]]:
-    """Iterate X^1..X^n, stopping at the width's first repeat.
+    """The columns X^1..X^n of the width-m DP, read from the width's window.
 
-    Returns the FoldedTrace of all n columns when keep_trace, else [X^n].
-    The first run that reaches a repeat records it in _repeat_cache; later
-    runs at that width compute min(n, t - 1) columns without checking.
-    Without keep_trace only the last DEFAULT_MAX_D columns are held.
+    First grows the kept window to min(n, t - 1) columns, recording the
+    first repeat t when t <= n; a warm call computes nothing.  Returns the
+    FoldedTrace of all n columns when keep_trace, else [X^n].
     """
     if m < 2:
         raise UnsupportedGridError("the word machinery needs at least 2 rows; use the oracle for paths")
     if n < 1:
         raise UnsupportedGridError(f"column count must be positive, got {n}")
     mach = machinery(m, max_words=max_words)
-    repeat = _repeat_cache.get(m)
-    last = n if repeat is None else min(n, repeat[0] - 1)
-    x = mach.initial
-    columns, first = [x], 1
-    keys = [] if repeat else [_shape_key(x)]
-    for r in range(2, last + 1):
-        x = mat_vec(mach.matrix, x)
-        if repeat is None:
-            key = _shape_key(x)
-            found = _find_shift(columns, keys, x, key)
-            if found is not None:
-                repeat = _repeat_cache[m] = (r, *found)
-                break
-            keys.append(key)
-            del keys[:-DEFAULT_MAX_D]
-        columns.append(x)
-        if not keep_trace and len(columns) > DEFAULT_MAX_D:
-            del columns[0]
-            first += 1
-    _, d, c = repeat or (0, 0, 0)
-    trace = FoldedTrace(columns, first, n, d, c)
+    window = _window_cache.get(m)
+    if window is None:
+        window = _window_cache[m] = DPWindow(mach)
+    window.grow(n)
+    trace = FoldedTrace(window, n)
     return mach, trace if keep_trace else [trace[-1]]
 
 
 def solve_width(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> int | float:
     """Minimum independent [1,2]-set size of the m x n grid, by the DP.
 
-    The grid is transposed so the DP runs over the shorter side, unless that
-    side is a single row, which the word machinery does not cover.  Returns
-    math.inf if no final word is reachable (never the case for the grids in
-    range; treat it as a bug signal).
+    A lookup in the width's window plus the fold's shift.  The grid is
+    transposed so the DP runs over the shorter side, unless that side is a
+    single row, which the word machinery does not cover.  Returns math.inf
+    if no final word is reachable (never the case for the grids in range;
+    treat it as a bug signal).
     """
     if 2 <= n < m:
         m, n = n, m
-    mach, trace = run_dp(m, n, max_words=max_words)
-    return trace[-1].min_where(mach.finals)
+    _, trace = run_dp(m, n, keep_trace=True, max_words=max_words)
+    return trace.window.value(n)
 
 
 @dataclass(frozen=True)
@@ -204,56 +264,47 @@ class PeriodCertificate:
     boundary: Mapping[int, int]
 
 
-def _uniform_shift(a: np.ndarray, b: np.ndarray, lift: int = 0) -> int | None:
-    """The constant c >= 1 with b + lift = a + c on finite entries, if it exists.
-
-    lift is the constant that the stored entries of b lack relative to a's,
-    as read from a FoldedTrace.
-    """
-    fa = a < _INF
-    fb = b < _INF
-    if not np.array_equal(fa, fb) or not fa.any():
-        return None
-    diffs = b[fa] - a[fa]
-    c = int(diffs[0]) + lift
-    if c >= 1 and bool((diffs == diffs[0]).all()):
-        return c
-    return None
-
-
 def detect_period(
     m: int,
     max_d: int = DEFAULT_MAX_D,
     max_n: int = DEFAULT_MAX_N,
     max_words: int = DEFAULT_WORD_CAP,
 ) -> PeriodCertificate:
-    """Search for the smallest d, then the smallest n0, with X^{n0+d} = X^{n0} + c.
+    """The smallest d, then the smallest n0, with X^{n0+d} = X^{n0} + c, c >= 1.
 
-    Raises PeriodNotFoundError when the bounds are exhausted, which signals
-    caps that are too small rather than a mathematical failure.
+    Read off the width's first repeat X^t = X^{t-d} + c as n0 = t - d.  From
+    column n0 on the run repeats with period d.  No earlier n0 repeats with
+    this d, and no smaller d repeats at any n0: shifted back by multiples of
+    d, either would give a repeat before column t, or one at t with a
+    smaller d.  max_d and max_n are refusal bounds: raises
+    PeriodNotFoundError when d > max_d or t > max_n, which signals caps that
+    are too small rather than a mathematical failure.  Periods longer than
+    DEFAULT_MAX_D are never searched, so a larger max_d cannot find one the
+    fold missed; the error then names that bound.
     """
     if m < 2:
         raise UnsupportedGridError("period detection needs at least 2 rows")
-    mach, trace = run_dp(m, max_n, keep_trace=True, max_words=max_words)
-    for d in range(1, max_d + 1):
-        for n0 in range(1, max_n - d + 1):
-            a, shift_a = trace.column(n0)
-            b, shift_b = trace.column(n0 + d)
-            c = _uniform_shift(a, b, shift_b - shift_a)
-            if c is None:
-                continue
-            boundary = {}
-            for r in range(n0, n0 + d):
-                v = trace[r - 1].min_where(mach.finals)
-                if v == INFINITY:
-                    raise PeriodNotFoundError(
-                        f"m={m}: boundary value at n={r} is infeasible"
-                    )
-                boundary[r] = int(v)
-            return PeriodCertificate(m=m, n0=n0, d=d, c=c, boundary=boundary)
-    raise PeriodNotFoundError(
-        f"no period for m={m} within d<={max_d}, n<={max_n}; raise the bounds"
-    )
+    _, trace = run_dp(m, max_n, keep_trace=True, max_words=max_words)
+    window = trace.window
+    repeat = window.repeat
+    if repeat is None or repeat[0] > max_n or repeat[1] > max_d:
+        beyond = (
+            f"; periods longer than DEFAULT_MAX_D={DEFAULT_MAX_D} are not searched"
+            if max_d > DEFAULT_MAX_D
+            else ""
+        )
+        raise PeriodNotFoundError(
+            f"no period for m={m} within d<={max_d}, n<={max_n}; raise the bounds{beyond}"
+        )
+    t, d, c = repeat
+    n0 = t - d
+    boundary = {}
+    for r in range(n0, t):
+        v = window.value(r)
+        if v == INFINITY:
+            raise PeriodNotFoundError(f"m={m}: boundary value at n={r} is infeasible")
+        boundary[r] = int(v)
+    return PeriodCertificate(m=m, n0=n0, d=d, c=c, boundary=boundary)
 
 
 def extend_by_period(cert: PeriodCertificate, n: int) -> int:

@@ -1,12 +1,11 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Every check here is exact (integer equality); run with -s to see the
-criterion lines, and -m slow for the wide-table variant of criterion 3.
+criterion lines.
 """
 
 import random
 
-import pytest
 
 from quasidom.grids import extract_min_set, labeling_of, verify_set
 from quasidom.oracle import (
@@ -78,7 +77,6 @@ def test_criterion_3_period_certificates():
     print("\nACCEPTANCE 3 period certificates m=2..7: PASS")
 
 
-@pytest.mark.slow
 def test_criterion_3_width13_certificate():
     cert = detect_period(13)
     assert cert.d == 12
@@ -89,7 +87,7 @@ def test_criterion_3_width13_certificate():
     deviation = "width-13 increment found as 36 (published difference table says 3)"
     for n in range(cert.n0, cert.n0 + cert.d + 3):
         assert extend_by_period(cert, n) == solve_width(13, n)
-    print(f"\nACCEPTANCE 3 (slow) width-13 certificate: PASS [{deviation}]")
+    print(f"\nACCEPTANCE 3 width-13 certificate: PASS [{deviation}]")
 
 
 def test_criterion_4_closed_form_consistency():

@@ -102,6 +102,13 @@ def test_error_paths(capsys):
     assert code == 1
 
 
+def test_pattern_outside_its_domain_is_a_typed_error(capsys):
+    for argv in (("14", "-3"), ("13", "20")):
+        code, env = run_json(capsys, "pattern", *argv)
+        assert code == 1
+        assert env["error"]["type"] == "UnsupportedGridError"
+
+
 def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["value", "2"])
@@ -159,6 +166,13 @@ def test_results_do_not_depend_on_threads_or_seed(capsys):
 )
 def test_verify_rejects_malformed_set_objects(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, env = run_json(capsys, "verify")
+    assert code == 1
+    assert env["error"]["type"] == "MalformedSetError"
+
+
+def test_verify_rejects_deeply_nested_members(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO('{"m":2,"n":2,"members":' + "[" * 100_000))
     code, env = run_json(capsys, "verify")
     assert code == 1
     assert env["error"]["type"] == "MalformedSetError"

@@ -15,7 +15,7 @@ from quasidom.grids import (
     labeling_of,
     verify_set,
 )
-from quasidom.solver import _repeat_cache, machinery, solve_width
+from quasidom.solver import _window_cache, machinery, solve_width
 from quasidom.words import can_follow, is_final, is_initial, is_suitable, zeros
 
 
@@ -264,7 +264,7 @@ EXTRACT_DIGESTS = {
 
 @pytest.mark.parametrize("m,n", sorted(EXTRACT_DIGESTS))
 def test_extraction_through_the_fold_matches_pinned_digests(m, n):
-    _repeat_cache.clear()
+    _window_cache.clear()
     s = extract_min_set(m, n)
     digest = hashlib.sha256(json.dumps(s.sorted_members()).encode()).hexdigest()[:16]
     assert digest == EXTRACT_DIGESTS[m, n]
@@ -272,7 +272,7 @@ def test_extraction_through_the_fold_matches_pinned_digests(m, n):
 
 def test_extraction_memory_is_bounded_by_the_fold():
     machinery(15)
-    _repeat_cache.pop(15, None)
+    _window_cache.pop(15, None)
     tracemalloc.start()
     try:
         s = extract_min_set(15, 5000)
@@ -281,6 +281,7 @@ def test_extraction_memory_is_bounded_by_the_fold():
         tracemalloc.stop()
     assert len(s) == 17 * 5002 // 5 - 4 == 17002
     assert verify_set(s).ok
-    # the fold keeps the 66 columns before width 15's first repeat, about
-    # 52 MB; all 5000 columns of 97,704 entries would take 3.9 GB
-    assert peak < 200 * 2**20
+    # the window keeps the 66 columns before width 15's first repeat as uint8
+    # offsets, 6.4 MB, and the run peaks at about 11.5 MB; as int64 the same
+    # columns took 52 MB, and all 5000 columns of 97,704 entries 3.9 GB
+    assert peak < 24 * 2**20

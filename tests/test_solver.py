@@ -1,12 +1,15 @@
 import math
 import time
 
+import numpy as np
 import pytest
 
 from quasidom.errors import PeriodNotFoundError, ResourceCapError, UnsupportedGridError
 from quasidom.oracle import profile_dp_min
 from quasidom.solver import (
-    _repeat_cache,
+    OFF_INF,
+    _compact,
+    _window_cache,
     big_grid_value,
     closed_form,
     detect_period,
@@ -16,7 +19,7 @@ from quasidom.solver import (
     solve_width,
     value,
 )
-from quasidom.tropical import mat_vec
+from quasidom.tropical import _INF, mat_vec
 
 # boundary values of the finite-difference recurrences, per published table
 TABLE2 = {
@@ -60,7 +63,6 @@ def test_solve_width_reproduces_boundary_values(m):
         assert solve_width(m, n) == expected
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("m", range(9, 14))
 def test_solve_width_reproduces_boundary_values_wide(m):
     for n, expected in TABLE2[m].items():
@@ -105,7 +107,6 @@ def test_detect_period_width8():
     assert cert.boundary == TABLE2[8]
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("m", range(9, 14))
 def test_detect_period_wide(m):
     cert = detect_period(m)
@@ -120,9 +121,22 @@ def test_detect_period_wide(m):
         assert extend_by_period(cert, n) == solve_width(m, n)
 
 
+def test_detect_period_width14_is_pinned():
+    cert = detect_period(14)
+    assert (cert.n0, cert.d, cert.c) == (90, 5, 16)
+
+
 def test_period_search_bounds_raise():
     with pytest.raises(PeriodNotFoundError):
         detect_period(5, max_d=2, max_n=20)
+
+
+def test_max_d_above_the_fold_limit():
+    # the fold finds every period up to DEFAULT_MAX_D, so a larger max_d still
+    # gets the minimal one; when there is none, the error names that limit
+    assert detect_period(13, max_d=20).d == 12
+    with pytest.raises(PeriodNotFoundError, match="DEFAULT_MAX_D=15"):
+        detect_period(13, max_d=20, max_n=50)
 
 
 def test_extend_by_period_examples():
@@ -142,11 +156,15 @@ def test_certificate_extends_to_the_dp(m):
         assert extend_by_period(cert, n) == solve_width(m, n)
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(2, 14))
 def test_closed_form_agrees_with_dp(m):
-    n0, d, _ = TABLE1[m]
-    for n in range(m, n0 + 2 * d + 1):
-        assert closed_form(m, n) == solve_width(m, n)
+    # from column t - d of the first repeat t on, the DP values repeat with
+    # period d; the sweep starts at n = m, so it covers every finite exception
+    # of the published forms, and ends two periods and 40 columns past t
+    cert = detect_period(m)
+    t = cert.n0 + cert.d
+    for n in range(m, t + 2 * cert.d + 40):
+        assert closed_form(m, n) == solve_width(m, n), (m, n)
 
 
 def test_solve_width_small_grids():
@@ -218,11 +236,11 @@ FIRST_REPEAT = {2: 6, 3: 11, 4: 12, 5: 20, 6: 16, 7: 15, 8: 26, 9: 28, 10: 55, 1
 def test_folded_trace_matches_plain_iteration(m):
     for memo in ("cold", "warm"):
         if memo == "cold":
-            _repeat_cache.pop(m, None)
+            _window_cache.pop(m, None)
         mach, trace = run_dp(m, 300, keep_trace=True)
-        assert _repeat_cache[m][0] == FIRST_REPEAT[m], memo
+        assert _window_cache[m].repeat[0] == FIRST_REPEAT[m], memo
         assert len(trace) == 300
-        assert len(trace.columns) == FIRST_REPEAT[m] - 1
+        assert len(_window_cache[m]) == FIRST_REPEAT[m] - 1
         x = mach.initial
         for r in range(300):
             if r:
@@ -230,16 +248,16 @@ def test_folded_trace_matches_plain_iteration(m):
             assert trace[r].same_entries(x), (memo, r)
             if r in (0, FIRST_REPEAT[m] - 2, FIRST_REPEAT[m] - 1, 299):
                 if memo == "cold":
-                    _repeat_cache.pop(m, None)
+                    _window_cache.pop(m, None)
                 assert run_dp(m, r + 1)[1][-1].same_entries(x), (memo, r)
         assert trace[-1].same_entries(x)
 
 
 def test_runs_before_the_first_repeat_keep_every_column():
-    _repeat_cache.pop(13, None)
+    _window_cache.pop(13, None)
     _, trace = run_dp(13, 40, keep_trace=True)
-    assert 13 not in _repeat_cache
-    assert len(trace.columns) == 40
+    assert _window_cache[13].repeat is None
+    assert len(_window_cache[13]) == 40
     with pytest.raises(IndexError):
         trace[40]
 
@@ -251,7 +269,35 @@ def test_solve_width_reaches_a_million_columns(m):
 
 
 def test_solve_width_at_a_million_columns_is_fast():
-    _repeat_cache.pop(13, None)
+    _window_cache.pop(13, None)
     start = time.perf_counter()
     solve_width(13, 10**6)
     assert time.perf_counter() - start < 1.0
+
+
+def test_width13_window_holds_84_uint8_columns():
+    _window_cache.pop(13, None)
+    solve_width(13, 1000)
+    window = _window_cache[13]
+    assert window.repeat == (85, 12, 36)
+    assert len(window) == len(window.offsets) == 84
+    k = machinery(13).table.k
+    assert all(off.dtype == np.uint8 and off.shape == (k,) for off in window.offsets)
+    assert sum(off.nbytes for off in window.offsets) == 84 * 22036  # about 1.8 MB
+
+
+def test_warm_solve_width_is_a_lookup():
+    solve_width(13, 10**6)
+    times = []
+    for n in range(1000, 1100):
+        start = time.perf_counter()
+        solve_width(13, n)
+        times.append(time.perf_counter() - start)
+    assert sorted(times)[len(times) // 2] < 1e-3
+
+
+def test_offsets_that_do_not_fit_a_uint8_raise():
+    low, off = _compact(np.array([7, 7 + 254, _INF]))
+    assert low == 7 and off.tolist() == [0, 254, OFF_INF]
+    with pytest.raises(RuntimeError):
+        _compact(np.array([7, 7 + 255]))
