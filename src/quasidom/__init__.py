@@ -16,7 +16,7 @@ from .errors import (
 )
 from .grids import GridSet, VerificationReport, Violation, extract_min_set, labeling_of, verify_set
 from .oracle import OracleResult, brute_force_min, profile_dp_min
-from .pattern import build_big_grid_set, choose_residue, diagonal_partition, project_inner
+from .pattern import build_big_grid_set, choose_residue
 from .solver import (
     PeriodCertificate,
     big_grid_value,
@@ -73,7 +73,6 @@ __all__ = [
     "choose_residue",
     "closed_form",
     "detect_period",
-    "diagonal_partition",
     "enumerate_suitable",
     "extend_by_period",
     "extract_min_set",
@@ -83,7 +82,6 @@ __all__ = [
     "labeling_of",
     "mat_vec",
     "profile_dp_min",
-    "project_inner",
     "solve_width",
     "successors",
     "value",

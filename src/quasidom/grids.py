@@ -201,6 +201,8 @@ def extract_min_set(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> GridSe
     if 2 <= n < m:
         return extract_min_set(n, m, max_words).transpose()
     mach, trace = run_dp(m, n, keep_trace=True, max_words=max_words)
+    # after run_dp, so its errors keep their type; before the walk over n columns
+    check_cell_cap(m, n)
     ids, best = trace.window.backtrack(n)
     cols, rows = np.nonzero(mach.table.digits[ids] == 0)
     members = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))

@@ -2,26 +2,29 @@
 
 The extended (m+2) x (n+2) grid is partitioned into five diagonal residue
 classes V_s = {(i, j): 2i + j = s (mod 5)}; each is a perfect code of the
-infinite grid.  For m >= 16 the smallest class (`choose_residue`) is
-projected onto the inner grid and its four 8x8 corner regions are repaired,
-which yields a valid set of exactly floor((m+2)(n+2)/5) - 4 vertices, the
-known lower bound.  Widths 14 and 15 take the set from the transfer-matrix
-extractor instead.
+infinite grid.  For m >= 16 the smallest class (`choose_residue`) becomes
+one m x n bool mask (`projected_class`) whose four 8x8 corner blocks are
+repaired in place, which yields a valid set of exactly
+floor((m+2)(n+2)/5) - 4 vertices, the known lower bound.  Widths 14 and 15
+take the set from the transfer-matrix extractor instead.  The tuple-set
+builders `diagonal_partition` and `project_inner` are the tests' reference.
 
-A repair is an exact column sweep over one corner region that keeps the
+A repair is an exact column sweep over one corner block that keeps the
 cells outside it fixed and drops one member unless the class already
 misses that extended-grid corner.  Its state is the last two columns as
-row bitmasks plus the members used; choosing a column settles the one
-before it, whose non-members each need one or two of the masks left,
-right, up and down (the bit test of the oracle's `_BitGrid`).  A repair
-reads only the cells near its corner, so the output of every grid is a
-translate of one of finitely many small grids away from the corners;
-`test_corner_repair_is_periodic` in tests/test_pattern.py checks this.
+row bitmasks (read from a mask slice) plus the members used; choosing a
+column settles the one before it, whose non-members each need one or two
+of the masks left, right, up and down (the bit test of the oracle's
+`_BitGrid`).  `_region_cache` keeps the repaired blocks, keyed by the
+cells read.  A repair reads only the cells near its corner, so the output
+of every grid is a translate of one of finitely many small grids away from
+the corners; `test_corner_repair_is_periodic` in tests/test_pattern.py
+checks this.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 from .errors import ConstructionError, UnsupportedGridError
 from .grids import GridSet, check_cell_cap, extract_min_set, verify_set
@@ -67,6 +70,23 @@ def project_inner(cells: frozenset[tuple[int, int]], m: int, n: int) -> GridSet:
     return GridSet(m, n, frozenset(members))
 
 
+def projected_class(m: int, n: int, s: int) -> np.ndarray:
+    """The cells of `project_inner(diagonal_partition(m, n, s), m, n)` as a mask.
+
+    An m x n bool array with cell (i, j) at [i - 1, j - 1]: V_s on the
+    extended grid, with its four border lines ORed one step inward.  The
+    extended corners fall outside every fold, so they drop out.
+    """
+    i, j = np.ogrid[: m + 2, : n + 2]
+    ext = (2 * i + j) % 5 == s
+    mask = ext[1:-1, 1:-1].copy()
+    mask[0] |= ext[0, 1:-1]
+    mask[-1] |= ext[-1, 1:-1]
+    mask[:, 0] |= ext[1:-1, 0]
+    mask[:, -1] |= ext[1:-1, -1]
+    return mask
+
+
 def choose_residue(m: int, n: int) -> int:
     """Residue whose class is smallest on the extended grid (ties: smallest s).
 
@@ -81,43 +101,24 @@ def choose_residue(m: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Region:
-    name: str
-    rows: tuple[int, int]
-    cols: tuple[int, int]
-
-    def cells(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (i, j)
-            for i in range(self.rows[0], self.rows[1] + 1)
-            for j in range(self.cols[0], self.cols[1] + 1)
-        )
+_region_cache: dict[tuple, np.ndarray | None] = {}
 
 
-_region_cache: dict[tuple, frozenset | None] = {}
+def _solve_region(mask: np.ndarray, r1: int, c1: int, net: int) -> np.ndarray | None:
+    """Re-choose the corner block with top-left cell (r1, c1); the mask is only read.
 
-
-def _solve_region(
-    members: frozenset,
-    m: int,
-    n: int,
-    region: _Region,
-    net: int,
-) -> frozenset | None:
-    """Re-choose the region's cells keeping the composition locally valid.
-
-    Returns the replacement member set for the region rectangle (grid
-    coordinates), holding exactly `net` fewer members than the region does
-    now, or None if no such choice exists.  The sweep runs over columns
-    c1-1..c2+2 as bitmasks of rows r1-2..r2+2 (clipped to the grid); a
-    state is (column j, column j-1, region members used).  Choosing column
-    j settles column j-1: each of its non-member cells in rows r1-1..r2+1
-    needs one or two of the masks left, right, up and down.  States are
-    expanded in sorted order and keep the first predecessor found.
+    Returns the repaired CORNER_SIZE x CORNER_SIZE block as a read-only bool
+    array ([0, 0] is cell (r1, c1)) with exactly `net` fewer members than
+    the block has now, or None if no such choice exists.  The sweep runs
+    over columns c1-1..c2+2 as bitmasks of rows r1-2..r2+2 (clipped to the
+    grid), read from one mask slice; a state is (column j, column j-1,
+    block members used).  Choosing column j settles column j-1: each of its
+    non-member cells in rows r1-1..r2+1 needs one or two of the masks left,
+    right, up and down.  States are expanded in sorted order and keep the
+    first predecessor found.
     """
-    r1, r2 = region.rows
-    c1, c2 = region.cols
+    m, n = mask.shape
+    r2, c2 = r1 + CORNER_SIZE - 1, c1 + CORNER_SIZE - 1
     lr1, lr2 = max(1, r1 - 2), min(m, r2 + 2)
     h = lr2 - lr1 + 1
 
@@ -127,33 +128,26 @@ def _solve_region(
     free_mask = span(r1, r2)
     check_mask = span(max(1, r1 - 1), min(m, r2 + 1))
 
-    def col_bits(j: int) -> int:
-        rows = range(lr1, lr2 + 1) if 1 <= j <= n else ()
-        return sum(1 << (i - lr1) for i in rows if (i, j) in members)
-
     jstart, jend = max(1, c1 - 1), min(n, c2 + 1)
-    sig = (
-        h,
-        r1 - lr1,
-        r2 - lr1,
-        check_mask,
-        c1 - jstart,
-        c2 - jstart,
-        jend - jstart,
-        tuple(col_bits(j) for j in range(jstart - 2, jend + 2)),
-        net,
-    )
+    # row bitmasks of columns jstart-2..jend+1; columns off the grid are empty
+    lo, hi = max(1, jstart - 2), min(n, jend + 1)
+    read = (1 << np.arange(h)) @ mask[lr1 - 1 : lr2, lo - 1 : hi]
+    bits = [0] * (lo - jstart + 2) + read.tolist() + [0] * (jend + 1 - hi)
+
+    def col_bits(j: int) -> int:
+        return bits[j - jstart + 2]
+
+    sig = (h, r1 - lr1, check_mask, c1 - jstart, jend - jstart, tuple(bits), net)
 
     def candidates(j: int) -> list[tuple[int, int]]:
-        """(column, region members it adds) in increasing column order."""
+        """(column, block members it adds) in increasing column order."""
         if not c1 <= j <= c2:
             return [(col_bits(j), 0)]
         fixed = col_bits(j) & ~free_mask
-        cols = (fixed | v << (r1 - lr1) for v in range(1 << (r2 - r1 + 1)))
+        cols = (fixed | v << (r1 - lr1) for v in range(1 << CORNER_SIZE))
         return [(c, bin(c & free_mask).count("1")) for c in cols if not c & (c >> 1)]
 
-    def search() -> frozenset | None:
-        """The repair in coordinates relative to (r1, c1)."""
+    def search() -> np.ndarray | None:
         target = sum(bin(col_bits(j) & free_mask).count("1") for j in range(c1, c2 + 1)) - net
         if target < 0:
             return None
@@ -181,17 +175,19 @@ def _solve_region(
         key = min((k for k in layers[-1] if k[2] == target), default=None)
         if key is None:
             return None
-        sol = set()
+        block = np.zeros((CORNER_SIZE, CORNER_SIZE), dtype=bool)
+        rows = np.arange(r1 - lr1, r2 - lr1 + 1)
         for j, layer in zip(reversed(sweep), reversed(layers)):
             if c1 <= j <= c2:
-                sol.update((i - r1, j - c1) for i in range(r1, r2 + 1) if key[0] >> (i - lr1) & 1)
+                block[:, j - c1] = key[0] >> rows & 1
             key = layer[key]
-        return frozenset(sol)
+        block.flags.writeable = False
+        return block
 
-    rel = _region_cache[sig] if sig in _region_cache else search()
+    block = _region_cache[sig] if sig in _region_cache else search()
     if len(_region_cache) < _CACHE_MAX:
-        _region_cache.setdefault(sig, rel)
-    return None if rel is None else frozenset((i + r1, j + c1) for i, j in rel)
+        _region_cache.setdefault(sig, block)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -199,34 +195,16 @@ def _solve_region(
 # ---------------------------------------------------------------------------
 
 
-def _corner_regions(m: int, n: int) -> list[_Region]:
-    k = CORNER_SIZE
-    return [
-        _Region("top-left", (1, k), (1, k)),
-        _Region("top-right", (1, k), (n - k + 1, n)),
-        _Region("bottom-left", (m - k + 1, m), (1, k)),
-        _Region("bottom-right", (m - k + 1, m), (n - k + 1, n)),
-    ]
-
-
-def _corner_prepaid(m: int, n: int, s: int) -> dict[str, bool]:
-    """Which extended-grid corners lie in V_s (projection already drops them)."""
-    return {
-        "top-left": 0 % 5 == s,
-        "top-right": (n + 1) % 5 == s,
-        "bottom-left": (2 * (m + 1)) % 5 == s,
-        "bottom-right": (2 * (m + 1) + n + 1) % 5 == s,
-    }
-
-
 def build_big_grid_set(m: int, n: int, with_info: bool = False):
     """An independent [1,2]-set of size floor((m+2)(n+2)/5) - 4 for 14 <= m <= n.
 
-    Widths 14 and 15 use the width-m dynamic program.  Wider grids project
-    the class V_s of `choose_residue(m, n)` inward and repair its four 8x8
-    corner regions in the order top-left, top-right, bottom-left,
-    bottom-right; each region drops one member unless V_s already misses
-    its extended-grid corner.  The result is verified before it is returned.
+    Widths 14 and 15 use the width-m dynamic program.  Wider grids start
+    from the `projected_class` mask of `choose_residue(m, n)` and repair its
+    four 8x8 corner blocks in the order top-left, top-right, bottom-left,
+    bottom-right, writing each block back before the next corner reads the
+    mask; a block drops one member unless V_s already misses its
+    extended-grid corner.  The GridSet is made once, from the final mask,
+    and verified before it is returned.
 
     With `with_info`, also returns {"s", "regions", "nets"} describing the
     repair ({"s": None, "regions": [], "nets": [], "fallback": "dp"} for
@@ -251,17 +229,24 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
         return result
 
     s = choose_residue(m, n)
-    regions = _corner_regions(m, n)
-    prepaid = _corner_prepaid(m, n, s)
-    nets = [0 if prepaid[r.name] else 1 for r in regions]
-    current = set(project_inner(diagonal_partition(m, n, s), m, n).members)
-    for reg, net in zip(regions, nets):
-        sol = _solve_region(frozenset(current), m, n, reg, net)
-        if sol is None:
-            raise ConstructionError(f"no repair of the {reg.name} corner of ({m}, {n}) with s={s}")
-        current -= reg.cells()
-        current |= sol
-    result = GridSet(m, n, frozenset(current))
+    k = CORNER_SIZE
+    # (name, top-left cell, extended-grid corner); the projection already
+    # drops an extended corner that lies in V_s, so that block nets 0
+    corners = [
+        ("top-left", (1, 1), (0, 0)),
+        ("top-right", (1, n - k + 1), (0, n + 1)),
+        ("bottom-left", (m - k + 1, 1), (m + 1, 0)),
+        ("bottom-right", (m - k + 1, n - k + 1), (m + 1, n + 1)),
+    ]
+    nets = [int((2 * ei + ej) % 5 != s) for _, _, (ei, ej) in corners]
+    mask = projected_class(m, n, s)
+    for (name, (r1, c1), _), net in zip(corners, nets):
+        block = _solve_region(mask, r1, c1, net)
+        if block is None:
+            raise ConstructionError(f"no repair of the {name} corner of ({m}, {n}) with s={s}")
+        mask[r1 - 1 : r1 - 1 + k, c1 - 1 : c1 - 1 + k] = block
+    rows, cols = np.nonzero(mask)
+    result = GridSet(m, n, frozenset(zip((rows + 1).tolist(), (cols + 1).tolist())))
     if len(result) != target or not verify_set(result).ok:
         raise ConstructionError(
             f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "
@@ -271,7 +256,8 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
         info = {
             "s": s,
             "regions": [
-                {"name": r.name, "rows": list(r.rows), "cols": list(r.cols)} for r in regions
+                {"name": name, "rows": [r1, r1 + k - 1], "cols": [c1, c1 + k - 1]}
+                for name, (r1, c1), _ in corners
             ],
             "nets": nets,
         }

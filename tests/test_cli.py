@@ -191,6 +191,7 @@ def test_solve_normalizes_orientation(capsys):
     [
         (["verify"], '{"m": 100000, "n": 100000, "members": []}'),
         (["pattern", "100000", "100000"], ""),
+        (["extract", "2", "3000000"], ""),
     ],
 )
 def test_oversized_grids_are_refused_up_front(capsys, monkeypatch, argv, stdin):

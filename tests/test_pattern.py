@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from quasidom import pattern
@@ -11,6 +12,7 @@ from quasidom.pattern import (
     choose_residue,
     diagonal_partition,
     project_inner,
+    projected_class,
 )
 from quasidom.solver import big_grid_value
 
@@ -42,6 +44,17 @@ def test_projection_basics():
     assert (2, 7) in inner  # right edge moves left
     assert (1, 1) not in inner and (6, 7) not in inner  # corners dropped
     assert len(inner) <= len(cells)
+
+
+def test_projected_class_mask_matches_the_tuple_reference():
+    for m in range(1, 31):
+        for n in range(1, 31):
+            for s in range(5):
+                mask = projected_class(m, n, s)
+                assert mask.shape == (m, n) and mask.dtype == bool
+                rows, cols = np.nonzero(mask)
+                cells = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
+                assert cells == project_inner(diagonal_partition(m, n, s), m, n).members, (m, n, s)
 
 
 @pytest.mark.parametrize("m,n", [(14, 14), (14, 18), (15, 20), (17, 23)])
