@@ -29,7 +29,6 @@ from .solver import (
 from .tropical import (
     INFINITY,
     TropicalMatrix,
-    TropicalVector,
     build_initial_vector,
     build_transition_matrix,
     mat_vec,
@@ -59,7 +58,6 @@ __all__ = [
     "PeriodNotFoundError",
     "ResourceCapError",
     "TropicalMatrix",
-    "TropicalVector",
     "UnsupportedGridError",
     "VerificationReport",
     "Violation",

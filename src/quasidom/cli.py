@@ -140,6 +140,8 @@ def _read_grid_set(path: str | None) -> GridSet:
             data = json.loads(text)
         except RecursionError as exc:
             raise MalformedSetError("set JSON is nested too deeply to parse") from exc
+        except json.JSONDecodeError as exc:
+            raise MalformedSetError(str(exc)) from exc
         if isinstance(data, dict) and isinstance(data.get("set"), dict):
             data = data["set"]  # accept a result envelope directly
         return GridSet.from_json_dict(data)

@@ -12,7 +12,6 @@ import numpy as np
 
 from .errors import InvalidSetError, MalformedSetError, ResourceCapError
 from .solver import run_dp
-from .words import DEFAULT_WORD_CAP
 
 # largest m * n a vertex set may span; sets are frozensets of tuples and
 # verify_set builds an array over every cell, so larger grids are refused up front
@@ -189,7 +188,7 @@ def verify_set(s: GridSet) -> VerificationReport:
     return VerificationReport(independent, not bad.any(), tuple(violations))
 
 
-def extract_min_set(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> GridSet:
+def extract_min_set(m: int, n: int) -> GridSet:
     """Backtrack the width's DP window into a concrete minimum independent [1,2]-set.
 
     The columns come from the width's kept window, so this only backtracks
@@ -199,11 +198,11 @@ def extract_min_set(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> GridSe
     solved over its n rows and transposed back.
     """
     if 2 <= n < m:
-        return extract_min_set(n, m, max_words).transpose()
-    mach, trace = run_dp(m, n, keep_trace=True, max_words=max_words)
+        return extract_min_set(n, m).transpose()
+    mach, window = run_dp(m, n, keep_trace=True)
     # after run_dp, so its errors keep their type; before the walk over n columns
     check_cell_cap(m, n)
-    ids, best = trace.window.backtrack(n)
+    ids, best = window.backtrack(n)
     cols, rows = np.nonzero(mach.table.digits[ids] == 0)
     members = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
     result = GridSet(m, n, members)

@@ -8,9 +8,11 @@ mat_vec(x + c) = mat_vec(x) + c, every later column is a stored one plus a
 multiple of c.  The columns X^1..X^{t-1} depend only on m, so each width
 keeps them once, in a DPWindow that grows on demand: solving or extracting
 at any n only reads and backtracks once the window holds min(n, t - 1)
-columns.  The first repeat is also the period certificate: the grid values
-repeat with period d and increment c from n0 = t - d on, which extends them
-to every larger n.
+columns.  A column is a plain int64 array with the _INF sentinel while
+mat_vec computes it, and its minimum plus uint8 offsets once stored.  The
+first repeat is also the period certificate: the grid values repeat with
+period d and increment c from n0 = t - d on, which extends them to every
+larger n.
 """
 
 from __future__ import annotations
@@ -20,18 +22,17 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import PeriodNotFoundError, ResourceCapError, UnsupportedGridError
+from .errors import PeriodNotFoundError, UnsupportedGridError
 from .tropical import (
     _INF,
     INFINITY,
     TropicalMatrix,
-    TropicalVector,
     build_initial_vector,
     build_transition_matrix,
     final_mask,
     mat_vec,
 )
-from .words import DEFAULT_WORD_CAP, WordTable, enumerate_suitable
+from .words import WordTable, enumerate_suitable
 
 DEFAULT_MAX_D = 15
 DEFAULT_MAX_N = 100
@@ -46,20 +47,18 @@ class Machinery:
 
     table: WordTable
     matrix: TropicalMatrix
-    initial: TropicalVector
+    initial: np.ndarray
     finals: np.ndarray
 
 
 _machinery_cache: dict[int, Machinery] = {}
 
 
-def machinery(m: int, max_words: int = DEFAULT_WORD_CAP) -> Machinery:
+def machinery(m: int) -> Machinery:
     cached = _machinery_cache.get(m)
     if cached is not None:
-        if cached.table.k > max_words:
-            raise ResourceCapError(f"more than {max_words} suitable words of length {m}")
         return cached
-    table = enumerate_suitable(m, max_words=max_words)
+    table = enumerate_suitable(m)
     built = Machinery(
         table=table,
         matrix=build_transition_matrix(table),
@@ -113,10 +112,9 @@ class DPWindow:
         while self.repeat is None and len(self) < n:
             r = len(self) + 1
             if r == 1:
-                data = self.mach.initial.data
+                data = self.mach.initial
             else:
-                prev = TropicalVector(self.mach.table, self.column(r - 1))
-                data = mat_vec(self.mach.matrix, prev).data
+                data = mat_vec(self.mach.matrix, self.column(r - 1))
             low, off = _compact(data)
             for d in range(1, min(DEFAULT_MAX_D, r - 1) + 1):
                 c = low - self.mins[-d]
@@ -194,46 +192,29 @@ class DPWindow:
 _window_cache: dict[int, DPWindow] = {}
 
 
-@dataclass(frozen=True, eq=False)
-class FoldedTrace:
-    """X^1..X^n of one DP run, read from its width's window."""
-
-    window: DPWindow
-    n: int
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> TropicalVector:
-        """X^{i+1}, indexed like the list of all n columns."""
-        if not -self.n <= i < self.n:
-            raise IndexError(f"column index {i} out of range for {self.n} columns")
-        return TropicalVector(self.window.mach.table, self.window.column(i % self.n + 1))
-
-
 def run_dp(
-    m: int, n: int, keep_trace: bool = False, max_words: int = DEFAULT_WORD_CAP
-) -> tuple[Machinery, FoldedTrace | list[TropicalVector]]:
+    m: int, n: int, keep_trace: bool = False
+) -> tuple[Machinery, DPWindow | list[np.ndarray]]:
     """The columns X^1..X^n of the width-m DP, read from the width's window.
 
     First grows the kept window to min(n, t - 1) columns, recording the
     first repeat t when t <= n; a warm call computes nothing.  Returns the
-    FoldedTrace of all n columns when keep_trace, else [X^n].
+    window itself when keep_trace (window.column(r) is X^r for every
+    r <= n), else [X^n] as an int64 array.
     """
     if m < 2:
         raise UnsupportedGridError("the word machinery needs at least 2 rows; use the oracle for paths")
     if n < 1:
         raise UnsupportedGridError(f"column count must be positive, got {n}")
-    mach = machinery(m, max_words=max_words)
+    mach = machinery(m)
     window = _window_cache.get(m)
     if window is None:
         window = _window_cache[m] = DPWindow(mach)
     window.grow(n)
-    trace = FoldedTrace(window, n)
-    return mach, trace if keep_trace else [trace[-1]]
+    return mach, window if keep_trace else [window.column(n)]
 
 
-def solve_width(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> int | float:
+def solve_width(m: int, n: int) -> int | float:
     """Minimum independent [1,2]-set size of the m x n grid, by the DP.
 
     A lookup in the width's window plus the fold's shift.  The grid is
@@ -244,8 +225,8 @@ def solve_width(m: int, n: int, max_words: int = DEFAULT_WORD_CAP) -> int | floa
     """
     if 2 <= n < m:
         m, n = n, m
-    _, trace = run_dp(m, n, keep_trace=True, max_words=max_words)
-    return trace.window.value(n)
+    _, window = run_dp(m, n, keep_trace=True)
+    return window.value(n)
 
 
 @dataclass(frozen=True)
@@ -268,7 +249,6 @@ def detect_period(
     m: int,
     max_d: int = DEFAULT_MAX_D,
     max_n: int = DEFAULT_MAX_N,
-    max_words: int = DEFAULT_WORD_CAP,
 ) -> PeriodCertificate:
     """The smallest d, then the smallest n0, with X^{n0+d} = X^{n0} + c, c >= 1.
 
@@ -284,8 +264,7 @@ def detect_period(
     """
     if m < 2:
         raise UnsupportedGridError("period detection needs at least 2 rows")
-    _, trace = run_dp(m, max_n, keep_trace=True, max_words=max_words)
-    window = trace.window
+    _, window = run_dp(m, max_n, keep_trace=True)
     repeat = window.repeat
     if repeat is None or repeat[0] > max_n or repeat[1] > max_d:
         beyond = (

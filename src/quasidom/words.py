@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -167,24 +167,17 @@ class WordTable:
 
     m: int
     words: tuple[str, ...]
-    index: Mapping[str, int]
     digits: np.ndarray
 
     @property
     def k(self) -> int:
         return len(self.words)
 
-    def id_of(self, word: str) -> int:
-        return self.index[word]
-
     def __len__(self) -> int:
         return len(self.words)
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.index
 
 
 # Pseudo-labels for the lookup tables: no label (the word boundary), and a
@@ -282,8 +275,7 @@ def enumerate_suitable(m: int, max_words: int = DEFAULT_WORD_CAP) -> WordTable:
         raise MalformedWordError(f"word length must be at least 2, got {m}")
     digits = _suitable_digits(m, max_words)
     digits.setflags(write=False)
-    words = tuple(_words_of(digits))
-    return WordTable(m=m, words=words, index=dict(zip(words, range(len(words)))), digits=digits)
+    return WordTable(m=m, words=tuple(_words_of(digits)), digits=digits)
 
 
 def _trie(digits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -1,8 +1,11 @@
+import contextlib
 import io
 import json
+import sys
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasidom.cli import main
 
@@ -154,6 +157,7 @@ def test_results_do_not_depend_on_threads_or_seed(capsys):
         '{"m": 2, "n": 2, "members": [3]}',
         '{"m": 2, "n": 2, "members": [[3, 1]]}',
         '{"m": 0, "n": 2, "members": []}',
+        '{"m": 2, "n": ',
         "",
         "  \n",
         "5\n",
@@ -201,3 +205,68 @@ def test_oversized_grids_are_refused_up_front(capsys, monkeypatch, argv, stdin):
     assert time.perf_counter() - started < 1.0
     assert code == 1
     assert env["error"]["type"] == "ResourceCapError"
+
+
+def _small(lo, hi):
+    return st.integers(min_value=lo, max_value=hi).map(str)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=12,
+)
+_SET_LIKE_JSON = st.fixed_dictionaries(
+    {},
+    optional={"m": _JSON_VALUES, "n": _JSON_VALUES, "members": _JSON_VALUES, "set": _JSON_VALUES},
+).map(json.dumps)
+_ASCII_SETS = st.builds(
+    lambda header, rows: header + "\n" + "\n".join(rows),
+    st.sampled_from(["", "3 3", "2 4", "0 3", "x 2", "3", "-1 2"]),
+    st.lists(st.text(alphabet="#.x ", max_size=5), max_size=4),
+)
+_VERIFY_INPUT = st.one_of(
+    st.text(max_size=40), _SET_LIKE_JSON, _SET_LIKE_JSON.map(lambda t: t[: len(t) // 2]), _ASCII_SETS
+).map(lambda text: (["verify"], text))
+# DP widths stay at most 13 whatever the orientation; pattern grids at most 40
+_ARGV_INPUT = st.one_of(
+    st.tuples(st.sampled_from(["value", "formula"]), _small(-5, 10**6), _small(-5, 10**6)),
+    st.tuples(st.sampled_from(["solve", "extract"]), _small(-2, 13), _small(-2, 40)),
+    st.tuples(st.just("pattern"), _small(-2, 40), _small(-2, 40)),
+    st.tuples(st.just("period"), _small(-2, 13)),
+    st.tuples(
+        st.just("period"), _small(-2, 13), st.just("--max-d"), _small(-2, 20), st.just("--max-n"),
+        _small(-2, 120),
+    ),
+    st.lists(st.text(alphabet="-0123456789abx", max_size=6), max_size=3).map(
+        lambda tail: ["solve", *tail]
+    ),
+).map(lambda argv: (list(argv), ""))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_VERIFY_INPUT | _ARGV_INPUT)
+def test_cli_input_contract(case):
+    """Every input ends in exit 0 or 1 with one JSON object on stdout, or in a usage exit 2."""
+    argv, stdin = case
+    out = io.StringIO()
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main([*argv, "--json"])
+    except SystemExit as exc:
+        assert exc.code == 2
+        return
+    finally:
+        sys.stdin = saved_stdin
+    assert code in (0, 1)
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1
+    env = json.loads(lines[0])
+    assert isinstance(env, dict)
+    if "error" in env:
+        assert code == 1
+        assert isinstance(env["error"]["type"], str)
+        assert isinstance(env["error"]["message"], str)
+    else:
+        assert env["command"] == argv[0]

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from quasidom.errors import PeriodNotFoundError, ResourceCapError, UnsupportedGridError
+from quasidom.errors import PeriodNotFoundError, UnsupportedGridError
 from quasidom.oracle import profile_dp_min
 from quasidom.solver import (
     OFF_INF,
@@ -222,12 +222,6 @@ def test_solve_width_rejects_single_row():
         solve_width(1, 5)
 
 
-def test_machinery_cache_respects_a_smaller_cap():
-    assert machinery(8).table.k == 532
-    with pytest.raises(ResourceCapError):
-        machinery(8, max_words=100)
-
-
 # first column t of each width with X^t = X^{t-d} + c for some d <= 15
 FIRST_REPEAT = {2: 6, 3: 11, 4: 12, 5: 20, 6: 16, 7: 15, 8: 26, 9: 28, 10: 55, 11: 61, 12: 40, 13: 85}
 
@@ -237,35 +231,55 @@ def test_folded_trace_matches_plain_iteration(m):
     for memo in ("cold", "warm"):
         if memo == "cold":
             _window_cache.pop(m, None)
-        mach, trace = run_dp(m, 300, keep_trace=True)
-        assert _window_cache[m].repeat[0] == FIRST_REPEAT[m], memo
-        assert len(trace) == 300
-        assert len(_window_cache[m]) == FIRST_REPEAT[m] - 1
+        mach, window = run_dp(m, 300, keep_trace=True)
+        assert window is _window_cache[m]
+        assert window.repeat[0] == FIRST_REPEAT[m], memo
+        assert len(window) == FIRST_REPEAT[m] - 1
         x = mach.initial
         for r in range(300):
             if r:
                 x = mat_vec(mach.matrix, x)
-            assert trace[r].same_entries(x), (memo, r)
+            assert np.array_equal(window.column(r + 1), x), (memo, r)
             if r in (0, FIRST_REPEAT[m] - 2, FIRST_REPEAT[m] - 1, 299):
                 if memo == "cold":
                     _window_cache.pop(m, None)
-                assert run_dp(m, r + 1)[1][-1].same_entries(x), (memo, r)
-        assert trace[-1].same_entries(x)
+                assert np.array_equal(run_dp(m, r + 1)[1][-1], x), (memo, r)
+        assert np.array_equal(window.column(300), x)
 
 
 def test_runs_before_the_first_repeat_keep_every_column():
     _window_cache.pop(13, None)
-    _, trace = run_dp(13, 40, keep_trace=True)
-    assert _window_cache[13].repeat is None
-    assert len(_window_cache[13]) == 40
+    _, window = run_dp(13, 40, keep_trace=True)
+    assert window is _window_cache[13]
+    assert window.repeat is None
+    assert len(window) == 40
     with pytest.raises(IndexError):
-        trace[40]
+        window.column(41)
 
 
 @pytest.mark.parametrize("m", range(2, 16))
 def test_solve_width_reaches_a_million_columns(m):
     # closed forms for m <= 13, floor((m+2)(n+2)/5) - 4 for m = 14, 15
     assert solve_width(m, 10**6) == value(m, 10**6)
+
+
+@pytest.mark.parametrize("m", [14, 15])
+def test_big_grid_formula_is_proved_for_every_n(m):
+    """The DP proves value(m, n) = floor((m+2)(n+2)/5) - 4 for every n >= m.
+
+    The first repeat X^t = X^{t-d} + c makes the DP values satisfy
+    f(n + d) = f(n) + c from n = t - d on.  Since (m + 2) d = 5 c, the
+    formula F(n) = floor((m+2)(n+2)/5) - 4 satisfies F(n + d) = F(n) + c
+    for every n.  With t - d >= m, agreement on m <= n < t covers every
+    n < t - d directly and one full period from t - d, so both sides agree
+    for every n >= m at this width.
+    """
+    solve_width(m, 10**6)
+    t, d, c = _window_cache[m].repeat
+    assert t - d >= m
+    assert (m + 2) * d == 5 * c
+    for n in range(m, t):
+        assert solve_width(m, n) == big_grid_value(m, n), n
 
 
 def test_solve_width_at_a_million_columns_is_fast():

@@ -8,13 +8,18 @@ from hypothesis import given, strategies as st
 from quasidom.tropical import (
     INFINITY,
     _INF,
-    TropicalVector,
     build_initial_vector,
     build_transition_matrix,
     final_mask,
     mat_vec,
 )
 from quasidom.words import can_follow, enumerate_suitable, is_final, is_initial, zeros
+
+
+def entry(table, x, word):
+    """The cost of word in the int64 cost array x, as an int or INFINITY."""
+    v = x[table.words.index(word)]
+    return INFINITY if v >= _INF else int(v)
 
 
 @pytest.fixture(scope="module")
@@ -25,10 +30,10 @@ def t2():
 
 def test_initial_vector_length2(t2):
     table, _, x1 = t2
-    assert x1.entry("01") == 1
-    assert x1.entry("10") == 1
+    assert entry(table, x1, "01") == 1
+    assert entry(table, x1, "10") == 1
     for w in ("02", "13", "20", "31"):
-        assert x1.entry(w) == INFINITY
+        assert entry(table, x1, w) == INFINITY
 
 
 def test_initial_vector_finite_entries_count_zeros():
@@ -36,16 +41,19 @@ def test_initial_vector_finite_entries_count_zeros():
         table = enumerate_suitable(m)
         x1 = build_initial_vector(table)
         for w in table:
-            v = x1.entry(w)
+            v = entry(table, x1, w)
             if v != INFINITY:
                 assert v == zeros(w)
-    assert build_initial_vector(enumerate_suitable(3)).entry("020") == 2
+    table3 = enumerate_suitable(3)
+    assert entry(table3, build_initial_vector(table3), "020") == 2
 
 
 def test_transition_matrix_entries(t2):
     table, matrix, _ = t2
-    assert matrix.entry("20", "01") == 1
-    assert matrix.entry("01", "01") == INFINITY
+    dense = matrix.dense()
+    ids = table.words.index
+    assert dense[ids("20"), ids("01")] == 1
+    assert dense[ids("01"), ids("01")] == _INF
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -85,7 +93,7 @@ def test_vectors_match_word_predicates(m):
     table = enumerate_suitable(m)
     initial = build_initial_vector(table)
     matrix = build_transition_matrix(table)
-    assert [initial.entry(w) for w in table] == [
+    assert [entry(table, initial, w) for w in table] == [
         zeros(w) if is_initial(w) else INFINITY for w in table
     ]
     assert final_mask(table).tolist() == [is_final(w) for w in table]
@@ -94,26 +102,23 @@ def test_vectors_match_word_predicates(m):
 
 def test_mat_vec_absorbs_infinity(t2):
     table, matrix, _ = t2
-    all_inf = TropicalVector(table, np.full(table.k, _INF, dtype=np.int64))
+    all_inf = np.full(table.k, _INF, dtype=np.int64)
     out = mat_vec(matrix, all_inf)
-    assert all(out.entry(w) == INFINITY for w in table)
+    assert all(entry(table, out, w) == INFINITY for w in table)
 
 
 def test_second_column_value(t2):
     table, matrix, x1 = t2
     x2 = mat_vec(matrix, x1)
-    assert x2.entry("20") == 2  # reaches the 2x2 grid minimum
+    assert entry(table, x2, "20") == 2  # reaches the 2x2 grid minimum
     finals = final_mask(table)
-    assert x2.min_where(finals) == 2
+    assert x2[finals].min() == 2
 
 
 def _vectors(table):
-    entry = st.one_of(st.just(INFINITY), st.integers(min_value=0, max_value=30))
-    return st.lists(entry, min_size=table.k, max_size=table.k).map(
-        lambda vals: TropicalVector(
-            table,
-            np.array([_INF if v == INFINITY else v for v in vals], dtype=np.int64),
-        )
+    cost = st.one_of(st.just(INFINITY), st.integers(min_value=0, max_value=30))
+    return st.lists(cost, min_size=table.k, max_size=table.k).map(
+        lambda vals: np.array([_INF if v == INFINITY else v for v in vals], dtype=np.int64)
     )
 
 
@@ -123,17 +128,22 @@ MATRIX3 = build_transition_matrix(TABLE3)
 
 @given(_vectors(TABLE3), _vectors(TABLE3))
 def test_mat_vec_monotone(x, y):
-    lo = TropicalVector(TABLE3, np.minimum(x.data, y.data))
+    lo = np.minimum(x, y)
     out_lo = mat_vec(MATRIX3, lo)
     out_x = mat_vec(MATRIX3, x)
-    assert (out_lo.data <= out_x.data).all()
+    assert (out_lo <= out_x).all()
+
+
+def _plus(x, c):
+    """x + c on finite entries; _INF is absorbing."""
+    return np.where(x >= _INF, _INF, x + np.int64(c))
 
 
 @given(_vectors(TABLE3), st.integers(min_value=0, max_value=10))
 def test_mat_vec_translation_equivariance(x, c):
-    lhs = mat_vec(MATRIX3, x.plus(c))
-    rhs = mat_vec(MATRIX3, x).plus(c)
-    assert lhs.same_entries(rhs)
+    lhs = mat_vec(MATRIX3, _plus(x, c))
+    rhs = _plus(mat_vec(MATRIX3, x), c)
+    assert np.array_equal(lhs, rhs)
 
 
 def test_single_predecessor_row_is_translation():
@@ -141,25 +151,23 @@ def test_single_predecessor_row_is_translation():
     for m in (2, 3):
         table = enumerate_suitable(m)
         matrix = build_transition_matrix(table)
-        x = TropicalVector(
-            table, np.arange(1, table.k + 1, dtype=np.int64)
-        )
+        x = np.arange(1, table.k + 1, dtype=np.int64)
         out = mat_vec(matrix, x)
         for p in range(table.k):
             preds = matrix.predecessors(p)
             if len(preds) == 1:
                 q = int(preds[0])
-                assert out.data[p] == matrix.row_zeros[p] + x.data[q]
+                assert out[p] == matrix.row_zeros[p] + x[q]
 
 
 def test_rows_without_predecessors_stay_infinite():
     table = enumerate_suitable(4)
     matrix = build_transition_matrix(table)
-    x = TropicalVector(table, np.zeros(table.k, dtype=np.int64))
+    x = np.zeros(table.k, dtype=np.int64)
     out = mat_vec(matrix, x)
     for p in range(table.k):
         if len(matrix.predecessors(p)) == 0:
-            assert out.entry_by_id(p) == INFINITY
+            assert out[p] == _INF
 
 
 @pytest.mark.parametrize("m,depth", [(2, 5), (3, 4), (4, 3)])
@@ -192,4 +200,4 @@ def test_iterates_match_exhaustive_chain_enumeration(m, depth):
             x = mat_vec(matrix, x)
         for w in table:
             expected = best[r].get(w, INFINITY)
-            assert x.entry(w) == expected, (m, r, w)
+            assert entry(table, x, w) == expected, (m, r, w)
