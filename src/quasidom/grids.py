@@ -1,10 +1,12 @@
 """Concrete vertex sets on the m x n grid: verification, extraction, labeling.
 
-Coordinates are 1-based (i, j) with i the row (1 = top) and j the column.
+Coordinates are 1-based (i, j) with i the row (1 = top) and j the column; a
+GridSet is one read-only m x n bool mask with (i, j) at [i - 1, j - 1].
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import chain
 
@@ -13,54 +15,85 @@ import numpy as np
 from .errors import InvalidSetError, MalformedSetError, ResourceCapError
 from .solver import run_dp
 
-# largest m * n a vertex set may span; sets are frozensets of tuples and
-# verify_set builds an array over every cell, so larger grids are refused up front
+# largest m * n a vertex set may span; a set is an m x n bool mask and
+# verify_set builds int8 arrays over every cell, so larger grids are refused up front
 MAX_CELLS = 4_000_000
 
 
 def check_cell_cap(m: int, n: int) -> None:
-    """Refuse a grid above MAX_CELLS before any per-cell work starts."""
+    """Refuse an empty grid, or one above MAX_CELLS, before any per-cell work starts."""
+    if m < 1 or n < 1:
+        raise MalformedSetError(f"grid dimensions must be positive, got ({m}, {n})")
     if m * n > MAX_CELLS:
         raise ResourceCapError(f"a {m}x{n} grid has more than {MAX_CELLS} cells")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridSet:
-    """A subset of the m x n grid's vertices."""
+    """A subset of the m x n grid's vertices: (i, j) is a member when mask[i - 1, j - 1] is set.
 
-    m: int
-    n: int
-    members: frozenset[tuple[int, int]]
+    GridSet(m, n, members) takes (i, j) pairs, GridSet.from_mask an array; the mask is a copy.
+    """
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise MalformedSetError(f"grid dimensions must be positive, got ({self.m}, {self.n})")
-        check_cell_cap(self.m, self.n)
-        object.__setattr__(self, "members", frozenset(self.members))
-        for i, j in self.members:
-            if not (1 <= i <= self.m and 1 <= j <= self.n):
-                raise MalformedSetError(f"vertex ({i}, {j}) outside the {self.m}x{self.n} grid")
+    mask: np.ndarray
+
+    def __init__(self, m: int, n: int, members: Iterable[tuple[int, int]] = ()):
+        check_cell_cap(m, n)
+        pairs = list(members)
+        try:
+            flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
+            i, j = flat.reshape(-1, 2).T
+        except OverflowError:  # a coordinate past int64, so off the grid
+            i = j = np.zeros(1, dtype=np.int64)
+        if not ((1 <= i) & (i <= m) & (1 <= j) & (j <= n)).all():
+            # the error names the first pair off the grid in the pair set's iteration order
+            for i, j in frozenset(map(tuple, pairs)):
+                if not (1 <= i <= m and 1 <= j <= n):
+                    raise MalformedSetError(f"vertex ({i}, {j}) outside the {m}x{n} grid")
+        mask = np.zeros((m, n), dtype=bool)
+        mask[i - 1, j - 1] = True
+        mask.flags.writeable = False
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def from_mask(cls, mask) -> "GridSet":
+        """The set whose members are the true cells of an m x n array (copied)."""
+        check_cell_cap(*np.shape(mask))
+        s = cls.__new__(cls)
+        object.__setattr__(s, "mask", np.array(mask, dtype=bool, order="C"))
+        s.mask.flags.writeable = False
+        return s
+
+    m = property(lambda self: self.mask.shape[0])
+    n = property(lambda self: self.mask.shape[1])
+    # the (i, j) tuples, built from the mask on each call
+    members = property(lambda self: frozenset(_cells(self.mask)))
 
     def __len__(self) -> int:
-        return len(self.members)
+        return int(np.count_nonzero(self.mask))
 
     def __contains__(self, vertex: tuple[int, int]) -> bool:
-        return vertex in self.members
+        i, j = vertex
+        return 1 <= i <= self.m and 1 <= j <= self.n and bool(self.mask[i - 1, j - 1])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, GridSet) and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self) -> int:
+        return hash((self.mask.shape, self.mask.tobytes()))
 
     def sorted_members(self) -> list[tuple[int, int]]:
-        return sorted(self.members)
+        return list(_cells(self.mask))
 
     def transpose(self) -> "GridSet":
-        return GridSet(self.n, self.m, frozenset((j, i) for i, j in self.members))
+        return GridSet.from_mask(self.mask.T)
 
     def to_ascii(self) -> str:
         """First line "m n", then '#' for members and '.' for the rest."""
-        rows = [f"{self.m} {self.n}"]
-        for i in range(1, self.m + 1):
-            rows.append(
-                "".join("#" if (i, j) in self.members else "." for j in range(1, self.n + 1))
-            )
-        return "\n".join(rows)
+        m, n = self.mask.shape
+        text = np.full((m, n + 1), ord("\n"), dtype=np.uint8)
+        text[:, :n] = np.where(self.mask, ord("#"), ord("."))
+        return f"{m} {n}\n" + text.tobytes()[:-1].decode()
 
     @classmethod
     def from_ascii(cls, text: str) -> "GridSet":
@@ -75,19 +108,18 @@ class GridSet:
         body = lines[1:]
         if len(body) != m:
             raise MalformedSetError(f"expected {m} rows, got {len(body)}")
-        members = set()
         for i, row in enumerate(body, start=1):
             if len(row) != n:
                 raise MalformedSetError(f"row {i} has {len(row)} cells, expected {n}")
-            for j, ch in enumerate(row, start=1):
-                if ch == "#":
-                    members.add((i, j))
-                elif ch != ".":
-                    raise MalformedSetError(f"unexpected cell {ch!r} at ({i}, {j})")
-        return cls(m, n, frozenset(members))
+            j = len(row) - len(row.lstrip("#."))  # the first other character
+            if j < n:
+                raise MalformedSetError(f"unexpected cell {row[j]!r} at ({i}, {j + 1})")
+        check_cell_cap(m, n)
+        cells = np.frombuffer("".join(body).encode("ascii"), dtype=np.uint8)
+        return cls.from_mask(cells.reshape(m, n) == ord("#"))
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "members": [list(v) for v in self.sorted_members()]}
+        return {"m": self.m, "n": self.n, "members": (np.argwhere(self.mask) + 1).tolist()}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "GridSet":
@@ -108,7 +140,7 @@ class GridSet:
         for v in members:
             if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))):
                 raise MalformedSetError(f"member {v!r} is not an [i, j] pair of integers")
-        return cls(m, n, frozenset((i, j) for i, j in members))
+        return cls(m, n, members)
 
 
 def _is_int(x) -> bool:
@@ -133,18 +165,6 @@ class VerificationReport:
         return self.independent and self.dominated_ok
 
 
-def _padded(s: GridSet) -> np.ndarray:
-    """Membership of s as 0/1 on an (m+2) x (n+2) int8 array with a zero border.
-
-    Cell (i, j) sits at [i, j], so the neighbors of the inner block
-    [1:-1, 1:-1] are its shifts by one row or column.
-    """
-    g = np.zeros((s.m + 2, s.n + 2), dtype=np.int8)
-    flat = np.fromiter(chain.from_iterable(s.members), dtype=np.int64, count=2 * len(s))
-    g[flat[0::2], flat[1::2]] = 1
-    return g
-
-
 def _cells(mask: np.ndarray, *values: np.ndarray) -> zip:
     """1-based (i, j) of the nonzero cells of an m x n mask in row-major order,
     each followed by the entries of values at that cell."""
@@ -161,7 +181,8 @@ def verify_set(s: GridSet) -> VerificationReport:
     order, the right neighbor before the lower one; then the domination
     failures in row-major order.
     """
-    g = _padded(s)
+    g = np.zeros((s.m + 2, s.n + 2), dtype=np.int8)
+    g[1:-1, 1:-1] = s.mask
     member = g[1:-1, 1:-1]
     right = member & g[1:-1, 2:]
     down = member & g[2:, 1:-1]
@@ -203,9 +224,7 @@ def extract_min_set(m: int, n: int) -> GridSet:
     # after run_dp, so its errors keep their type; before the walk over n columns
     check_cell_cap(m, n)
     ids, best = window.backtrack(n)
-    cols, rows = np.nonzero(mach.table.digits[ids] == 0)
-    members = frozenset(zip((rows + 1).tolist(), (cols + 1).tolist()))
-    result = GridSet(m, n, members)
+    result = GridSet.from_mask(mach.table.digits[ids].T == 0)
     if len(result) != best:
         raise RuntimeError(
             f"extracted set of {len(result)} disagrees with the DP value {best} for ({m}, {n}); "
@@ -226,11 +245,11 @@ def labeling_of(s: GridSet) -> list[str]:
         raise InvalidSetError(
             f"not an independent [1,2]-set: {'; '.join(v.detail for v in report.violations[:3])}"
         )
-    g = _padded(s)
-    member = g[1:-1, 1:-1]
+    g = np.zeros((s.m + 2, s.n + 2), dtype=np.int8)
+    g[1:-1, 1:-1] = s.mask
     count = g[1:-1, :-2] + g[:-2, 1:-1] + g[2:, 1:-1]
-    for i, j, c in _cells((member == 0) & (count > 2), count):
+    for i, j, c in _cells(~s.mask & (count > 2), count):
         raise RuntimeError(f"({i},{j}) has {c} dominators after verification; this is a bug")
-    labels = np.where(member == 1, 0, np.where(count == 0, 3, count))
+    labels = np.where(s.mask, 0, np.where(count == 0, 3, count))
     text = (labels.T + ord("0")).astype(np.uint8)
     return [row.tobytes().decode() for row in text]

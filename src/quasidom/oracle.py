@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import UnsupportedGridError
 from .grids import GridSet
 
@@ -39,7 +41,6 @@ class _BitGrid:
     """Bit-parallel validity tests on a row-major bitmask of an m x n grid."""
 
     def __init__(self, m: int, n: int):
-        self.m = m
         self.n = n
         cells = m * n
         self.full = (1 << cells) - 1
@@ -81,12 +82,6 @@ class _BitGrid:
                 return False
         return True
 
-    def to_grid_set(self, s: int) -> GridSet:
-        members = frozenset(
-            (c // self.n + 1, c % self.n + 1) for c in range(self.m * self.n) if s >> c & 1
-        )
-        return GridSet(self.m, self.n, members)
-
 
 def brute_force_min(m: int, n: int, mode: str = "i12") -> OracleResult:
     """Exact minimum by exhausting subsets in increasing cardinality.
@@ -110,7 +105,7 @@ def brute_force_min(m: int, n: int, mode: str = "i12") -> OracleResult:
             for c in combo:
                 s |= 1 << c
             if grid.valid(s, mode):
-                return OracleResult(value=size, witness=grid.to_grid_set(s), mode=mode)
+                return OracleResult(value=size, witness=mask_to_grid_set(m, n, s), mode=mode)
     return OracleResult(value=math.inf, witness=None, mode=mode)
 
 
@@ -127,7 +122,9 @@ def enumerate_valid_masks(m: int, n: int, mode: str = "i12") -> list[int]:
 
 
 def mask_to_grid_set(m: int, n: int, mask: int) -> GridSet:
-    return _BitGrid(m, n).to_grid_set(mask)
+    """The set whose row-major cell c is a member when bit c of mask is set."""
+    packed = np.frombuffer(mask.to_bytes(m * n // 8 + 1, "little"), dtype=np.uint8)
+    return GridSet.from_mask(np.unpackbits(packed, count=m * n, bitorder="little").reshape(m, n))
 
 
 def profile_dp_min(m: int, n: int, mode: str = "i12") -> OracleResult:
@@ -201,7 +198,6 @@ def profile_dp_min(m: int, n: int, mode: str = "i12") -> OracleResult:
     if best is None:
         return OracleResult(value=math.inf, witness=None, mode=mode)
     cost, hist = best
-    members = frozenset(
-        (i + 1, j + 1) for j, mu in enumerate(hist) for i in range(m) if mu >> i & 1
-    )
-    return OracleResult(value=cost, witness=GridSet(m, n, members), mode=mode)
+    # column j of the witness is hist[j], with row i at bit i - 1
+    mask = np.array(hist)[None, :] >> np.arange(m)[:, None] & 1
+    return OracleResult(value=cost, witness=GridSet.from_mask(mask), mode=mode)

@@ -4,10 +4,10 @@ The extended (m+2) x (n+2) grid is partitioned into five diagonal residue
 classes V_s = {(i, j): 2i + j = s (mod 5)}; each is a perfect code of the
 infinite grid.  For m >= 16 the smallest class (`choose_residue`) becomes
 one m x n bool mask (`projected_class`) whose four 8x8 corner blocks are
-repaired in place, which yields a valid set of exactly
+repaired in place; that mask becomes the GridSet, a valid set of exactly
 floor((m+2)(n+2)/5) - 4 vertices, the known lower bound.  Widths 14 and 15
-take the set from the transfer-matrix extractor instead.  The tuple-set
-builders `diagonal_partition` and `project_inner` are the tests' reference.
+take the set from the transfer-matrix extractor instead.  The tests' reference
+is `diagonal_partition`, V_s as (i, j) tuples, and `project_inner`.
 
 A repair is an exact column sweep over one corner block that keeps the
 cells outside it fixed and drops one member unless the class already
@@ -56,18 +56,11 @@ def project_inner(cells: frozenset[tuple[int, int]], m: int, n: int) -> GridSet:
     no inner neighbor at distance one and are dropped, which is what makes
     the projected class smaller near the corners it occupies.
     """
-    members = set()
-    for i, j in cells:
-        inner_i = 1 <= i <= m
-        inner_j = 1 <= j <= n
-        if inner_i and inner_j:
-            members.add((i, j))
-        elif inner_i:
-            members.add((i, 1 if j == 0 else n))
-        elif inner_j:
-            members.add((1 if i == 0 else m, j))
-        # extended-grid corners are dropped
-    return GridSet(m, n, frozenset(members))
+    i, j = np.array(list(cells), dtype=np.int64).reshape(-1, 2).T
+    side = ((1 <= i) & (i <= m)) | ((1 <= j) & (j <= n))  # not an extended corner
+    mask = np.zeros((m, n), dtype=bool)
+    mask[np.clip(i[side], 1, m) - 1, np.clip(j[side], 1, n) - 1] = True
+    return GridSet.from_mask(mask)
 
 
 def projected_class(m: int, n: int, s: int) -> np.ndarray:
@@ -203,8 +196,8 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
     four 8x8 corner blocks in the order top-left, top-right, bottom-left,
     bottom-right, writing each block back before the next corner reads the
     mask; a block drops one member unless V_s already misses its
-    extended-grid corner.  The GridSet is made once, from the final mask,
-    and verified before it is returned.
+    extended-grid corner.  The final mask goes to GridSet.from_mask as is,
+    and the set is verified before it is returned.
 
     With `with_info`, also returns {"s", "regions", "nets"} describing the
     repair ({"s": None, "regions": [], "nets": [], "fallback": "dp"} for
@@ -245,8 +238,7 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
         if block is None:
             raise ConstructionError(f"no repair of the {name} corner of ({m}, {n}) with s={s}")
         mask[r1 - 1 : r1 - 1 + k, c1 - 1 : c1 - 1 + k] = block
-    rows, cols = np.nonzero(mask)
-    result = GridSet(m, n, frozenset(zip((rows + 1).tolist(), (cols + 1).tolist())))
+    result = GridSet.from_mask(mask)
     if len(result) != target or not verify_set(result).ok:
         raise ConstructionError(
             f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -162,19 +163,19 @@ def can_follow(p: str, q: str) -> bool:
 class WordTable:
     """All suitable words of one length, lexicographically ordered.
 
-    digits holds the same words as a read-only k x m uint8 array of labels.
+    digits holds them as a read-only k x m uint8 array; words, as strings, on first use.
     """
 
     m: int
-    words: tuple[str, ...]
     digits: np.ndarray
 
     @property
     def k(self) -> int:
-        return len(self.words)
+        return len(self.digits)
 
-    def __len__(self) -> int:
-        return len(self.words)
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        return tuple(_words_of(self.digits))
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.words)
@@ -275,7 +276,7 @@ def enumerate_suitable(m: int, max_words: int = DEFAULT_WORD_CAP) -> WordTable:
         raise MalformedWordError(f"word length must be at least 2, got {m}")
     digits = _suitable_digits(m, max_words)
     digits.setflags(write=False)
-    return WordTable(m=m, words=tuple(_words_of(digits)), digits=digits)
+    return WordTable(m=m, digits=digits)
 
 
 def _trie(digits: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -175,6 +175,45 @@ def test_verify_rejects_malformed_set_objects(capsys, monkeypatch, text):
     assert env["error"]["type"] == "MalformedSetError"
 
 
+# the exact messages; an out-of-range vertex is the first one in the iteration
+# order of the members as a frozenset of tuples, which is not the list order
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("2 2\n#.\n.x\n", "unexpected cell 'x' at (2, 2)"),
+        ("2 2\n#x\n...\n", "unexpected cell 'x' at (1, 2)"),
+        ("2 2\n#.\n.é\n", "unexpected cell 'é' at (2, 2)"),
+        ("2 3\n#..\n..\n", "row 2 has 2 cells, expected 3"),
+        ("0 -3\n", "grid dimensions must be positive, got (0, -3)"),
+        (
+            '{"m": 2, "n": 2, "members": [[3, 1], [1, 5], [0, 0]]}',
+            "vertex (3, 1) outside the 2x2 grid",
+        ),
+        (
+            '{"m": 2, "n": 2, "members": [[1, 5], [0, 0], [3, 1]]}',
+            "vertex (0, 0) outside the 2x2 grid",
+        ),
+        (
+            '{"m": 3, "n": 3, "members": [[1, 1], [4, 4], [2, 2], [1, 0]]}',
+            "vertex (4, 4) outside the 3x3 grid",
+        ),
+        (
+            '{"m": 2, "n": 2, "members": [[100000000000000000000000000000, 1]]}',
+            "vertex (100000000000000000000000000000, 1) outside the 2x2 grid",
+        ),
+        (
+            '{"m": 2, "n": 2, "members": [[1, -100000000000000000000000000000]]}',
+            "vertex (1, -100000000000000000000000000000) outside the 2x2 grid",
+        ),
+    ],
+)
+def test_verify_error_messages(capsys, monkeypatch, text, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, env = run_json(capsys, "verify")
+    assert code == 1
+    assert env["error"] == {"type": "MalformedSetError", "message": message}
+
+
 def test_verify_rejects_deeply_nested_members(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO('{"m":2,"n":2,"members":' + "[" * 100_000))
     code, env = run_json(capsys, "verify")

@@ -2,10 +2,11 @@ import hashlib
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from quasidom.errors import InvalidSetError, ResourceCapError
+from quasidom.errors import InvalidSetError, MalformedSetError, ResourceCapError
 from quasidom.grids import (
     MAX_CELLS,
     GridSet,
@@ -66,6 +67,43 @@ def reference_verify_set(s):
     return VerificationReport(independent, dominated_ok, tuple(violations))
 
 
+def reference_sorted_members(s):
+    return sorted(s.members)
+
+
+def reference_to_ascii(s):
+    """to_ascii as a per-cell loop over the member set."""
+    members = s.members
+    rows = [f"{s.m} {s.n}"]
+    for i in range(1, s.m + 1):
+        rows.append("".join("#" if (i, j) in members else "." for j in range(1, s.n + 1)))
+    return "\n".join(rows)
+
+
+def reference_from_ascii(text):
+    """from_ascii as a per-cell loop that collects the member tuples."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise MalformedSetError("empty grid description")
+    try:
+        m, n = map(int, lines[0].split())
+    except ValueError as exc:
+        raise MalformedSetError(f"first line must be 'm n', got {lines[0]!r}") from exc
+    body = lines[1:]
+    if len(body) != m:
+        raise MalformedSetError(f"expected {m} rows, got {len(body)}")
+    members = set()
+    for i, row in enumerate(body, start=1):
+        if len(row) != n:
+            raise MalformedSetError(f"row {i} has {len(row)} cells, expected {n}")
+        for j, ch in enumerate(row, start=1):
+            if ch == "#":
+                members.add((i, j))
+            elif ch != ".":
+                raise MalformedSetError(f"unexpected cell {ch!r} at ({i}, {j})")
+    return GridSet(m, n, frozenset(members))
+
+
 def reference_labeling(s):
     """labeling_of as a per-cell loop: 0, else left + up + down members, 3 for none."""
     return [
@@ -89,6 +127,50 @@ def _grid_sets(draw):
 @given(_grid_sets())
 def test_verify_set_matches_the_reference_loop(s):
     assert verify_set(s) == reference_verify_set(s)
+
+
+@given(_grid_sets())
+def test_mask_forms_match_the_tuple_references(s):
+    assert s.sorted_members() == reference_sorted_members(s)
+    text = s.to_ascii()
+    assert text == reference_to_ascii(s)
+    assert GridSet.from_ascii(text) == reference_from_ascii(text) == s
+    assert GridSet.from_json_dict(s.to_json_dict()) == s
+    assert all(
+        ((i, j) in s) == ((i, j) in s.members) for i in range(s.m + 2) for j in range(s.n + 2)
+    )
+    # from_mask: the same set as the tuple constructor, copied and read-only
+    mask = s.mask.copy()
+    t = GridSet.from_mask(mask)
+    assert t == GridSet(s.m, s.n, s.members) and hash(t) == hash(s)
+    mask[:] = ~mask
+    assert t == s
+    assert not t.mask.flags.writeable
+    with pytest.raises(ValueError):
+        t.mask[0, 0] = True
+    with pytest.raises(MalformedSetError):
+        GridSet.from_mask(np.zeros((0, s.n), dtype=bool))
+    with pytest.raises(ResourceCapError):
+        GridSet.from_mask(np.broadcast_to(False, (MAX_CELLS + 1, 1)))
+
+
+_ASCII_TEXT = st.builds(
+    lambda header, rows: header + "\n" + "\n".join(rows),
+    st.sampled_from(["", "2 3", "3 2", "1 1", "0 3", "0 -3", "x 2", "3"]),
+    st.lists(st.text(alphabet="#.x é", max_size=4), max_size=4),
+)
+
+
+@given(_ASCII_TEXT)
+def test_from_ascii_matches_the_tuple_reference_on_any_text(text):
+    try:
+        expected = reference_from_ascii(text)
+    except MalformedSetError as exc:
+        with pytest.raises(MalformedSetError) as got:
+            GridSet.from_ascii(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert GridSet.from_ascii(text) == expected
 
 
 @pytest.mark.parametrize(

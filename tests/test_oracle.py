@@ -96,4 +96,4 @@ def test_bitmask_validity_agrees_with_verifier():
     for m, n in ((2, 3), (3, 3), (3, 4), (4, 4)):
         grid = _BitGrid(m, n)
         for s in range(1 << (m * n)):
-            assert grid.valid(s, "i12") == verify_set(grid.to_grid_set(s)).ok, (m, n, s)
+            assert grid.valid(s, "i12") == verify_set(mask_to_grid_set(m, n, s)).ok, (m, n, s)

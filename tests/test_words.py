@@ -30,6 +30,20 @@ def test_length2_enumeration_golden():
     assert [w for w in table if is_final(w)] == ["01", "02", "10", "20"]
 
 
+def test_the_dp_path_never_builds_the_word_strings(monkeypatch):
+    from quasidom import grids, solver
+
+    monkeypatch.setattr(solver, "_machinery_cache", {})
+    monkeypatch.setattr(solver, "_window_cache", {})
+    solver.solve_width(7, 40)
+    grids.extract_min_set(7, 40)
+    solver.detect_period(7)
+    table = solver.machinery(7).table
+    assert "words" not in vars(table)
+    assert table.k == len(table.words) == len(table.digits)
+    assert "words" in vars(table)
+
+
 @pytest.mark.parametrize("m", range(2, 7))
 def test_enumeration_matches_brute_force_filter(m):
     assert list(enumerate_suitable(m).words) == brute_suitable(m)
