@@ -3,86 +3,67 @@
 Small widths are solved by a min-plus transfer-matrix dynamic program over
 admissible column words, wide grids by a repaired diagonal pattern; both are
 cross-checked against brute-force oracles.
+
+Names are imported from their home module on first access (PEP 562), so
+importing the package, or running a command that needs only the closed
+forms, loads no numpy.
 """
 
-from .errors import (
-    ConstructionError,
-    InvalidSetError,
-    MalformedSetError,
-    MalformedWordError,
-    PeriodNotFoundError,
-    ResourceCapError,
-    UnsupportedGridError,
-)
-from .grids import GridSet, VerificationReport, Violation, extract_min_set, labeling_of, verify_set
-from .oracle import OracleResult, brute_force_min, profile_dp_min
-from .pattern import build_big_grid_set, choose_residue
-from .solver import (
-    PeriodCertificate,
-    big_grid_value,
-    closed_form,
-    detect_period,
-    extend_by_period,
-    solve_width,
-    value,
-)
-from .tropical import (
-    INFINITY,
-    TropicalMatrix,
-    build_initial_vector,
-    build_transition_matrix,
-    mat_vec,
-)
-from .words import (
-    WordTable,
-    can_follow,
-    enumerate_suitable,
-    is_final,
-    is_initial,
-    is_suitable,
-    successors,
-    zeros,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConstructionError",
-    "GridSet",
-    "INFINITY",
-    "InvalidSetError",
-    "MalformedSetError",
-    "MalformedWordError",
-    "OracleResult",
-    "PeriodCertificate",
-    "PeriodNotFoundError",
-    "ResourceCapError",
-    "TropicalMatrix",
-    "UnsupportedGridError",
-    "VerificationReport",
-    "Violation",
-    "WordTable",
-    "big_grid_value",
-    "brute_force_min",
-    "build_big_grid_set",
-    "build_initial_vector",
-    "build_transition_matrix",
-    "can_follow",
-    "choose_residue",
-    "closed_form",
-    "detect_period",
-    "enumerate_suitable",
-    "extend_by_period",
-    "extract_min_set",
-    "is_final",
-    "is_initial",
-    "is_suitable",
-    "labeling_of",
-    "mat_vec",
-    "profile_dp_min",
-    "solve_width",
-    "successors",
-    "value",
-    "verify_set",
-    "zeros",
-]
+# each public name, in __all__ order -> the module that defines it
+_HOMES = {
+    "ConstructionError": "errors",
+    "GridSet": "grids",
+    "INFINITY": "tropical",
+    "InvalidSetError": "errors",
+    "MalformedSetError": "errors",
+    "MalformedWordError": "errors",
+    "OracleResult": "oracle",
+    "PeriodCertificate": "solver",
+    "PeriodNotFoundError": "errors",
+    "ResourceCapError": "errors",
+    "TropicalMatrix": "tropical",
+    "UnsupportedGridError": "errors",
+    "VerificationReport": "grids",
+    "Violation": "grids",
+    "WordTable": "words",
+    "big_grid_value": "formulas",
+    "brute_force_min": "oracle",
+    "build_big_grid_set": "pattern",
+    "build_initial_vector": "tropical",
+    "build_transition_matrix": "tropical",
+    "can_follow": "words",
+    "choose_residue": "pattern",
+    "closed_form": "formulas",
+    "detect_period": "solver",
+    "enumerate_suitable": "words",
+    "extend_by_period": "solver",
+    "extract_min_set": "grids",
+    "is_final": "words",
+    "is_initial": "words",
+    "is_suitable": "words",
+    "labeling_of": "grids",
+    "mat_vec": "tropical",
+    "profile_dp_min": "oracle",
+    "solve_width": "solver",
+    "successors": "words",
+    "value": "formulas",
+    "verify_set": "grids",
+    "zeros": "words",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home}", __name__), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

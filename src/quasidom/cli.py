@@ -2,7 +2,14 @@
 
 Exit codes: 0 on success, 1 when a computation is infeasible or a
 verification fails, 2 on usage errors.  With --json every result is a
-single envelope object on stdout; errors become {"error": ...} objects.
+single envelope object on stdout, written by the C JSON encoder; errors
+become {"error": ...} objects.
+
+Each command imports its engine when it runs, so the interpreter loads
+only what the command needs: `--version`, `value` and `formula` (results
+and error envelopes alike) run on the numpy-free formulas module.  `verify`
+loads grids alone and `pattern` for m >= 16 adds pattern; neither loads the
+DP modules (solver, tropical, words) or the oracle.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import json
 import math
 import sys
 import time
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import (
@@ -23,24 +31,10 @@ from .errors import (
     ResourceCapError,
     UnsupportedGridError,
 )
-from .grids import GridSet, extract_min_set, verify_set
-from .oracle import (
-    BRUTE_FORCE_CELL_LIMIT,
-    PROFILE_COL_LIMIT,
-    PROFILE_ROW_LIMIT,
-    brute_force_min,
-    profile_dp_min,
-)
-from .pattern import build_big_grid_set
-from .solver import (
-    DEFAULT_MAX_D,
-    DEFAULT_MAX_N,
-    closed_form,
-    detect_period,
-    solve_width,
-    value,
-)
-from .words import enumerate_suitable, is_final, is_initial
+from .formulas import DEFAULT_MAX_D, DEFAULT_MAX_N
+
+if TYPE_CHECKING:
+    from .grids import GridSet
 
 
 def _render_value(v) -> str | int:
@@ -54,12 +48,19 @@ def _envelope(command: str, inputs: dict, started: float, **fields) -> dict:
     return env
 
 
-def _emit(env: dict, args, human: str) -> None:
+def _write_json(obj: dict) -> None:
+    # json.dumps runs the C encoder; json.dump would stream through the pure-Python one
+    sys.stdout.write(json.dumps(obj) + "\n")
+
+
+def _emit(env: dict, args, human: str, gs: GridSet | None = None) -> None:
+    """Write the envelope under --json, else the human text, followed by gs when given."""
     if args.json:
-        json.dump(env, sys.stdout)
-        sys.stdout.write("\n")
-    else:
-        sys.stdout.write(human + "\n")
+        _write_json(env)
+        return
+    if gs is not None:
+        human += "\n" + _emit_set(gs, args)
+    sys.stdout.write(human + "\n")
 
 
 def _emit_set(gs: GridSet, args) -> str:
@@ -69,6 +70,8 @@ def _emit_set(gs: GridSet, args) -> str:
 
 
 def _cmd_value(args) -> int:
+    from .formulas import value
+
     t = time.perf_counter()
     v = value(args.m, args.n)
     env = _envelope("value", {"m": args.m, "n": args.n}, t, value=_render_value(v))
@@ -77,6 +80,8 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .solver import solve_width
+
     t = time.perf_counter()
     v = solve_width(args.m, args.n)
     env = _envelope("solve", {"m": args.m, "n": args.n}, t, value=_render_value(v))
@@ -85,6 +90,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_formula(args) -> int:
+    from .formulas import closed_form
+
     t = time.perf_counter()
     v = closed_form(args.m, args.n)
     env = _envelope("formula", {"m": args.m, "n": args.n}, t, value=v)
@@ -93,6 +100,8 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_period(args) -> int:
+    from .solver import detect_period
+
     t = time.perf_counter()
     cert = detect_period(args.m, max_d=args.max_d, max_n=args.max_n)
     payload = {
@@ -112,28 +121,38 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
+    from .pattern import build_big_grid_set
+
     t = time.perf_counter()
     gs, info = build_big_grid_set(args.m, args.n, with_info=True)
     env = _envelope(
         "pattern", {"m": args.m, "n": args.n}, t,
         value=len(gs), set=gs.to_json_dict(), construction=info,
     )
-    _emit(env, args, f"pattern({args.m},{args.n}): |W| = {len(gs)}\n" + _emit_set(gs, args))
+    _emit(env, args, f"pattern({args.m},{args.n}): |W| = {len(gs)}", gs)
     return 0
 
 
 def _cmd_extract(args) -> int:
+    from .grids import extract_min_set
+
     t = time.perf_counter()
     gs = extract_min_set(args.m, args.n)
     env = _envelope(
         "extract", {"m": args.m, "n": args.n}, t, value=len(gs), set=gs.to_json_dict()
     )
-    _emit(env, args, f"extract({args.m},{args.n}): |S| = {len(gs)}\n" + _emit_set(gs, args))
+    _emit(env, args, f"extract({args.m},{args.n}): |S| = {len(gs)}", gs)
     return 0
 
 
 def _read_grid_set(path: str | None) -> GridSet:
-    text = sys.stdin.read() if path is None else open(path, encoding="utf-8").read()
+    from .grids import GridSet
+
+    if path is None:
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -149,6 +168,8 @@ def _read_grid_set(path: str | None) -> GridSet:
 
 
 def _cmd_verify(args) -> int:
+    from .grids import verify_set
+
     t = time.perf_counter()
     gs = _read_grid_set(args.file)
     report = verify_set(gs)
@@ -172,6 +193,14 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import (
+        BRUTE_FORCE_CELL_LIMIT,
+        PROFILE_COL_LIMIT,
+        PROFILE_ROW_LIMIT,
+        brute_force_min,
+        profile_dp_min,
+    )
+
     t = time.perf_counter()
     m, n = args.m, args.n
     if m > n:
@@ -200,6 +229,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_words(args) -> int:
+    from .words import enumerate_suitable, is_final, is_initial
+
     t = time.perf_counter()
     table = enumerate_suitable(args.m)
     payload = {"m": args.m, "k": table.k}
@@ -281,8 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         OSError,
     ) as exc:
         if args.json:
-            json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stdout)
-            sys.stdout.write("\n")
+            _write_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         else:
             print(f"error: {exc}", file=sys.stderr)
         return 1

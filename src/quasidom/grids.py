@@ -13,7 +13,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import InvalidSetError, MalformedSetError, ResourceCapError
-from .solver import run_dp
 
 # largest m * n a vertex set may span; a set is an m x n bool mask and
 # verify_set builds int8 arrays over every cell, so larger grids are refused up front
@@ -220,6 +219,8 @@ def extract_min_set(m: int, n: int) -> GridSet:
     """
     if 2 <= n < m:
         return extract_min_set(n, m).transpose()
+    from .solver import run_dp  # at call time: verify and m >= 16 patterns never load the DP
+
     mach, window = run_dp(m, n, keep_trace=True)
     # after run_dp, so its errors keep their type; before the walk over n columns
     check_cell_cap(m, n)

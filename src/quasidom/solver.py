@@ -1,4 +1,4 @@
-"""Width-m dynamic program, period certificates and published closed forms.
+"""Width-m dynamic program and period certificates.
 
 The minimum size of an independent [1,2]-set of the m x n grid is obtained by
 iterating the min-plus transition matrix on the initial vector and minimizing
@@ -23,6 +23,8 @@ from typing import Mapping
 import numpy as np
 
 from .errors import PeriodNotFoundError, UnsupportedGridError
+# closed forms and period bounds live in formulas, which loads no numpy; re-exported here
+from .formulas import DEFAULT_MAX_D, DEFAULT_MAX_N, big_grid_value, closed_form, value  # noqa: F401
 from .tropical import (
     _INF,
     INFINITY,
@@ -33,9 +35,6 @@ from .tropical import (
     mat_vec,
 )
 from .words import WordTable, enumerate_suitable
-
-DEFAULT_MAX_D = 15
-DEFAULT_MAX_N = 100
 
 # offset of an infinite entry in a kept column; finite offsets are 0..254
 OFF_INF = 255
@@ -292,67 +291,3 @@ def extend_by_period(cert: PeriodCertificate, n: int) -> int:
         raise ValueError(f"n={n} is below the certificate window start {cert.n0}")
     q, r = divmod(n - cert.n0, cert.d)
     return cert.boundary[cert.n0 + r] + q * cert.c
-
-
-def closed_form(m: int, n: int) -> int:
-    """Published piecewise formulas for row counts 2..13 (n >= m)."""
-    if not 2 <= m <= 13:
-        raise UnsupportedGridError(f"closed forms cover 2 <= m <= 13, got m={m}")
-    if n < m:
-        raise UnsupportedGridError(f"closed forms assume n >= m, got ({m}, {n})")
-    if m == 2:
-        return (n + 2) // 2
-    if m == 3:
-        return (3 * n + 8) // 4 if n % 4 == 2 else (3 * n + 4) // 4
-    if m == 4:
-        return n + 1 if n in (5, 6, 9) else n
-    if m == 5:
-        return (6 * n + 8) // 5
-    if m == 6:
-        if n % 7 in (0, 3) and n != 7:
-            return (10 * n + 17) // 7
-        return (10 * n + 10) // 7
-    if m == 7:
-        return (5 * n + 3) // 3
-    if m == 8:
-        return 16 if n == 8 else (15 * n + 16) // 8
-    if m == 9:
-        if n % 10 in (0, 7, 9):
-            return (21 * n + 28) // 10
-        return (21 * n + 18) // 10
-    if m == 10:
-        if n in (12, 18, 21, 30):
-            return (21 * n + 23) // 9
-        return (21 * n + 14) // 9
-    if m == 11:
-        return (28 * n + 26) // 11
-    if m == 12:
-        if n % 13 == 10:
-            return (36 * n + 41) // 13
-        return (36 * n + 28) // 13
-    # m == 13
-    return 3 * n + 1 if n % 12 in (1, 4, 7, 10) else 3 * n + 2
-
-
-def big_grid_value(m: int, n: int) -> int:
-    """floor((m+2)(n+2)/5) - 4, valid for 14 <= m <= n."""
-    if not 14 <= m <= n:
-        raise UnsupportedGridError(f"big-grid formula needs 14 <= m <= n, got ({m}, {n})")
-    return (m + 2) * (n + 2) // 5 - 4
-
-
-def value(m: int, n: int) -> int:
-    """Minimum independent [1,2]-set size for any grid, by regime dispatch.
-
-    Accepts dimensions in either order: the grid is symmetric under
-    transposition so (m, n) is normalized to m <= n first.  A single row is
-    a path, which every third vertex dominates: (n + 2) // 3.
-    """
-    if m < 1 or n < 1:
-        raise UnsupportedGridError(f"grid dimensions must be positive, got ({m}, {n})")
-    m, n = min(m, n), max(m, n)
-    if m == 1:
-        return (n + 2) // 3
-    if m <= 13:
-        return closed_form(m, n)
-    return big_grid_value(m, n)

@@ -1,12 +1,20 @@
 import contextlib
+import gc
+import importlib
 import io
 import json
+import os
+import re
+import subprocess
 import sys
 import time
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import quasidom
 from quasidom.cli import main
 
 
@@ -67,6 +75,17 @@ def test_extract_verify_round_trip(capsys, tmp_path):
     code, verdict = run_json(capsys, "verify", "--file", str(path))
     assert code == 0
     assert verdict["valid"] is True
+
+
+def test_verify_file_is_closed(capsys, tmp_path):
+    path = tmp_path / "set.txt"
+    path.write_text("2 2\n#.\n.#\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, verdict = run_json(capsys, "verify", "--file", str(path))
+        gc.collect()  # an unclosed handle would warn when it is collected
+    assert code == 0 and verdict["valid"] is True
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_verify_ascii_and_failure(capsys, tmp_path):
@@ -309,3 +328,88 @@ def test_cli_input_contract(case):
         assert isinstance(env["error"]["message"], str)
     else:
         assert env["command"] == argv[0]
+
+
+def test_large_envelope_keeps_the_streaming_encoder_bytes(capsys):
+    """The envelope written by the C encoder is byte for byte what json.dump wrote."""
+    code, out = run(capsys, "pattern", "1000", "2000", "--json")
+    assert code == 0
+    env = json.loads(out)
+    del env["elapsed_ms"]
+    streamed = io.StringIO()
+    json.dump(env, streamed)
+    assert re.sub(r', "elapsed_ms": [0-9.e+-]+', "", out) == streamed.getvalue() + "\n"
+    assert env["value"] == 401_196
+
+
+_SMALL_SET = '{"m": 2, "n": 3, "members": [[1, 1], [2, 3]]}'
+
+
+def _modules_loaded_by(argv, stdin=""):
+    """Exit code, stdout and the loaded module names of one `python -m quasidom` run."""
+    script = (
+        "import json, runpy, sys\n"
+        "sys.argv, code = ['quasidom', *json.loads(sys.argv[1])], None\n"
+        "try:\n"
+        "    runpy.run_module('quasidom', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "sys.stderr.write('\\n' + json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    src = str(Path(quasidom.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(argv)],
+        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+    )
+    code, modules = json.loads(proc.stderr.rsplit("\n", 1)[-1])
+    return code, proc.stdout, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["--version"], 0),
+        (["value", "1", "40", "--json"], 0),
+        (["value", "9", "100", "--json"], 0),
+        (["value", "20", "30", "--json"], 0),
+        (["value", "300", "7", "--json"], 0),
+        (["value", "9", "100"], 0),
+        (["formula", "6", "100", "--json"], 0),
+        (["formula", "14", "20", "--json"], 1),
+        (["value", "0", "5", "--json"], 1),
+        (["value", "-3", "5", "--json"], 1),
+    ],
+)
+def test_closed_form_commands_start_without_numpy(argv, code):
+    got, out, modules = _modules_loaded_by(argv)
+    assert got == code
+    assert out.strip()
+    assert "numpy" not in modules
+
+
+@pytest.mark.parametrize(
+    "argv,stdin,key,want",
+    [
+        (["verify", "--json"], _SMALL_SET, "valid", True),
+        (["pattern", "16", "16", "--json"], "", "value", 60),
+    ],
+)
+def test_verify_and_wide_patterns_never_load_the_dp_or_the_oracle(argv, stdin, key, want):
+    code, out, modules = _modules_loaded_by(argv, stdin)
+    assert code == 0
+    assert json.loads(out)[key] == want
+    assert "quasidom.grids" in modules
+    assert not modules & {"quasidom.solver", "quasidom.oracle", "quasidom.tropical", "quasidom.words"}
+
+
+def test_lazy_package_names_resolve_to_their_home_modules():
+    for name in quasidom.__all__:
+        home = importlib.import_module(f"quasidom.{quasidom._HOMES[name]}")
+        assert getattr(quasidom, name) is getattr(home, name)
+    with pytest.raises(AttributeError):
+        quasidom.no_such_name
+    namespace = {}
+    exec("from quasidom import *", namespace)
+    assert set(quasidom.__all__) <= set(namespace)
+    assert all(namespace[name] is getattr(quasidom, name) for name in quasidom.__all__)
