@@ -8,8 +8,9 @@ become {"error": ...} objects.
 Each command imports its engine when it runs, so the interpreter loads
 only what the command needs: `--version`, `value` and `formula` (results
 and error envelopes alike) run on the numpy-free formulas module.  `verify`
-loads grids alone and `pattern` for m >= 16 adds pattern; neither loads the
-DP modules (solver, tropical, words) or the oracle.
+loads grids alone and `pattern` for m >= 16 adds pattern; neither loads
+numpy, the DP modules (solver, tropical, words) or the oracle.  A set's
+JSON form is built only when the envelope is written.
 """
 
 from __future__ import annotations
@@ -49,8 +50,9 @@ def _envelope(command: str, inputs: dict, started: float, **fields) -> dict:
 
 
 def _write_json(obj: dict) -> None:
-    # json.dumps runs the C encoder; json.dump would stream through the pure-Python one
-    sys.stdout.write(json.dumps(obj) + "\n")
+    # json.dumps runs the C encoder; json.dump would stream through the pure-Python one.
+    # A GridSet in the envelope becomes its JSON form here, so human mode never builds it.
+    sys.stdout.write(json.dumps(obj, default=lambda gs: gs.to_json_dict()) + "\n")
 
 
 def _emit(env: dict, args, human: str, gs: GridSet | None = None) -> None:
@@ -127,7 +129,7 @@ def _cmd_pattern(args) -> int:
     gs, info = build_big_grid_set(args.m, args.n, with_info=True)
     env = _envelope(
         "pattern", {"m": args.m, "n": args.n}, t,
-        value=len(gs), set=gs.to_json_dict(), construction=info,
+        value=len(gs), set=gs, construction=info,
     )
     _emit(env, args, f"pattern({args.m},{args.n}): |W| = {len(gs)}", gs)
     return 0
@@ -139,7 +141,7 @@ def _cmd_extract(args) -> int:
     t = time.perf_counter()
     gs = extract_min_set(args.m, args.n)
     env = _envelope(
-        "extract", {"m": args.m, "n": args.n}, t, value=len(gs), set=gs.to_json_dict()
+        "extract", {"m": args.m, "n": args.n}, t, value=len(gs), set=gs
     )
     _emit(env, args, f"extract({args.m},{args.n}): |S| = {len(gs)}", gs)
     return 0
@@ -219,12 +221,10 @@ def _cmd_oracle(args) -> int:
         "oracle", {"m": args.m, "n": args.n, "mode": args.mode}, t,
         value=_render_value(result.value),
         engine=engine,
-        set=result.witness.to_json_dict() if result.witness else None,
+        set=result.witness,
     )
     human = f"oracle({args.m},{args.n},{args.mode}) = {_render_value(result.value)} [{engine}]"
-    if result.witness and args.ascii:
-        human += "\n" + result.witness.to_ascii()
-    _emit(env, args, human)
+    _emit(env, args, human, result.witness if args.ascii else None)
     return 0 if result.value != math.inf else 1
 
 

@@ -65,8 +65,15 @@ def value(m: int, n: int) -> int:
     """Minimum independent [1,2]-set size for any grid, by regime dispatch.
 
     Accepts dimensions in either order: the grid is symmetric under
-    transposition so (m, n) is normalized to m <= n first.  A single row is
-    a path, which every third vertex dominates: (n + 2) // 3.
+    transposition so (m, n) is normalized to m <= n first.  The basis of
+    each value: for m = 1 the path formula (n + 2) // 3, as every third
+    vertex dominates; for 2 <= m <= 19 the DP proof tests in
+    tests/test_solver.py (`test_closed_form_agrees_with_dp` for m <= 13,
+    `test_big_grid_formula_is_proved_for_every_n` for 14..19); for m >= 20
+    the lower bound i_[1,2] >= i >= gamma, the domination number, which is
+    floor((m+2)(n+2)/5) - 4 for 16 <= m <= n (Gonçalves, Pinlou, Rao and
+    Thomassé, SIAM J. Discrete Math. 25 (2011), arXiv:1102.5206), met by
+    the verified pattern set.
     """
     if m < 1 or n < 1:
         raise UnsupportedGridError(f"grid dimensions must be positive, got ({m}, {n})")

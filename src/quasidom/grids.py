@@ -1,22 +1,31 @@
 """Concrete vertex sets on the m x n grid: verification, extraction, labeling.
 
-Coordinates are 1-based (i, j) with i the row (1 = top) and j the column; a
-GridSet is one read-only m x n bool mask with (i, j) at [i - 1, j - 1].
+Coordinates are 1-based (i, j) with i the row (1 = top) and j the column.  A
+GridSet is one Python int, row-major with stride n: (i, j) is bit
+(i - 1) * n + (j - 1), the layout in which the oracle enumerates subsets.
+`rule_faults`, a few shifts of that int, is the package's one test of
+independence and [1,2]-domination.  Only `GridSet.from_mask`, `GridSet.mask`
+and `extract_min_set` need numpy, and import it when called.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass
-from itertools import chain
-
-import numpy as np
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import compress
 
 from .errors import InvalidSetError, MalformedSetError, ResourceCapError
 
-# largest m * n a vertex set may span; a set is an m x n bool mask and
-# verify_set builds int8 arrays over every cell, so larger grids are refused up front
+# largest m * n a vertex set may span; a set is an int of m * n bits, and its
+# member lists and text forms go through one byte per cell, so larger grids
+# are refused up front
 MAX_CELLS = 4_000_000
+
+# tables over a set's bit text, b"0" or b"1" per cell
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+_TO_ASCII = bytes.maketrans(b"01", b".#")
+_FROM_ASCII = bytes.maketrans(b".#", b"01")
 
 
 def check_cell_cap(m: int, n: int) -> None:
@@ -27,75 +36,103 @@ def check_cell_cap(m: int, n: int) -> None:
         raise ResourceCapError(f"a {m}x{n} grid has more than {MAX_CELLS} cells")
 
 
-@dataclass(frozen=True, eq=False)
-class GridSet:
-    """A subset of the m x n grid's vertices: (i, j) is a member when mask[i - 1, j - 1] is set.
+def _bit_text(bits: int, cells: int) -> bytes:
+    """b"0" or b"1" for each of the first `cells` bits, bit 0 first."""
+    return format(bits, f"0{cells}b").encode()[::-1]
 
-    GridSet(m, n, members) takes (i, j) pairs, GridSet.from_mask an array; the mask is a copy.
+
+def _flags(bits: int, cells: int) -> bytes:
+    """One byte 0 or 1 for each of the first `cells` bits, bit 0 first."""
+    return _bit_text(bits, cells).translate(_FLAGS)
+
+
+@dataclass(frozen=True)
+class GridSet:
+    """A subset of the m x n grid's vertices, one bit per cell: (i, j) is bit (i - 1) * n + (j - 1).
+
+    GridSet(m, n, members) takes (i, j) pairs, GridSet.from_bits the int and
+    GridSet.from_mask an m x n array.
     """
 
-    mask: np.ndarray
+    m: int
+    n: int
+    bits: int = field(repr=False)
 
     def __init__(self, m: int, n: int, members: Iterable[tuple[int, int]] = ()):
         check_cell_cap(m, n)
         pairs = list(members)
-        try:
-            flat = np.fromiter(chain.from_iterable(pairs), np.int64, 2 * len(pairs))
-            i, j = flat.reshape(-1, 2).T
-        except OverflowError:  # a coordinate past int64, so off the grid
-            i = j = np.zeros(1, dtype=np.int64)
-        if not ((1 <= i) & (i <= m) & (1 <= j) & (j <= n)).all():
-            # the error names the first pair off the grid in the pair set's iteration order
-            for i, j in frozenset(map(tuple, pairs)):
-                if not (1 <= i <= m and 1 <= j <= n):
-                    raise MalformedSetError(f"vertex ({i}, {j}) outside the {m}x{n} grid")
-        mask = np.zeros((m, n), dtype=bool)
-        mask[i - 1, j - 1] = True
-        mask.flags.writeable = False
-        object.__setattr__(self, "mask", mask)
+        text = bytearray(b"0") * (m * n)
+        for i, j in pairs:
+            if not (0 < i <= m and 0 < j <= n):
+                # the error names the first pair off the grid in the pair set's iteration order
+                for i, j in frozenset(map(tuple, pairs)):
+                    if not (0 < i <= m and 0 < j <= n):
+                        raise MalformedSetError(f"vertex ({i}, {j}) outside the {m}x{n} grid")
+            text[(i - 1) * n + j - 1] = ord("1")
+        self.__dict__.update(m=m, n=n, bits=int(text[::-1], 2))
 
     @classmethod
-    def from_mask(cls, mask) -> "GridSet":
-        """The set whose members are the true cells of an m x n array (copied)."""
-        check_cell_cap(*np.shape(mask))
+    def from_bits(cls, m: int, n: int, bits: int) -> GridSet:
+        """The set whose row-major cell c is a member when bit c of bits is set."""
+        check_cell_cap(m, n)
+        if bits < 0 or bits >> (m * n):
+            raise MalformedSetError(f"the bits reach past the {m * n} cells of the {m}x{n} grid")
         s = cls.__new__(cls)
-        object.__setattr__(s, "mask", np.array(mask, dtype=bool, order="C"))
-        s.mask.flags.writeable = False
+        s.__dict__.update(m=m, n=n, bits=bits)
         return s
 
-    m = property(lambda self: self.mask.shape[0])
-    n = property(lambda self: self.mask.shape[1])
-    # the (i, j) tuples, built from the mask on each call
-    members = property(lambda self: frozenset(_cells(self.mask)))
+    @classmethod
+    def from_mask(cls, mask) -> GridSet:
+        """The set whose members are the true cells of an m x n array."""
+        import numpy as np
+
+        m, n = np.shape(mask)
+        check_cell_cap(m, n)
+        packed = np.packbits(np.asarray(mask, dtype=bool), axis=None, bitorder="little")
+        return cls.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))
+
+    @property
+    def mask(self):
+        """A read-only m x n bool array with (i, j) at [i - 1, j - 1], built on each read."""
+        import numpy as np
+
+        cells = self.m * self.n
+        packed = np.frombuffer(self.bits.to_bytes(cells // 8 + 1, "little"), dtype=np.uint8)
+        mask = np.unpackbits(packed, count=cells, bitorder="little").view(bool)
+        mask.flags.writeable = False
+        return mask.reshape(self.m, self.n)
+
+    def _rows(self) -> Iterator[tuple[int, Iterator[int]]]:
+        """(i, the member columns of row i in increasing order) for each row i."""
+        n, cols, flags = self.n, range(1, self.n + 1), _flags(self.bits, self.m * self.n)
+        return ((i + 1, compress(cols, flags[i * n : i * n + n])) for i in range(self.m))
+
+    # the (i, j) tuples, built from the bits on each call
+    members = property(lambda self: frozenset(self.sorted_members()))
+
+    def sorted_members(self) -> list[tuple[int, int]]:
+        return [(i, j) for i, cols in self._rows() for j in cols]
 
     def __len__(self) -> int:
-        return int(np.count_nonzero(self.mask))
+        return self.bits.bit_count()
 
     def __contains__(self, vertex: tuple[int, int]) -> bool:
         i, j = vertex
-        return 1 <= i <= self.m and 1 <= j <= self.n and bool(self.mask[i - 1, j - 1])
+        m, n = self.m, self.n
+        return 0 < i <= m and 0 < j <= n and bool(self.bits >> ((i - 1) * n + j - 1) & 1)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GridSet) and np.array_equal(self.mask, other.mask)
-
-    def __hash__(self) -> int:
-        return hash((self.mask.shape, self.mask.tobytes()))
-
-    def sorted_members(self) -> list[tuple[int, int]]:
-        return list(_cells(self.mask))
-
-    def transpose(self) -> "GridSet":
-        return GridSet.from_mask(self.mask.T)
+    def transpose(self) -> GridSet:
+        m, n, text = self.m, self.n, _bit_text(self.bits, self.m * self.n)
+        return GridSet.from_bits(n, m, int(b"".join(text[j::n] for j in range(n))[::-1], 2))
 
     def to_ascii(self) -> str:
         """First line "m n", then '#' for members and '.' for the rest."""
-        m, n = self.mask.shape
-        text = np.full((m, n + 1), ord("\n"), dtype=np.uint8)
-        text[:, :n] = np.where(self.mask, ord("#"), ord("."))
-        return f"{m} {n}\n" + text.tobytes()[:-1].decode()
+        m, n = self.m, self.n
+        text = _bit_text(self.bits, m * n).translate(_TO_ASCII)
+        return f"{m} {n}\n" + b"\n".join(text[i * n : i * n + n] for i in range(m)).decode()
 
     @classmethod
-    def from_ascii(cls, text: str) -> "GridSet":
+    def from_ascii(cls, text: str) -> GridSet:
         """Parse the `to_ascii` format; raises MalformedSetError for anything else."""
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
@@ -114,14 +151,14 @@ class GridSet:
             if j < n:
                 raise MalformedSetError(f"unexpected cell {row[j]!r} at ({i}, {j + 1})")
         check_cell_cap(m, n)
-        cells = np.frombuffer("".join(body).encode("ascii"), dtype=np.uint8)
-        return cls.from_mask(cells.reshape(m, n) == ord("#"))
+        return cls.from_bits(m, n, int("".join(body)[::-1].encode().translate(_FROM_ASCII), 2))
 
     def to_json_dict(self) -> dict:
-        return {"m": self.m, "n": self.n, "members": (np.argwhere(self.mask) + 1).tolist()}
+        members = [[i, j] for i, cols in self._rows() for j in cols]
+        return {"m": self.m, "n": self.n, "members": members}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "GridSet":
+    def from_json_dict(cls, data: dict) -> GridSet:
         """Parse {"m": int, "n": int, "members": [[i, j], ...]}.
 
         Raises MalformedSetError for anything else.
@@ -164,11 +201,43 @@ class VerificationReport:
         return self.independent and self.dominated_ok
 
 
-def _cells(mask: np.ndarray, *values: np.ndarray) -> zip:
-    """1-based (i, j) of the nonzero cells of an m x n mask in row-major order,
-    each followed by the entries of values at that cell."""
-    rows, cols = np.nonzero(mask)
-    return zip((rows + 1).tolist(), (cols + 1).tolist(), *(v[rows, cols].tolist() for v in values))
+@lru_cache(maxsize=16)
+def _frame(m: int, n: int) -> tuple[int, int, int]:
+    """Masks of every cell, of every cell off column 1 and of every cell off column n."""
+    full = (1 << m * n) - 1
+    first = full // ((1 << n) - 1)  # bit 0 of each row: column 1
+    return full, full ^ first, full ^ (first << (n - 1))
+
+
+def _neighbours(m: int, n: int, bits: int) -> tuple[int, int, int, int]:
+    """For each cell, whether its left, right, upper and lower neighbour is in the set."""
+    full, off_first, off_last = _frame(m, n)
+    return (bits << 1) & off_first, (bits >> 1) & off_last, (bits << n) & full, bits >> n
+
+
+def rule_faults(m: int, n: int, bits: int) -> tuple[int, int, int, int, int]:
+    """Where the set `bits` of the m x n grid breaks the rules, as masks in its layout.
+
+    Returns (right, down, undominated, over, four): the members whose right,
+    respectively lower, neighbour is a member, and the non-members with no
+    member neighbour, with three or more and with four.  The set is an
+    independent [1,2]-set when all are 0, and an independent dominating set
+    when the first three are.  This is the package's only validity test.
+    """
+    left, right, up, down = _neighbours(m, n, bits)
+    outside = _frame(m, n)[0] ^ bits
+    some, four = left | right | up | down, left & right & up & down
+    three = (left & right & (up | down)) | (up & down & (left | right))
+    return bits & right, bits & down, outside & ~some, outside & three, outside & four
+
+
+def _cells(where: int, m: int, n: int, *flags_of: int) -> Iterator[tuple[int, ...]]:
+    """1-based (i, j) of the set bits of `where` in row-major order, each followed
+    by the bit of every flags_of mask at that cell."""
+    if where:
+        flags = [_flags(x, m * n) for x in flags_of]
+        for c in compress(range(m * n), _flags(where, m * n)):
+            yield (c // n + 1, c % n + 1, *(f[c] for f in flags))
 
 
 def verify_set(s: GridSet) -> VerificationReport:
@@ -178,34 +247,23 @@ def verify_set(s: GridSet) -> VerificationReport:
     a non-member with zero neighbors in the set (undominated) or three or
     more (over-dominated).  Adjacent pairs come first, by member in sorted
     order, the right neighbor before the lower one; then the domination
-    failures in row-major order.
+    failures in row-major order.  Only the faulty cells are walked.
     """
-    g = np.zeros((s.m + 2, s.n + 2), dtype=np.int8)
-    g[1:-1, 1:-1] = s.mask
-    member = g[1:-1, 1:-1]
-    right = member & g[1:-1, 2:]
-    down = member & g[2:, 1:-1]
+    m, n = s.m, s.n
+    right, down, undominated, over, four = rule_faults(m, n, s.bits)
     violations: list[Violation] = []
     # row-major order of the cells is the sorted order of the members
-    for i, j, r, d in _cells(right | down, right, down):
-        for hit, v in ((r, (i, j + 1)), (d, (i + 1, j))):
-            if hit:
-                violations.append(
-                    Violation((i, j), "adjacent-pair", f"members ({i},{j}) and {v} are adjacent")
-                )
+    for i, j, r, d in _cells(right | down, m, n, right, down):
+        for v in compress(((i, j + 1), (i + 1, j)), (r, d)):
+            detail = f"members ({i},{j}) and {v} are adjacent"
+            violations.append(Violation((i, j), "adjacent-pair", detail))
     independent = not violations
-    count = g[:-2, 1:-1] + g[2:, 1:-1] + g[1:-1, :-2] + g[1:-1, 2:]
-    bad = (member == 0) & ((count == 0) | (count > 2))
-    for i, j, c in _cells(bad, count):
-        if c == 0:
-            violations.append(
-                Violation((i, j), "undominated", f"({i},{j}) has no neighbor in the set")
-            )
-        else:
-            violations.append(
-                Violation((i, j), "over-dominated", f"({i},{j}) has {c} neighbors in the set")
-            )
-    return VerificationReport(independent, not bad.any(), tuple(violations))
+    for i, j, none, all4 in _cells(undominated | over, m, n, undominated, four):
+        kind, count = "over-dominated", f"{3 + all4} neighbors"
+        if none:
+            kind, count = "undominated", "no neighbor"
+        violations.append(Violation((i, j), kind, f"({i},{j}) has {count} in the set"))
+    return VerificationReport(independent, not (undominated | over), tuple(violations))
 
 
 def extract_min_set(m: int, n: int) -> GridSet:
@@ -238,19 +296,15 @@ def labeling_of(s: GridSet) -> list[str]:
     """Reconstruct the column words induced by a valid set.
 
     Label 0 for members; otherwise the count of members among the left, up
-    and down neighbors (1 or 2), or 3 when the only dominator is to the
-    right.  Rejects sets failing verification.
+    and down neighbors (1 or 2, as verification allows no more), or 3 when
+    the only dominator is to the right.  Rejects sets failing verification.
     """
     report = verify_set(s)
     if not report.ok:
         raise InvalidSetError(
             f"not an independent [1,2]-set: {'; '.join(v.detail for v in report.violations[:3])}"
         )
-    g = np.zeros((s.m + 2, s.n + 2), dtype=np.int8)
-    g[1:-1, 1:-1] = s.mask
-    count = g[1:-1, :-2] + g[:-2, 1:-1] + g[2:, 1:-1]
-    for i, j, c in _cells(~s.mask & (count > 2), count):
-        raise RuntimeError(f"({i},{j}) has {c} dominators after verification; this is a bug")
-    labels = np.where(s.mask, 0, np.where(count == 0, 3, count))
-    text = (labels.T + ord("0")).astype(np.uint8)
-    return [row.tobytes().decode() for row in text]
+    left, _, up, down = _neighbours(s.m, s.n, s.bits)
+    flags = (_flags(x, s.m * s.n) for x in (s.bits, left, up, down))
+    labels = bytes(ord("0") + (0 if mem else a + b + c or 3) for mem, a, b, c in zip(*flags))
+    return [labels[j :: s.n].decode() for j in range(s.n)]

@@ -1,22 +1,20 @@
 """Independent ground truth for small grids.
 
 Two exact engines that share no code with the column-word machinery: an
-exhaustive subset search over bitmasks (for m*n <= 20) and a column-profile
-dynamic program over membership masks with capped dominator counts (for
-grids with at most 5 rows).  Mode "i12" asks for independent [1,2]-sets,
-mode "i" for plain independent dominating sets.
+exhaustive subset search over row-major bitmasks (for m*n <= 20), which
+tests each subset with `grids.rule_faults`, the test behind `verify_set`,
+and a column-profile dynamic program over membership masks with capped
+dominator counts (for grids with at most 5 rows).  Mode "i12" asks for
+independent [1,2]-sets, mode "i" for plain independent dominating sets.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import UnsupportedGridError
-from .grids import GridSet
+from .grids import GridSet, rule_faults
 
 MODES = ("i12", "i")
 
@@ -37,94 +35,51 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-class _BitGrid:
-    """Bit-parallel validity tests on a row-major bitmask of an m x n grid."""
-
-    def __init__(self, m: int, n: int):
-        self.n = n
-        cells = m * n
-        self.full = (1 << cells) - 1
-        not_last_col = 0
-        not_first_col = 0
-        for c in range(cells):
-            if c % n != n - 1:
-                not_last_col |= 1 << c
-            if c % n != 0:
-                not_first_col |= 1 << c
-        self.not_last_col = not_last_col
-        self.not_first_col = not_first_col
-
-    def independent(self, s: int) -> bool:
-        if s & (s >> self.n):
-            return False
-        return not (s & (s >> 1) & self.not_last_col)
-
-    def valid(self, s: int, mode: str) -> bool:
-        if not self.independent(s):
-            return False
-        n, full = self.n, self.full
-        below = s >> n
-        above = (s << n) & full
-        right = (s >> 1) & self.not_last_col
-        left = (s << 1) & self.not_first_col
-        outside = full & ~s
-        at_least1 = below | above | right | left
-        if outside & ~at_least1:
-            return False
-        if mode == "i12":
-            at_least3 = (
-                (below & above & right)
-                | (below & above & left)
-                | (below & right & left)
-                | (above & right & left)
-            )
-            if outside & at_least3:
-                return False
-        return True
-
-
-def brute_force_min(m: int, n: int, mode: str = "i12") -> OracleResult:
-    """Exact minimum by exhausting subsets in increasing cardinality.
-
-    The first valid subset found is the witness; combinations are emitted in
-    lexicographic order of the row-major cell indices, so the witness is the
-    lexicographically smallest minimum set.
-    """
+def _check_subsets(m: int, n: int, mode: str, engine: str) -> None:
     _check_mode(mode)
     if m < 1 or n < 1:
         raise UnsupportedGridError(f"grid dimensions must be positive, got ({m}, {n})")
-    cells = m * n
-    if cells > BRUTE_FORCE_CELL_LIMIT:
+    if m * n > BRUTE_FORCE_CELL_LIMIT:
         raise UnsupportedGridError(
-            f"exhaustive oracle is capped at {BRUTE_FORCE_CELL_LIMIT} cells, got {cells}"
+            f"{engine} is capped at {BRUTE_FORCE_CELL_LIMIT} cells, got {m * n}"
         )
-    grid = _BitGrid(m, n)
-    for size in range(cells + 1):
-        for combo in itertools.combinations(range(cells), size):
-            s = 0
-            for c in combo:
-                s |= 1 << c
-            if grid.valid(s, mode):
-                return OracleResult(value=size, witness=mask_to_grid_set(m, n, s), mode=mode)
-    return OracleResult(value=math.inf, witness=None, mode=mode)
+
+
+def brute_force_min(m: int, n: int, mode: str = "i12") -> OracleResult:
+    """Exact minimum over every valid subset (`enumerate_valid_masks`).
+
+    The witness is the lexicographically smallest minimum set of row-major
+    cell indices: where two sets first differ, the one holding the lower
+    cell comes first, so it has the largest bit-reversed mask.
+    """
+    _check_subsets(m, n, mode, "exhaustive oracle")
+    masks = enumerate_valid_masks(m, n, mode)
+    if not masks:
+        return OracleResult(value=math.inf, witness=None, mode=mode)
+    size = min(s.bit_count() for s in masks)
+    best = max((s for s in masks if s.bit_count() == size), key=lambda s: f"{s:0{m * n}b}"[::-1])
+    return OracleResult(value=size, witness=GridSet.from_bits(m, n, best), mode=mode)
 
 
 def enumerate_valid_masks(m: int, n: int, mode: str = "i12") -> list[int]:
-    """Every valid subset as a row-major bitmask (full scan; small grids only)."""
-    _check_mode(mode)
-    cells = m * n
-    if cells > BRUTE_FORCE_CELL_LIMIT:
-        raise UnsupportedGridError(
-            f"full enumeration is capped at {BRUTE_FORCE_CELL_LIMIT} cells, got {cells}"
-        )
-    grid = _BitGrid(m, n)
-    return [s for s in range(1 << cells) if grid.valid(s, mode)]
+    """Every valid subset as a row-major bitmask, in increasing order (small grids only).
 
-
-def mask_to_grid_set(m: int, n: int, mask: int) -> GridSet:
-    """The set whose row-major cell c is a member when bit c of mask is set."""
-    packed = np.frombuffer(mask.to_bytes(m * n // 8 + 1, "little"), dtype=np.uint8)
-    return GridSet.from_mask(np.unpackbits(packed, count=m * n, bitorder="little").reshape(m, n))
+    Each mask is tested with grids.rule_faults.  A mask with an adjacent
+    member pair skips every mask that keeps its bits from the pair's lower
+    cell up, since all of those keep the pair.
+    """
+    _check_subsets(m, n, mode, "full enumeration")
+    cells, masks, s = m * n, [], 0
+    while s >> cells == 0:
+        right, down, undominated, over, _ = rule_faults(m, n, s)
+        if right | down:
+            low = (right | down).bit_length() - 1
+            s = ((s >> low) + 1) << low
+            continue
+        if not (undominated or mode == "i12" and over):
+            masks.append(s)
+        s += 1
+    return masks
 
 
 def profile_dp_min(m: int, n: int, mode: str = "i12") -> OracleResult:
@@ -147,23 +102,21 @@ def profile_dp_min(m: int, n: int, mode: str = "i12") -> OracleResult:
     lo, hi = (1, 2) if mode == "i12" else (1, 4)
     masks = [mu for mu in range(1 << m) if not (mu & (mu >> 1))]
 
-    def counts_of(prev_mask: int, mask: int) -> tuple[int, ...]:
-        out = []
-        for i in range(m):
-            if mask >> i & 1:
-                out.append(0)
-            else:
-                c = (prev_mask >> i & 1) + (i > 0 and mask >> (i - 1) & 1) + (
-                    i < m - 1 and mask >> (i + 1) & 1
-                )
-                out.append(min(c, 3))
-        return tuple(out)
+    # (previous column, column) -> per row, the members among the left, upper
+    # and lower neighbours, capped at 3; members carry 0
+    counts_of = {
+        (p, mu): tuple(
+            0 if mu >> i & 1 else min(sum(x >> i & 1 for x in (p, mu << 1, mu >> 1)), 3)
+            for i in range(m)
+        )
+        for p in masks for mu in masks
+    }
 
     # state: (mask, counts) -> (cost, column-mask history for the witness)
     states: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
     for mu in masks:
         cand = (bin(mu).count("1"), (mu,))
-        key = (mu, counts_of(0, mu))
+        key = (mu, counts_of[0, mu])
         if key not in states or cand < states[key]:
             states[key] = cand
 
@@ -171,33 +124,24 @@ def profile_dp_min(m: int, n: int, mode: str = "i12") -> OracleResult:
         nxt: dict[tuple[int, tuple[int, ...]], tuple[int, tuple[int, ...]]] = {}
         for (mask, counts), (cost, hist) in states.items():
             for mu in masks:
-                if mask & mu:
+                # every non-member of the settled column needs lo..hi dominators
+                if mask & mu or not all(
+                    mask >> i & 1 or lo <= counts[i] + (mu >> i & 1) <= hi for i in range(m)
+                ):
                     continue
-                ok = True
-                for i in range(m):
-                    if mask >> i & 1:
-                        continue
-                    total = counts[i] + (mu >> i & 1)
-                    if not lo <= total <= hi:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                key = (mu, counts_of(mask, mu))
+                key = (mu, counts_of[mask, mu])
                 cand = (cost + bin(mu).count("1"), hist + (mu,))
                 if key not in nxt or cand < nxt[key]:
                     nxt[key] = cand
         states = nxt
 
-    best: tuple[int, tuple[int, ...]] | None = None
-    for (mask, counts), (cost, hist) in states.items():
-        if all(mask >> i & 1 or lo <= counts[i] <= hi for i in range(m)):
-            cand = (cost, hist)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
+    finals = [
+        best for (mask, counts), best in states.items()
+        if all(mask >> i & 1 or lo <= counts[i] <= hi for i in range(m))
+    ]
+    if not finals:
         return OracleResult(value=math.inf, witness=None, mode=mode)
-    cost, hist = best
-    # column j of the witness is hist[j], with row i at bit i - 1
-    mask = np.array(hist)[None, :] >> np.arange(m)[:, None] & 1
-    return OracleResult(value=cost, witness=GridSet.from_mask(mask), mode=mode)
+    cost, hist = min(finals)
+    # column j of the witness is hist[j - 1], with row i at bit i - 1
+    members = [(i + 1, j + 1) for j, mu in enumerate(hist) for i in range(m) if mu >> i & 1]
+    return OracleResult(value=cost, witness=GridSet(m, n, members), mode=mode)

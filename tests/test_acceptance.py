@@ -7,13 +7,8 @@ criterion lines.
 import random
 
 
-from quasidom.grids import extract_min_set, labeling_of, verify_set
-from quasidom.oracle import (
-    brute_force_min,
-    enumerate_valid_masks,
-    mask_to_grid_set,
-    profile_dp_min,
-)
+from quasidom.grids import GridSet, extract_min_set, labeling_of, verify_set
+from quasidom.oracle import brute_force_min, enumerate_valid_masks, profile_dp_min
 from quasidom.pattern import build_big_grid_set
 from quasidom.solver import (
     big_grid_value,
@@ -128,7 +123,7 @@ def test_criterion_6_labeling_faithfulness():
     rng = random.Random(20260808)
     sample = [rng.choice(pool) for _ in range(200)]
     for m, n, mask in sample:
-        s = mask_to_grid_set(m, n, mask)
+        s = GridSet.from_bits(m, n, mask)
         columns = labeling_of(s)
         assert all(is_suitable(w) for w in columns), (m, n, mask)
         assert is_initial(columns[0]), (m, n, mask)

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import quasidom
 from quasidom.cli import main
+from quasidom.grids import GridSet
 
 
 def run(capsys, *argv):
@@ -393,14 +394,40 @@ def test_closed_form_commands_start_without_numpy(argv, code):
     [
         (["verify", "--json"], _SMALL_SET, "valid", True),
         (["pattern", "16", "16", "--json"], "", "value", 60),
+        (["verify", "--json"], '{"m": 2, "n": 3, "members": [[1, 1]]}', "valid", False),
+        (["verify", "--json"], "2 2\n#.\n.x\n", "error", {
+            "type": "MalformedSetError", "message": "unexpected cell 'x' at (2, 2)"}),
+        (["pattern", "20", "30", "--json"], "", "value", 136),
     ],
 )
 def test_verify_and_wide_patterns_never_load_the_dp_or_the_oracle(argv, stdin, key, want):
     code, out, modules = _modules_loaded_by(argv, stdin)
-    assert code == 0
+    assert code == int(key == "error" or want is False)
     assert json.loads(out)[key] == want
     assert "quasidom.grids" in modules
+    assert "numpy" not in modules
     assert not modules & {"quasidom.solver", "quasidom.oracle", "quasidom.tropical", "quasidom.words"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pattern", "16", "21"],
+        ["pattern", "17", "19", "--ascii"],
+        ["extract", "4", "9"],
+        ["extract", "3", "7", "--ascii"],
+        ["oracle", "3", "5", "--ascii"],
+        ["oracle", "3", "9", "--mode", "i", "--ascii"],
+    ],
+)
+def test_human_mode_never_builds_the_json_set(capsys, monkeypatch, argv):
+    want = run(capsys, *argv)
+
+    def refuse(self):
+        raise AssertionError("to_json_dict called in human mode")
+
+    monkeypatch.setattr(GridSet, "to_json_dict", refuse)
+    assert run(capsys, *argv) == want
 
 
 def test_lazy_package_names_resolve_to_their_home_modules():

@@ -139,7 +139,10 @@ def test_mask_forms_match_the_tuple_references(s):
     assert all(
         ((i, j) in s) == ((i, j) in s.members) for i in range(s.m + 2) for j in range(s.n + 2)
     )
+    assert GridSet.from_bits(s.m, s.n, s.bits) == s and len(s) == len(s.members)
+    assert s.transpose().members == {(j, i) for i, j in s.members}
     # from_mask: the same set as the tuple constructor, copied and read-only
+    assert s.mask.shape == (s.m, s.n) and s.mask.dtype == bool
     mask = s.mask.copy()
     t = GridSet.from_mask(mask)
     assert t == GridSet(s.m, s.n, s.members) and hash(t) == hash(s)
@@ -231,6 +234,16 @@ def test_coordinates_validated():
         gs(2, 2, (3, 1))
     with pytest.raises(ValueError):
         gs(0, 2)
+
+
+def test_bits_follow_the_row_major_layout():
+    s = gs(2, 3, (1, 2), (2, 1), (2, 3))
+    assert s.bits == 0b101010  # (i, j) at bit (i - 1) * 3 + (j - 1)
+    assert GridSet.from_bits(2, 3, 0b101010) == s
+    assert s.transpose() == GridSet.from_bits(3, 2, 0b100110)
+    for bits in (-1, 1 << 6):
+        with pytest.raises(MalformedSetError):
+            GridSet.from_bits(2, 3, bits)
 
 
 def test_cell_cap_is_exact():

@@ -1,15 +1,13 @@
+import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
+from test_grids import reference_verify_set
 
 from quasidom.errors import UnsupportedGridError
-from quasidom.grids import verify_set
-from quasidom.oracle import (
-    brute_force_min,
-    enumerate_valid_masks,
-    mask_to_grid_set,
-    profile_dp_min,
-)
+from quasidom.grids import GridSet, verify_set
+from quasidom.oracle import brute_force_min, enumerate_valid_masks, profile_dp_min
 
 
 def test_known_small_values():
@@ -77,6 +75,18 @@ def test_witness_is_lexicographically_first():
     result = brute_force_min(2, 2, "i12")
     # (1,1),(2,2) is the smallest valid pair in row-major order
     assert result.witness.members == frozenset({(1, 1), (2, 2)})
+    # in general: the first valid set of the minimum size in combination order
+    # of the row-major cells, as the per-cell reference loop judges validity
+    for m, n in ((1, 7), (2, 4), (3, 3), (2, 6), (3, 4)):
+        cells = [(i, j) for i in range(1, m + 1) for j in range(1, n + 1)]
+        for mode in ("i12", "i"):
+            result = brute_force_min(m, n, mode)
+            for combo in itertools.combinations(cells, result.value):
+                report = reference_verify_set(SimpleNamespace(m=m, n=n, members=frozenset(combo)))
+                undominated = any(v.kind == "undominated" for v in report.violations)
+                if report.ok if mode == "i12" else report.independent and not undominated:
+                    break
+            assert result.witness.sorted_members() == list(combo), (m, n, mode)
 
 
 def test_enumerate_valid_masks_consistent_with_minimum():
@@ -85,15 +95,19 @@ def test_enumerate_valid_masks_consistent_with_minimum():
         best = min(bin(s).count("1") for s in masks)
         assert best == brute_force_min(m, n, "i12").value
         for s in masks[:50]:
-            assert verify_set(mask_to_grid_set(m, n, s)).ok
+            assert verify_set(GridSet.from_bits(m, n, s)).ok
 
 
 def test_bitmask_validity_agrees_with_verifier():
-    # the oracle's bit-parallel validity test and the per-vertex verifier are
-    # independent implementations; they must agree on every subset
-    from quasidom.oracle import _BitGrid
-
-    for m, n in ((2, 3), (3, 3), (3, 4), (4, 4)):
-        grid = _BitGrid(m, n)
+    # the oracle's masks come from the bit test behind verify_set; on every
+    # subset they must match the per-cell reference loop of test_grids, fed
+    # plain tuples, in both modes
+    for m, n in ((1, 7), (2, 3), (3, 3), (3, 4), (4, 4), (5, 3)):
+        valid = {mode: set(enumerate_valid_masks(m, n, mode)) for mode in ("i12", "i")}
         for s in range(1 << (m * n)):
-            assert grid.valid(s, "i12") == verify_set(mask_to_grid_set(m, n, s)).ok, (m, n, s)
+            cells = (divmod(c, n) for c in range(m * n) if s >> c & 1)
+            members = frozenset((i + 1, j + 1) for i, j in cells)
+            report = reference_verify_set(SimpleNamespace(m=m, n=n, members=members))
+            undominated = any(v.kind == "undominated" for v in report.violations)
+            assert (s in valid["i12"]) == report.ok, (m, n, s)
+            assert (s in valid["i"]) == (report.independent and not undominated), (m, n, s)
