@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
 
 from .errors import InvalidSetError, MalformedSetError, ResourceCapError
 
@@ -173,14 +173,28 @@ class GridSet:
             raise MalformedSetError(f"m and n must be integers, got {m!r} and {n!r}")
         if not isinstance(members, (list, tuple)):
             raise MalformedSetError(f"members must be a list of [i, j] pairs, got {members!r}")
-        for v in members:
-            if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))):
-                raise MalformedSetError(f"member {v!r} is not an [i, j] pair of integers")
+        if not _int_pairs(members):  # the loop only names the first bad member
+            for v in members:
+                if not (isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_int, v))):
+                    raise MalformedSetError(f"member {v!r} is not an [i, j] pair of integers")
         return cls(m, n, members)
 
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _int_pairs(members) -> bool:
+    """Whether every member is a list or tuple of exactly two ints, not bools, at C speed.
+
+    Stricter than the per-member test of `from_json_dict` (subclasses fail
+    here), so a True answer lets it skip that loop.
+    """
+    return (
+        set(map(type, members)) <= {list, tuple}
+        and set(map(len, members)) <= {2}
+        and set(map(type, chain.from_iterable(members))) <= {int}
+    )
 
 
 @dataclass(frozen=True)
@@ -205,7 +219,8 @@ class VerificationReport:
 def _frame(m: int, n: int) -> tuple[int, int, int]:
     """Masks of every cell, of every cell off column 1 and of every cell off column n."""
     full = (1 << m * n) - 1
-    first = full // ((1 << n) - 1)  # bit 0 of each row: column 1
+    # bit 0 of each row: column 1; from bit text, as dividing full by 2^n - 1 is quadratic in n
+    first = int(("0" * (n - 1) + "1") * m, 2)
     return full, full ^ first, full ^ (first << (n - 1))
 
 
@@ -272,15 +287,18 @@ def extract_min_set(m: int, n: int) -> GridSet:
     The columns come from the width's kept window, so this only backtracks
     (see solver.DPWindow.backtrack): the smallest final word id achieving the
     minimum, then the smallest predecessor id achieving each step, so the
-    output is deterministic.  As in `solve_width`, a grid with 2 <= n < m is
-    solved over its n rows and transposed back.
+    output is deterministic.  The backtrack tiles the chain's cycle past
+    column t - d and reuses the steps the window has already searched, so a
+    warm call costs about t steps plus packing the n columns.  As in
+    `solve_width`, a grid with 2 <= n < m is solved over its n rows and
+    transposed back.
     """
     if 2 <= n < m:
         return extract_min_set(n, m).transpose()
     from .solver import run_dp  # at call time: verify and m >= 16 patterns never load the DP
 
     mach, window = run_dp(m, n, keep_trace=True)
-    # after run_dp, so its errors keep their type; before the walk over n columns
+    # after run_dp, so its errors keep their type; before the backtrack lists n ids
     check_cell_cap(m, n)
     ids, best = window.backtrack(n)
     result = GridSet.from_mask(mach.table.digits[ids].T == 0)

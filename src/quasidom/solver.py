@@ -8,11 +8,13 @@ mat_vec(x + c) = mat_vec(x) + c, every later column is a stored one plus a
 multiple of c.  The columns X^1..X^{t-1} depend only on m, so each width
 keeps them once, in a DPWindow that grows on demand: solving or extracting
 at any n only reads and backtracks once the window holds min(n, t - 1)
-columns.  A column is a plain int64 array with the _INF sentinel while
-mat_vec computes it, and its minimum plus uint8 offsets once stored.  The
-first repeat is also the period certificate: the grid values repeat with
-period d and increment c from n0 = t - d on, which extends them to every
-larger n.
+columns.  Backtracking, too, stops growing with n: past column t - d the
+chain repeats as soon as a (stored column, word) state recurs, so that cycle
+is tiled as a list, and the searched steps are kept on the window.  A
+column is a plain int64 array with the _INF sentinel while mat_vec computes
+it, and its minimum plus uint8 offsets once stored.  The first repeat is
+also the period certificate: the grid values repeat with period d and
+increment c from n0 = t - d on, which extends them to every larger n.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ class DPWindow:
     OFF_INF where X^r is infinite; values[r-1] is the grid value at n = r.
     Once repeat = (t, d, c) is set the window is complete: X^r for r >= t is
     the stored column s + (r - s) mod d plus c * ((r - s) // d), s = t - d.
+    steps is backtrack's memo, (column, previous column, word) -> predecessor.
     """
 
     mach: Machinery
@@ -97,6 +100,7 @@ class DPWindow:
     offsets: list[np.ndarray] = field(default_factory=list)
     values: list[int | float] = field(default_factory=list)
     repeat: tuple[int, int, int] | None = None
+    steps: dict[tuple[int, int, int], int] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.mins)
@@ -152,20 +156,36 @@ class DPWindow:
         Picks the smallest final word id achieving the minimum, then the
         smallest predecessor id achieving each step, so the chain is
         deterministic.  Steps compare the stored uint8 offsets with a scalar
-        target built from the column minima and the fold's shift.  Past the
-        first repeat a step depends only on the stored column pair and the
-        word, so each is searched once per call.
+        target built from the column minima and the fold's shift; each
+        (column, previous column, word) step is searched once per window and
+        kept in `steps`, which stays valid because stored columns never
+        change.  Every column r > s = t - d reads stored column
+        s - 1 + (r - s) mod d, so a step down from there depends only on the
+        (stored column, word) state.  The walk from column n records where
+        each such state first occurs; once one recurs, the ids in between
+        repeat down to column s, so they are tiled as a list and the walk
+        goes on from column s.  A warm call thus costs about t steps plus
+        the tile, whatever n is.
         """
         m, matrix, finals = self.mach.table.m, self.mach.matrix, self.mach.finals
-        mins, offsets = self.mins, self.offsets
+        mins, offsets, steps = self.mins, self.offsets, self.steps
         i, shift = self.locate(n)
         low = int(offsets[i][finals].min(initial=OFF_INF))
         if low == OFF_INF:
             raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
         p = int(np.flatnonzero(finals & (offsets[i] == low))[0])
         ids = [p]
-        steps: dict[tuple[int, int, int], int] = {}  # (column, previous column, p) -> q
-        for r in range(n, 1, -1):
+        s = n if self.repeat is None else self.repeat[0] - self.repeat[1]
+        seen: dict[tuple[int, int], int] = {}  # (column, p) -> index in ids, for columns past s
+        r = n
+        while r > 1:
+            if r > s:
+                first = seen.setdefault((i, p), len(ids) - 1)
+                if first < len(ids) - 1:  # a repeat: ids[first:-1] recurs down to column s
+                    cycle, more = ids[first:-1], n - s + 1 - first
+                    ids[first:] = cycle * (more // len(cycle)) + cycle[: more % len(cycle)]
+                    r, p, i, shift = s, ids[-1], s - 1, 0
+                    continue
             j, prev_shift = self.locate(r - 1)
             q = steps.get((i, j, p))
             if q is None:
@@ -182,7 +202,7 @@ class DPWindow:
                     )
                 q = steps[i, j, p] = int(row[hits[0]])  # sorted ids: first hit is smallest
             ids.append(q)
-            p, i, shift = q, j, prev_shift
+            p, i, shift, r = q, j, prev_shift, r - 1
         ids.reverse()
         return ids, self.value(n)
 

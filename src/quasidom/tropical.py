@@ -32,12 +32,16 @@ class TropicalMatrix:
 
     row_zeros[p] is the zero-count of word p; pred_idx[pred_ptr[p]:pred_ptr[p+1]]
     lists the ids q (sorted) with a finite entry A[p][q] = row_zeros[p].
+    nonempty marks the rows with a predecessor and starts holds their
+    pred_ptr, so that mat_vec does not recompute them on every step.
     """
 
     table: WordTable
     row_zeros: np.ndarray
     pred_ptr: np.ndarray
     pred_idx: np.ndarray
+    nonempty: np.ndarray
+    starts: np.ndarray
 
     @property
     def k(self) -> int:
@@ -85,7 +89,10 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
     order = np.lexsort((q, p))
     ptr = np.zeros(table.k + 1, dtype=np.int64)
     np.cumsum(np.bincount(p, minlength=table.k), out=ptr[1:])
-    return TropicalMatrix(table, _zero_counts(table), ptr, q[order].astype(np.int64))
+    nonempty = ptr[1:] > ptr[:-1]
+    return TropicalMatrix(
+        table, _zero_counts(table), ptr, q[order].astype(np.int64), nonempty, ptr[:-1][nonempty]
+    )
 
 
 def mat_vec(matrix: TropicalMatrix, x: np.ndarray) -> np.ndarray:
@@ -97,10 +104,9 @@ def mat_vec(matrix: TropicalMatrix, x: np.ndarray) -> np.ndarray:
     if matrix.k != len(x):
         raise ValueError("matrix and vector sizes disagree")
     out = np.full(matrix.k, _INF, dtype=np.int64)
-    nonempty = matrix.pred_ptr[1:] > matrix.pred_ptr[:-1]
     if matrix.pred_idx.size:
-        mins = np.minimum.reduceat(x[matrix.pred_idx], matrix.pred_ptr[:-1][nonempty])
-        out[nonempty] = np.where(
-            mins >= _INF, _INF, mins + matrix.row_zeros[nonempty]
+        mins = np.minimum.reduceat(x[matrix.pred_idx], matrix.starts)
+        out[matrix.nonempty] = np.where(
+            mins >= _INF, _INF, mins + matrix.row_zeros[matrix.nonempty]
         )
     return out

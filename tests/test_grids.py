@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from quasidom.grids import (
     Violation,
     extract_min_set,
     labeling_of,
+    rule_faults,
     verify_set,
 )
 from quasidom.solver import _window_cache, machinery, solve_width
@@ -246,6 +248,18 @@ def test_bits_follow_the_row_major_layout():
             GridSet.from_bits(2, 3, bits)
 
 
+def test_rule_faults_on_a_wide_grid_is_fast():
+    # the column masks of a 7 x 500000 grid; building them by dividing by
+    # 2^n - 1 took seconds at this width
+    m, n = 7, 500_000
+    start = time.perf_counter()
+    right, down, undominated, over, four = rule_faults(m, n, 0)
+    assert time.perf_counter() - start < 0.5
+    assert undominated == (1 << m * n) - 1 and right == down == over == four == 0
+    one = GridSet(m, n, [(1, 1)])
+    assert rule_faults(m, n, one.bits)[2] == (1 << m * n) - 1 - 0b11 - (1 << n)
+
+
 def test_cell_cap_is_exact():
     assert len(GridSet(MAX_CELLS, 1, frozenset())) == 0
     with pytest.raises(ResourceCapError):
@@ -262,6 +276,26 @@ def test_ascii_round_trip():
 def test_json_round_trip():
     s = gs(3, 3, (1, 1), (2, 3), (3, 1))
     assert GridSet.from_json_dict(s.to_json_dict()) == s
+
+
+@pytest.mark.parametrize(
+    "bad, text",
+    [([True, 2], "[True, 2]"), ([1.0, 2], "[1.0, 2]"), ([1, 2, 3], "[1, 2, 3]"), (5, "5")],
+    ids=["bool", "float", "three-element", "non-list"],
+)
+def test_from_json_dict_names_the_first_bad_member(bad, text):
+    members = [[1, 1], (2, 3), bad, [False, 1], [2.5, 1]]
+    with pytest.raises(MalformedSetError) as got:
+        GridSet.from_json_dict({"m": 2, "n": 3, "members": members})
+    assert str(got.value) == f"member {text} is not an [i, j] pair of integers"
+
+
+def test_from_json_dict_accepts_what_the_member_loop_accepts():
+    class Row(int):
+        pass
+
+    members = [(1, 1), [Row(2), 3]]  # tuples and int subclasses pass, bools do not
+    assert GridSet.from_json_dict({"m": 2, "n": 3, "members": members}) == gs(2, 3, (1, 1), (2, 3))
 
 
 def test_transpose_preserves_validity():

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from quasidom.errors import PeriodNotFoundError, UnsupportedGridError
+from quasidom.grids import extract_min_set, verify_set
 from quasidom.oracle import profile_dp_min
 from quasidom.solver import (
     OFF_INF,
+    DPWindow,
     _compact,
     _machinery_cache,
     _window_cache,
@@ -326,3 +328,94 @@ def test_offsets_that_do_not_fit_a_uint8_raise():
     assert low == 7 and off.tolist() == [0, 254, OFF_INF]
     with pytest.raises(RuntimeError):
         _compact(np.array([7, 7 + 255]))
+
+
+def walk_backtrack(window, n):
+    """Reference chain: the per-column walk from column n down to 1, one step per column.
+
+    Same tie-break as DPWindow.backtrack (smallest final id, then smallest
+    predecessor id) but no tiling and a memo that lives for one call.
+    """
+    matrix, finals, mins, offsets = window.mach.matrix, window.mach.finals, window.mins, window.offsets
+    i, shift = window.locate(n)
+    low = int(offsets[i][finals].min(initial=OFF_INF))
+    p = int(np.flatnonzero(finals & (offsets[i] == low))[0])
+    ids = [p]
+    steps = {}
+    for r in range(n, 1, -1):
+        j, prev_shift = window.locate(r - 1)
+        q = steps.get((i, j, p))
+        if q is None:
+            target = (
+                mins[i] + shift + int(offsets[i][p]) - int(matrix.row_zeros[p])
+                - mins[j] - prev_shift
+            )
+            row = matrix.predecessors(p)
+            q = steps[i, j, p] = int(row[np.flatnonzero(offsets[j][row] == target)[0]])
+        ids.append(q)
+        p, i, shift = q, j, prev_shift
+    ids.reverse()
+    return ids, window.value(n)
+
+
+def cold_window(window, n):
+    """The window a cold run_dp(m, n) leaves, cut from a complete one.
+
+    It holds min(n, t - 1) columns, the repeat only when n >= t, and an
+    empty memo; building it this way skips re-running the DP at every n.
+    """
+    t = window.repeat[0]
+    kept = min(n, t - 1)
+    return DPWindow(
+        window.mach, window.mins[:kept], window.offsets[:kept], window.values[:kept],
+        window.repeat if n >= t else None,
+    )
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_tiled_backtrack_matches_the_column_walk(m):
+    _, full = run_dp(m, 10**6, keep_trace=True)
+    t, d, _ = full.repeat
+    expected = {n: walk_backtrack(full, n) for n in [*range(1, 3 * t + 1), 1500, 10**5]}
+    # really cold windows, re-grown from nothing, at the edges of the periodic stretch
+    for n in (1, 2, t - d - 1, t - d, t - d + 1, t - 1, t, t + 1, t + d, 3 * t, 1500, 10**5):
+        _window_cache.pop(m, None)
+        _, window = run_dp(m, n, keep_trace=True)
+        cut = cold_window(full, n)
+        assert (window.mins, window.repeat) == (cut.mins, cut.repeat), n
+        assert window.backtrack(n) == expected[n], ("popped", n)
+    _, warm = run_dp(m, 10**6, keep_trace=True)
+    for n, chain in expected.items():
+        assert cold_window(full, n).backtrack(n) == chain, ("cold", n)
+        assert warm.backtrack(n) == chain, ("warm", n)
+
+
+def test_backtrack_memo_lives_on_the_window():
+    _window_cache.pop(13, None)
+    extract_min_set(13, 10**5)
+    window = _window_cache[13]
+    t = window.repeat[0]
+    # one walk down to column t - d, plus the steps before the cycle closes
+    assert 0 < len(window.steps) < 2 * t
+    for n in (10**5, 1000, 80, 30):
+        extract_min_set(13, n)
+        before = dict(window.steps)
+        extract_min_set(13, n)
+        assert window.steps == before, n
+
+
+def test_warm_backtrack_does_not_grow_with_n():
+    solve_width(13, 300000)
+    window = _window_cache[13]
+    window.backtrack(300000)
+    start = time.perf_counter()
+    ids, best = window.backtrack(300000)
+    assert time.perf_counter() - start < 0.1
+    assert len(ids) == 300000 and best == value(13, 300000)
+
+
+@pytest.mark.slow
+def test_extraction_at_300000_columns_verifies():
+    s = extract_min_set(13, 300000)  # 3.9 M cells, under MAX_CELLS
+    assert len(s) == value(13, 300000)
+    assert verify_set(s).ok
