@@ -204,9 +204,7 @@ def _cmd_oracle(args) -> int:
     )
 
     t = time.perf_counter()
-    m, n = args.m, args.n
-    if m > n:
-        m, n = n, m
+    m, n = sorted((args.m, args.n))
     if m * n <= BRUTE_FORCE_CELL_LIMIT:
         result = brute_force_min(m, n, args.mode)
         engine = "exhaustive"
@@ -217,14 +215,17 @@ def _cmd_oracle(args) -> int:
         raise UnsupportedGridError(
             f"({args.m}, {args.n}) is beyond both oracle engines"
         )
+    witness = result.witness
+    if witness is not None and m != args.m:  # solved over the transposed grid
+        witness = witness.transpose()
     env = _envelope(
         "oracle", {"m": args.m, "n": args.n, "mode": args.mode}, t,
         value=_render_value(result.value),
         engine=engine,
-        set=result.witness,
+        set=witness,
     )
     human = f"oracle({args.m},{args.n},{args.mode}) = {_render_value(result.value)} [{engine}]"
-    _emit(env, args, human, result.witness if args.ascii else None)
+    _emit(env, args, human, witness if args.ascii else None)
     return 0 if result.value != math.inf else 1
 
 

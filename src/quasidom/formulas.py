@@ -68,7 +68,8 @@ def value(m: int, n: int) -> int:
     transposition so (m, n) is normalized to m <= n first.  The basis of
     each value: for m = 1 the path formula (n + 2) // 3, as every third
     vertex dominates; for 2 <= m <= 19 the DP proof tests in
-    tests/test_solver.py (`test_closed_form_agrees_with_dp` for m <= 13,
+    tests/test_solver.py, which prove the value for every n
+    (`test_closed_form_is_proved_for_every_n` for m <= 13,
     `test_big_grid_formula_is_proved_for_every_n` for 14..19); for m >= 20
     the lower bound i_[1,2] >= i >= gamma, the domination number, which is
     floor((m+2)(n+2)/5) - 4 for 16 <= m <= n (Gonçalves, Pinlou, Rao and

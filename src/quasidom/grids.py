@@ -4,8 +4,8 @@ Coordinates are 1-based (i, j) with i the row (1 = top) and j the column.  A
 GridSet is one Python int, row-major with stride n: (i, j) is bit
 (i - 1) * n + (j - 1), the layout in which the oracle enumerates subsets.
 `rule_faults`, a few shifts of that int, is the package's one test of
-independence and [1,2]-domination.  Only `GridSet.from_mask`, `GridSet.mask`
-and `extract_min_set` need numpy, and import it when called.
+independence and [1,2]-domination.  Only `extract_min_set` needs numpy, and
+imports it when called.
 """
 
 from __future__ import annotations
@@ -50,8 +50,7 @@ def _flags(bits: int, cells: int) -> bytes:
 class GridSet:
     """A subset of the m x n grid's vertices, one bit per cell: (i, j) is bit (i - 1) * n + (j - 1).
 
-    GridSet(m, n, members) takes (i, j) pairs, GridSet.from_bits the int and
-    GridSet.from_mask an m x n array.
+    GridSet(m, n, members) takes (i, j) pairs, GridSet.from_bits the int.
     """
 
     m: int
@@ -80,27 +79,6 @@ class GridSet:
         s = cls.__new__(cls)
         s.__dict__.update(m=m, n=n, bits=bits)
         return s
-
-    @classmethod
-    def from_mask(cls, mask) -> GridSet:
-        """The set whose members are the true cells of an m x n array."""
-        import numpy as np
-
-        m, n = np.shape(mask)
-        check_cell_cap(m, n)
-        packed = np.packbits(np.asarray(mask, dtype=bool), axis=None, bitorder="little")
-        return cls.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))
-
-    @property
-    def mask(self):
-        """A read-only m x n bool array with (i, j) at [i - 1, j - 1], built on each read."""
-        import numpy as np
-
-        cells = self.m * self.n
-        packed = np.frombuffer(self.bits.to_bytes(cells // 8 + 1, "little"), dtype=np.uint8)
-        mask = np.unpackbits(packed, count=cells, bitorder="little").view(bool)
-        mask.flags.writeable = False
-        return mask.reshape(self.m, self.n)
 
     def _rows(self) -> Iterator[tuple[int, Iterator[int]]]:
         """(i, the member columns of row i in increasing order) for each row i."""
@@ -295,13 +273,17 @@ def extract_min_set(m: int, n: int) -> GridSet:
     """
     if 2 <= n < m:
         return extract_min_set(n, m).transpose()
+    import numpy as np
+
     from .solver import run_dp  # at call time: verify and m >= 16 patterns never load the DP
 
     mach, window = run_dp(m, n, keep_trace=True)
     # after run_dp, so its errors keep their type; before the backtrack lists n ids
     check_cell_cap(m, n)
     ids, best = window.backtrack(n)
-    result = GridSet.from_mask(mach.table.digits[ids].T == 0)
+    # column j of the grid is word ids[j - 1]; its 0s are the members
+    packed = np.packbits(mach.table.digits[ids].T == 0, axis=None, bitorder="little")
+    result = GridSet.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))
     if len(result) != best:
         raise RuntimeError(
             f"extracted set of {len(result)} disagrees with the DP value {best} for ({m}, {n}); "

@@ -7,7 +7,8 @@ when p can follow q, infinite otherwise.  Since every finite entry
 of a row equals that row's zero-count, the matrix is stored as predecessor
 lists plus one integer per row.  Every array here is computed from the word
 table's digit array: the predecessor lists come from the words.follow_pairs
-layered join, sorted by (p, q) and counted per row.
+layered join, sorted by (p, q) and counted per row, and X^1 is the same
+join from a virtual first column of 1s.
 """
 
 from __future__ import annotations
@@ -69,13 +70,13 @@ def _zero_counts(table: WordTable) -> np.ndarray:
 def build_initial_vector(table: WordTable) -> np.ndarray:
     """X^1: zero-count on initial words, _INF elsewhere, as an int64 array.
 
-    As in is_initial: every 2 sits between two 0s, every 1 next to exactly one.
+    As in is_initial, the first column follows a virtual column of 1s, so
+    the initial words are the p of the follow join from that one column.
     """
-    digits = table.digits
-    zero = np.pad(digits == 0, ((0, 0), (1, 1)))
-    up0, dn0 = zero[:, :-2], zero[:, 2:]
-    bad = ((digits == 2) & ~(up0 & dn0)) | ((digits == 1) & (up0 == dn0))
-    return np.where(bad.any(axis=1), _INF, _zero_counts(table))
+    _, p = follow_pairs(np.ones((1, table.m), np.uint8), table.digits)
+    x = np.full(table.k, _INF, dtype=np.int64)
+    x[p] = _zero_counts(table)[p]
+    return x
 
 
 def final_mask(table: WordTable) -> np.ndarray:

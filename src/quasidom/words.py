@@ -14,7 +14,8 @@ a small lookup table as soon as the labels it reads are placed.
 enumerate_suitable grows the word prefixes themselves; follow_pairs joins
 the prefix trie of the left-hand words with that of the right-hand words
 level by level, which yields every admissible (q, p) pair without looking
-at the pairs that fail.
+at the pairs that fail.  is_initial is can_follow after a virtual column
+of 1s, so the first-column rule is stated once.
 """
 
 from __future__ import annotations
@@ -85,19 +86,11 @@ def is_suitable(word: str) -> bool:
 def is_initial(word: str) -> bool:
     """Whether a suitable word may be the first column.
 
-    With no column to the left, every 2 must sit between two 0s and every 1
-    must have a 0 on exactly one side.
+    The first column follows a virtual column of 1s: the q[i] = 1 case of
+    can_follow is the first-column rule (every 2 sits between two 0s, every 1
+    has a 0 on exactly one side, 0 and 3 are free).
     """
-    _validate(word)
-    m = len(word)
-    for i, ch in enumerate(word):
-        up0 = i > 0 and word[i - 1] == "0"
-        dn0 = i + 1 < m and word[i + 1] == "0"
-        if ch == "2" and not (up0 and dn0):
-            return False
-        if ch == "1" and up0 + dn0 != 1:
-            return False
-    return True
+    return can_follow(word, "1" * len(word))
 
 
 def is_final(word: str) -> bool:

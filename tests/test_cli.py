@@ -115,6 +115,21 @@ def test_oracle_command(capsys):
     assert env["engine"] == "profile-dp"
 
 
+@pytest.mark.parametrize("m,n,engine", [(5, 3, "exhaustive"), (7, 4, "profile-dp")])
+def test_oracle_witness_has_the_requested_shape(capsys, monkeypatch, m, n, engine):
+    code, env = run_json(capsys, "oracle", str(m), str(n))
+    assert code == 0 and env["engine"] == engine
+    assert env["inputs"]["m"] == env["set"]["m"] == m
+    assert env["inputs"]["n"] == env["set"]["n"] == n
+    _, swapped = run_json(capsys, "oracle", str(n), str(m))
+    assert env["value"] == swapped["value"] == len(env["set"]["members"])
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(env)))
+    code, verdict = run_json(capsys, "verify")
+    assert code == 0 and verdict["valid"] is True
+    code, out = run(capsys, "oracle", str(m), str(n), "--ascii")
+    assert out.splitlines()[1] == f"{m} {n}" and len(out.splitlines()) == m + 2
+
+
 def test_error_paths(capsys):
     code, env = run_json(capsys, "formula", "14", "20")
     assert code == 1
@@ -387,6 +402,15 @@ def test_closed_form_commands_start_without_numpy(argv, code):
     assert got == code
     assert out.strip()
     assert "numpy" not in modules
+
+
+@pytest.mark.parametrize("argv", [["oracle", "3", "5", "--json"], ["oracle", "4", "20", "--json"]])
+def test_the_oracle_never_loads_numpy_or_the_dp(argv):
+    code, out, modules = _modules_loaded_by(argv)
+    assert code == 0 and json.loads(out)["command"] == "oracle"
+    assert "quasidom.oracle" in modules
+    assert "numpy" not in modules
+    assert not modules & {"quasidom.solver", "quasidom.tropical", "quasidom.words"}
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ import json
 import time
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,20 +142,6 @@ def test_mask_forms_match_the_tuple_references(s):
     )
     assert GridSet.from_bits(s.m, s.n, s.bits) == s and len(s) == len(s.members)
     assert s.transpose().members == {(j, i) for i, j in s.members}
-    # from_mask: the same set as the tuple constructor, copied and read-only
-    assert s.mask.shape == (s.m, s.n) and s.mask.dtype == bool
-    mask = s.mask.copy()
-    t = GridSet.from_mask(mask)
-    assert t == GridSet(s.m, s.n, s.members) and hash(t) == hash(s)
-    mask[:] = ~mask
-    assert t == s
-    assert not t.mask.flags.writeable
-    with pytest.raises(ValueError):
-        t.mask[0, 0] = True
-    with pytest.raises(MalformedSetError):
-        GridSet.from_mask(np.zeros((0, s.n), dtype=bool))
-    with pytest.raises(ResourceCapError):
-        GridSet.from_mask(np.broadcast_to(False, (MAX_CELLS + 1, 1)))
 
 
 _ASCII_TEXT = st.builds(

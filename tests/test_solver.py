@@ -170,6 +170,60 @@ def test_closed_form_agrees_with_dp(m):
         assert closed_form(m, n) == solve_width(m, n), (m, n)
 
 
+# (Q, r) of each closed form past its last listed exception (n = 30, at
+# m = 10), written from formulas.py: the form is floor((A n + B(n mod r)) / Q)
+# there, with r = 1 when no residue selects a branch
+CLOSED_FORM_SHAPES = {
+    2: (2, 1), 3: (4, 4), 4: (1, 1), 5: (5, 1), 6: (7, 7), 7: (3, 1),
+    8: (8, 1), 9: (10, 10), 10: (9, 1), 11: (11, 1), 12: (13, 13), 13: (1, 12),
+}
+
+
+def closed_form_proof_failures(m, form=closed_form, shapes=CLOSED_FORM_SHAPES):
+    """The finite check that proves form(m, n) equals the DP for every n >= m.
+
+    The first repeat X^t = X^{t-d} + c makes the DP satisfy f(n + d) = f(n) + c
+    from n = t - d on.  Past n = 30, form(n) = floor((A n + B(n mod r)) / Q),
+    so with L = lcm(Q, r), form(n + L) = form(n) + A L / Q and the difference
+    form(n + d) - form(n) has a period dividing L.  So with
+    n1 = max(t - d, 31), agreement on m <= n < n1 + d and the recurrence
+    form(n + d) - form(n) = c on n1 <= n < n1 + L give agreement for every
+    n >= m, by induction in steps of d from [n1, n1 + d).  Returns the
+    failures, and also every n of n1 <= n < n1 + L + d where
+    form(n + L) - form(n) is not one constant, so a wrong (Q, r) fails too.
+    """
+    solve_width(m, 10**6)
+    t, d, c = _window_cache[m].repeat
+    n1, period = max(t - d, 31), math.lcm(*shapes[m])
+    failures = [("dp", n) for n in range(m, n1 + d) if form(m, n) != solve_width(m, n)]
+    failures += [("recurrence", n) for n in range(n1, n1 + period)
+                 if form(m, n + d) - form(m, n) != c]
+    steps = [form(m, n + period) - form(m, n) for n in range(n1, n1 + period + d)]
+    failures += [("shape", n1 + i) for i, step in enumerate(steps) if step != steps[0]]
+    return failures
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_closed_form_is_proved_for_every_n(m):
+    assert closed_form_proof_failures(m) == []
+
+
+@pytest.mark.parametrize(
+    "m,form,shapes",
+    [
+        # a perturbed constant: 3 n + 2 on every residue
+        (13, lambda m, n: 3 * n + 2, CLOSED_FORM_SHAPES),
+        # 28 n + 27 for 28 n + 26
+        (11, lambda m, n: (28 * n + 27) // 11, CLOSED_FORM_SHAPES),
+        # wrong tables: the residue modulus of m = 13 dropped, Q = 7 for m = 11
+        (13, closed_form, {13: (1, 1)}),
+        (11, closed_form, {11: (7, 1)}),
+    ],
+)
+def test_a_wrong_closed_form_or_shape_fails_the_proof(m, form, shapes):
+    assert closed_form_proof_failures(m, form, shapes)
+
+
 def test_solve_width_small_grids():
     assert solve_width(2, 2) == 2
     assert solve_width(2, 1) == 1

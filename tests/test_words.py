@@ -1,10 +1,12 @@
 import itertools
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from quasidom.errors import MalformedWordError, ResourceCapError
+from quasidom.tropical import _INF, build_initial_vector
 from quasidom.words import (
     can_follow,
     enumerate_suitable,
@@ -105,6 +107,35 @@ def test_enumeration_cap_raises_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def reference_is_initial(word):
+    """The first-column rule stated per label: every 2 sits between two 0s and
+    every 1 has a 0 on exactly one side."""
+    m = len(word)
+    for i, ch in enumerate(word):
+        up0 = i > 0 and word[i - 1] == "0"
+        dn0 = i + 1 < m and word[i + 1] == "0"
+        if ch == "2" and not (up0 and dn0):
+            return False
+        if ch == "1" and up0 + dn0 != 1:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_is_initial_is_following_a_column_of_ones(m):
+    # every word over {0,1,2,3}^m, suitable or not
+    for t in itertools.product("0123", repeat=m):
+        w = "".join(t)
+        assert is_initial(w) == reference_is_initial(w), w
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_initial_vector_matches_the_reference_rule(m):
+    table = enumerate_suitable(m)
+    want = [zeros(w) if reference_is_initial(w) else _INF for w in table]
+    assert np.array_equal(build_initial_vector(table), np.array(want, dtype=np.int64))
 
 
 def test_initial_examples():
