@@ -20,6 +20,7 @@ import json
 import math
 import sys
 import time
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -150,11 +151,14 @@ def _cmd_extract(args) -> int:
 def _read_grid_set(path: str | None) -> GridSet:
     from .grids import GridSet
 
-    if path is None:
-        text = sys.stdin.read()
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+    try:
+        if path is None:
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MalformedSetError(str(exc)) from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         try:
@@ -230,15 +234,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_words(args) -> int:
-    from .words import enumerate_suitable, is_final, is_initial
+    from .tropical import _INF, build_initial_vector, final_mask
+    from .words import enumerate_suitable
 
     t = time.perf_counter()
     table = enumerate_suitable(args.m)
     payload = {"m": args.m, "k": table.k}
     if args.list:
         payload["words"] = list(table.words)
-        payload["initial"] = [w for w in table.words if is_initial(w)]
-        payload["final"] = [w for w in table.words if is_final(w)]
+        payload["initial"] = list(compress(table.words, build_initial_vector(table) < _INF))
+        payload["final"] = list(compress(table.words, final_mask(table)))
     env = _envelope("words", {"m": args.m}, t, **payload)
     human = f"m={args.m}: {table.k} suitable words"
     if args.list:

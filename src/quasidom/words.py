@@ -6,11 +6,14 @@ outside S that already have one/two neighbors in S among their left and
 same-column neighbors, and label 3 marks a vertex whose only dominator must
 sit in the column to its right.  Position 1 is the top row.
 
-The per-word predicates (is_suitable, is_initial, is_final, can_follow) are
-the reference statement of the rules.  Tables are built by one array engine
-instead: words are rows of a uint8 digit array in lexicographic order, and
-both builders grow rows one position at a time, checking every rule through
-a small lookup table as soon as the labels it reads are placed.
+Two functions state the rules, each once: _window_ok decides suitability
+from one adjacent pair and its two outer neighbors, and _follow_ok decides
+whether a word may follow another at one position.  The per-word predicates
+(is_suitable, can_follow) evaluate them along a word.  Tables are built by
+one array engine: words are rows of a uint8 digit array in lexicographic
+order, and both builders grow rows one position at a time, checking every
+rule through the same functions tabulated (_WINDOW, _FOLLOW) as soon as the
+labels it reads are placed.
 enumerate_suitable grows the word prefixes themselves; follow_pairs joins
 the prefix trie of the left-hand words with that of the right-hand words
 level by level, which yields every admissible (q, p) pair without looking
@@ -49,38 +52,10 @@ def zeros(word: str) -> int:
 
 
 def is_suitable(word: str) -> bool:
-    """Whether a word can appear as a column of a valid labeling.
-
-    Forbidden outright: 00 (independence), 22, 33, 03, 30, 010.  Context
-    rules: a 11 pair needs a 0 on at least one side, 32 needs a 0 right
-    after the 2, 23 needs a 0 right before the 2, and 21/12 need a 0 on
-    both sides.  A required neighbor that falls off the word boundary
-    fails the rule.
-    """
+    """Whether a word can be a column of a valid labeling: _window_ok at every pair."""
     _validate(word)
-    m = len(word)
-    for i in range(m - 1):
-        a, b = word[i], word[i + 1]
-        if a == b and a != "1":
-            return False
-        if (a == "0" and b == "3") or (a == "3" and b == "0"):
-            return False
-    for i in range(m - 2):
-        if word[i] == "0" and word[i + 1] == "1" and word[i + 2] == "0":
-            return False
-    for i in range(m - 1):
-        pair = word[i] + word[i + 1]
-        before = word[i - 1] if i > 0 else ""
-        after = word[i + 2] if i + 2 < m else ""
-        if pair == "11" and before != "0" and after != "0":
-            return False
-        if pair == "32" and after != "0":
-            return False
-        if pair == "23" and before != "0":
-            return False
-        if pair in ("21", "12") and not (before == "0" and after == "0"):
-            return False
-    return True
+    d = [_EDGE, *map(int, word), _EDGE]
+    return all(_window_ok(*d[i : i + 4]) for i in range(len(word) - 1))
 
 
 def is_initial(word: str) -> bool:
@@ -100,56 +75,14 @@ def is_final(word: str) -> bool:
 
 
 def can_follow(p: str, q: str) -> bool:
-    """Whether column word p may appear immediately to the right of q.
-
-    Case analysis on each q[i] (both words assumed suitable):
-
-    * q[i] = 0: p[i] is dominated from the left, so p[i] = 1 with no
-      vertical 0 next to it, or p[i] = 2 with exactly one vertical 0.
-    * q[i] = 1: p[i] may be 0 or 3, or 1 with exactly one vertical 0,
-      or 2 with vertical 0s on both sides.
-    * q[i] = 2: p[i] = 3, or (away from the boundary) 1 with exactly one
-      vertical 0; p[i] = 0 would give q's vertex a third dominator.
-    * q[i] = 3: p[i] = 0, the 3 is dominated only from the right.
-    """
+    """Whether column word p may appear right of q: _follow_ok at every position."""
     _validate(p)
     _validate(q)
     if len(p) != len(q):
         raise MalformedWordError(f"length mismatch: {p!r} vs {q!r}")
     m = len(p)
-    for i in range(m):
-        pi = p[i]
-        qi = q[i]
-        up0 = i > 0 and p[i - 1] == "0"
-        dn0 = i + 1 < m and p[i + 1] == "0"
-        if qi == "3":
-            if pi != "0":
-                return False
-        elif qi == "0":
-            if pi == "1":
-                if up0 or dn0:
-                    return False
-            elif pi == "2":
-                if up0 + dn0 != 1:
-                    return False
-            else:
-                return False
-        elif qi == "1":
-            if pi == "1":
-                if up0 + dn0 != 1:
-                    return False
-            elif pi == "2":
-                if not (up0 and dn0):
-                    return False
-            # 0 and 3 are always admissible after a 1
-        else:  # qi == "2"
-            if pi == "1":
-                if i == 0 or i == m - 1 or up0 + dn0 != 1:
-                    return False
-            elif pi != "3":
-                return False
-    return True
-
+    d = [_EDGE, *map(int, p), _EDGE]
+    return all(_follow_ok(int(q[i]), d[i + 1], d[i], 0 < i < m - 1, d[i + 2]) for i in range(m))
 
 
 @dataclass(frozen=True, eq=False)
@@ -181,7 +114,14 @@ _OPEN = 5
 
 
 def _window_ok(before: int, a: int, b: int, after: int) -> bool:
-    """The is_suitable rules for the pair (a, b) between labels before and after."""
+    """The suitability rules for the pair (a, b) between labels before and after.
+
+    Forbidden outright: 00 (independence), 22, 33, 03, 30, 010.  Context
+    rules: a 11 pair needs a 0 on at least one side, 32 needs a 0 right
+    after the 2, 23 needs a 0 right before the 2, and 21/12 need a 0 on
+    both sides.  A required neighbor that falls off the word boundary
+    (_EDGE) fails the rule.
+    """
     if (a == b and a != 1) or {a, b} == {0, 3}:
         return False
     if (a, b) == (0, 1):
@@ -198,7 +138,19 @@ def _window_ok(before: int, a: int, b: int, after: int) -> bool:
 
 
 def _follow_ok(q: int, p: int, up: int, interior: int, down: int) -> bool:
-    """The can_follow case at one position: labels q and p, p's labels up and down of it."""
+    """The follow rule at one position: labels q and p, p's labels up and down of it.
+
+    interior is false in the top and bottom rows.  Case analysis on q
+    (both words assumed suitable):
+
+    * q = 0: p is dominated from the left, so p = 1 with no vertical 0
+      next to it, or p = 2 with exactly one vertical 0.
+    * q = 1: p may be 0 or 3, or 1 with exactly one vertical 0, or 2 with
+      vertical 0s on both sides.
+    * q = 2: p = 3, or (away from the boundary) 1 with exactly one
+      vertical 0; p = 0 would give q's vertex a third dominator.
+    * q = 3: p = 0, the 3 is dominated only from the right.
+    """
     up0, dn0 = up == 0, down == 0
     if q == 3:
         return p == 0

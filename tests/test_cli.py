@@ -372,14 +372,42 @@ def _modules_loaded_by(argv, stdin=""):
         "    code = exc.code\n"
         "sys.stderr.write('\\n' + json.dumps([code, sorted(sys.modules)]))\n"
     )
-    src = str(Path(quasidom.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(argv)],
-        input=stdin, capture_output=True, text=True, env=env, timeout=60,
+        input=stdin, capture_output=True, text=True, env=_subprocess_env(), timeout=60,
     )
     code, modules = json.loads(proc.stderr.rsplit("\n", 1)[-1])
     return code, proc.stdout, set(modules)
+
+
+def _subprocess_env(**extra):
+    """This environment with the imported quasidom first on PYTHONPATH, plus extra."""
+    src = str(Path(quasidom.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
+_UNDECODABLE_SET = b"2 2\n#\xff\n..\n"
+_UNDECODABLE_MESSAGE = "'utf-8' codec can't decode byte 0xff in position 5: invalid start byte"
+
+
+def test_an_undecodable_set_file_is_a_malformed_set(capsys, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(_UNDECODABLE_SET)
+    code, env = run_json(capsys, "verify", "--file", str(path))
+    assert code == 1
+    assert env["error"] == {"type": "MalformedSetError", "message": _UNDECODABLE_MESSAGE}
+
+
+def test_undecodable_set_text_on_a_strict_stdin_is_a_malformed_set():
+    proc = subprocess.run(
+        [sys.executable, "-m", "quasidom", "verify", "--json"],
+        input=_UNDECODABLE_SET, capture_output=True, timeout=60,
+        env=_subprocess_env(PYTHONIOENCODING="utf-8:strict"),
+    )
+    assert proc.returncode == 1
+    env = json.loads(proc.stdout)
+    assert env["error"] == {"type": "MalformedSetError", "message": _UNDECODABLE_MESSAGE}
 
 
 @pytest.mark.parametrize(

@@ -73,14 +73,27 @@ def test_boundary_rules_fail_without_the_required_neighbor():
 
 
 def test_malformed_words_rejected():
-    with pytest.raises(MalformedWordError):
-        is_suitable("0")
-    with pytest.raises(MalformedWordError):
-        is_suitable("014")
-    with pytest.raises(MalformedWordError):
-        can_follow("01", "012")
-    with pytest.raises(MalformedWordError):
-        enumerate_suitable(1)
+    # the exact texts: each predicate validates its words before any rule runs
+    cases = [
+        (lambda: is_suitable("0"), "column word '0' has fewer than 2 labels"),
+        (lambda: is_suitable(""), "column word '' has fewer than 2 labels"),
+        (lambda: is_suitable("014"), "column word '014' has label '4' outside 0..3"),
+        (lambda: is_initial("0"), "column word '0' has fewer than 2 labels"),
+        (lambda: is_initial("01x"), "column word '01x' has label 'x' outside 0..3"),
+        (lambda: is_final("3"), "column word '3' has fewer than 2 labels"),
+        (lambda: is_final("0a"), "column word '0a' has label 'a' outside 0..3"),
+        (lambda: can_follow("01", "012"), "length mismatch: '01' vs '012'"),
+        (lambda: can_follow("0", "01"), "column word '0' has fewer than 2 labels"),
+        (lambda: can_follow("01", "0"), "column word '0' has fewer than 2 labels"),
+        (lambda: can_follow("04", "01"), "column word '04' has label '4' outside 0..3"),
+        (lambda: can_follow("01", "05"), "column word '05' has label '5' outside 0..3"),
+        (lambda: can_follow("014", "01"), "column word '014' has label '4' outside 0..3"),
+        (lambda: enumerate_suitable(1), "word length must be at least 2, got 1"),
+    ]
+    for call, message in cases:
+        with pytest.raises(MalformedWordError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 def test_enumeration_cap():
@@ -129,6 +142,112 @@ def test_is_initial_is_following_a_column_of_ones(m):
     for t in itertools.product("0123", repeat=m):
         w = "".join(t)
         assert is_initial(w) == reference_is_initial(w), w
+
+
+def reference_is_suitable(word):
+    """The suitability rules stated as loops over the pairs and triples of a word."""
+    m = len(word)
+    for i in range(m - 1):
+        a, b = word[i], word[i + 1]
+        if a == b and a != "1":
+            return False
+        if (a == "0" and b == "3") or (a == "3" and b == "0"):
+            return False
+    for i in range(m - 2):
+        if word[i] == "0" and word[i + 1] == "1" and word[i + 2] == "0":
+            return False
+    for i in range(m - 1):
+        pair = word[i] + word[i + 1]
+        before = word[i - 1] if i > 0 else ""
+        after = word[i + 2] if i + 2 < m else ""
+        if pair == "11" and before != "0" and after != "0":
+            return False
+        if pair == "32" and after != "0":
+            return False
+        if pair == "23" and before != "0":
+            return False
+        if pair in ("21", "12") and not (before == "0" and after == "0"):
+            return False
+    return True
+
+
+def reference_can_follow(p, q):
+    """The follow rule stated as a case analysis on each q[i]."""
+    m = len(p)
+    for i in range(m):
+        pi = p[i]
+        qi = q[i]
+        up0 = i > 0 and p[i - 1] == "0"
+        dn0 = i + 1 < m and p[i + 1] == "0"
+        if qi == "3":
+            if pi != "0":
+                return False
+        elif qi == "0":
+            if pi == "1":
+                if up0 or dn0:
+                    return False
+            elif pi == "2":
+                if up0 + dn0 != 1:
+                    return False
+            else:
+                return False
+        elif qi == "1":
+            if pi == "1":
+                if up0 + dn0 != 1:
+                    return False
+            elif pi == "2":
+                if not (up0 and dn0):
+                    return False
+            # 0 and 3 are always admissible after a 1
+        else:  # qi == "2"
+            if pi == "1":
+                if i == 0 or i == m - 1 or up0 + dn0 != 1:
+                    return False
+            elif pi != "3":
+                return False
+    return True
+
+
+def _all_words(m):
+    return ["".join(t) for t in itertools.product("0123", repeat=m)]
+
+
+def _assert_is_suitable_matches_the_reference(m):
+    for w in _all_words(m):
+        assert is_suitable(w) == reference_is_suitable(w), w
+
+
+def _assert_can_follow_matches_the_reference(words):
+    for q in words:
+        for p in words:
+            assert can_follow(p, q) == reference_can_follow(p, q), (p, q)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_is_suitable_matches_the_reference_loops(m):
+    # every word over {0,1,2,3}^m, so each rule is met at every position
+    _assert_is_suitable_matches_the_reference(m)
+
+
+@pytest.mark.slow
+def test_is_suitable_matches_the_reference_loops_wide():
+    _assert_is_suitable_matches_the_reference(8)
+
+
+@pytest.mark.parametrize("m", range(2, 5))
+def test_can_follow_matches_the_reference_on_every_pair(m):
+    # unsuitable words included
+    _assert_can_follow_matches_the_reference(_all_words(m))
+
+
+@pytest.mark.parametrize("m", (5, 6))
+def test_can_follow_matches_the_reference_on_suitable_pairs(m):
+    _assert_can_follow_matches_the_reference(enumerate_suitable(m).words)
+
+
+@pytest.mark.slow
+def test_can_follow_matches_the_reference_on_suitable_pairs_wide():
+    _assert_can_follow_matches_the_reference(enumerate_suitable(7).words)
 
 
 @pytest.mark.parametrize("m", range(2, 14))
