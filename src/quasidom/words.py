@@ -17,8 +17,14 @@ labels it reads are placed.
 enumerate_suitable grows the word prefixes themselves; follow_pairs joins
 the prefix trie of the left-hand words with that of the right-hand words
 level by level, which yields every admissible (q, p) pair without looking
-at the pairs that fail.  is_initial is can_follow after a virtual column
-of 1s, so the first-column rule is stated once.
+at the pairs that fail.  follow_blocks runs the same join over contiguous
+blocks of right-hand rows against one left-hand trie.  The join's last
+level holds several index arrays over about two candidate pairs per
+admissible one (width 13: 131,215 for 64,112), so joining a whole table at
+once takes many times the memory of the pairs it returns; in blocks, only
+one block's candidates are live while the pairs accumulate.
+is_initial is can_follow after a virtual column of 1s, so the first-column
+rule is stated once.
 """
 
 from __future__ import annotations
@@ -261,10 +267,35 @@ def follow_pairs(q_digits: np.ndarray, p_digits: np.ndarray) -> tuple[np.ndarray
     length.  The join walks both prefix tries in step: a pair of prefixes is
     extended by p's next label, which settles the can_follow case of the
     position above it, then by q's next label, whose case must still pass
-    for some label below.  The result is in no particular order.
+    for some label below.  The pairs come in lexicographic order of their
+    interleaved labels (p[0], q[0], p[1], q[1], ...), so the q of one p
+    ascend.  The join's transient memory grows with all candidate pairs at
+    once; follow_blocks bounds it by joining a block of p rows at a time.
     """
+    return _join(_trie(q_digits), p_digits)
+
+
+def follow_blocks(
+    q_digits: np.ndarray, p_digits: np.ndarray, rows: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """follow_pairs over consecutive blocks of p_digits, rows rows each, from one q trie.
+
+    Yields (lo, q, p) for lo = 0, rows, 2 rows, ...: the pairs whose p lies
+    in p_digits[lo:lo + rows], with p counted from lo.  A contiguous slice
+    of sorted, distinct rows is itself sorted and distinct, so the blocks
+    together hold exactly the pairs of follow_pairs.
+    """
+    q_trie = _trie(q_digits)
+    for lo in range(0, len(p_digits), rows):
+        yield (lo, *_join(q_trie, p_digits[lo : lo + rows]))
+
+
+def _join(
+    q_trie: list[tuple[np.ndarray, np.ndarray]], p_digits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The follow_pairs join of a built q trie with the rows p_digits."""
     m = p_digits.shape[1]
-    q_trie, p_trie = _trie(q_digits), _trie(p_digits)
+    p_trie = _trie(p_digits)
     q = p = np.zeros(1, dtype=np.intp)
     # labels of each pair at positions t-1 (q and p) and t-2 (p)
     q_last = p_last = p_up = np.full(1, _EDGE, dtype=np.uint8)

@@ -1,10 +1,12 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from quasidom import tropical
 from quasidom.tropical import (
     INFINITY,
     _INF,
@@ -13,7 +15,14 @@ from quasidom.tropical import (
     final_mask,
     mat_vec,
 )
-from quasidom.words import can_follow, enumerate_suitable, is_final, is_initial, zeros
+from quasidom.words import (
+    can_follow,
+    enumerate_suitable,
+    follow_pairs,
+    is_final,
+    is_initial,
+    zeros,
+)
 
 
 def entry(table, x, word):
@@ -86,6 +95,42 @@ def test_matrix_fingerprint(m):
     blob = matrix.pred_ptr.astype("<i8").tobytes() + matrix.pred_idx.astype("<i8").tobytes()
     digest = hashlib.sha256(blob).hexdigest()[:16]
     assert (matrix.k, matrix.finite_entries, digest) == MATRIX_FINGERPRINTS[m]
+
+
+def reference_predecessors(table):
+    """pred_ptr and pred_idx from one join of the whole table with itself."""
+    q, p = follow_pairs(table.digits, table.digits)
+    ptr = np.zeros(table.k + 1, dtype=np.int64)
+    np.cumsum(np.bincount(p, minlength=table.k), out=ptr[1:])
+    return ptr, q[np.lexsort((q, p))].astype(np.int64)
+
+
+@pytest.mark.parametrize("rows", [1, 7, "k"])
+@pytest.mark.parametrize("m", range(2, 11))
+def test_blocked_build_matches_one_shot_join(m, rows, monkeypatch):
+    # 7 leaves a short last block at every width but 8 (k = 532); "k" joins
+    # the whole table as one block
+    table = enumerate_suitable(m)
+    monkeypatch.setattr(tropical, "_BLOCK_ROWS", table.k if rows == "k" else rows)
+    matrix = build_transition_matrix(table)
+    ptr, idx = reference_predecessors(table)
+    assert np.array_equal(matrix.pred_ptr, ptr)
+    assert np.array_equal(matrix.pred_idx, idx)
+    assert matrix.pred_idx.dtype == np.int64
+
+
+@pytest.mark.parametrize("m,limit", [(13, 5_000_000), (15, 20_000_000)])
+def test_build_peak_memory(m, limit):
+    # one join of the whole table peaked at 10.7 MB (width 13) and 54.4 MB
+    # (width 15) under tracemalloc
+    table = enumerate_suitable(m)
+    tracemalloc.start()
+    try:
+        build_transition_matrix(table)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit
 
 
 @pytest.mark.parametrize("m", range(2, 10))
