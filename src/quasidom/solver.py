@@ -15,6 +15,13 @@ column is a plain int64 array with the _INF sentinel while mat_vec computes
 it, and its minimum plus uint8 offsets once stored.  The first repeat is
 also the period certificate: the grid values repeat with period d and
 increment c from n0 = t - d on, which extends them to every larger n.
+
+The DP runs over the live words only: those with a predecessor, and the
+initial ones.  Any other word is infinite in every column, so dropping it
+is exact.  Machinery.matrix, .initial and .finals, every window column and
+the ids backtrack returns are indexed by live word; Machinery.live maps
+them back to table ids, in ascending order, so tie-breaks on the smallest
+id pick the same words as over the whole table.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .tropical import (
     build_transition_matrix,
     final_mask,
     mat_vec,
+    restrict,
 )
 from .words import WordTable, enumerate_suitable
 
@@ -44,9 +52,14 @@ OFF_INF = 255
 
 @dataclass(frozen=True, eq=False)
 class Machinery:
-    """Everything solve-time code needs for one width, built once."""
+    """Everything solve-time code needs for one width, built once.
+
+    live holds the table ids of the live words, ascending; matrix, initial
+    and finals are restricted to them, so live word i is table word live[i].
+    """
 
     table: WordTable
+    live: np.ndarray
     matrix: TropicalMatrix
     initial: np.ndarray
     finals: np.ndarray
@@ -60,12 +73,15 @@ def machinery(m: int) -> Machinery:
     if cached is not None:
         return cached
     table = enumerate_suitable(m)
-    built = Machinery(
-        table=table,
-        matrix=build_transition_matrix(table),
-        initial=build_initial_vector(table),
-        finals=final_mask(table),
-    )
+    # full-length temporaries end before the next large step: final_mask's
+    # k x m array before the matrix is held, the full X^1 before restrict
+    finals = final_mask(table)
+    full = build_transition_matrix(table)
+    initial = build_initial_vector(table)
+    keep = full.nonempty | (initial < _INF)
+    live = np.flatnonzero(keep)
+    initial = initial[live]
+    built = Machinery(table, live, restrict(full, keep), initial, finals[live])
     _machinery_cache[m] = built
     return built
 
@@ -93,6 +109,8 @@ class DPWindow:
     Once repeat = (t, d, c) is set the window is complete: X^r for r >= t is
     the stored column s + (r - s) mod d plus c * ((r - s) // d), s = t - d.
     steps is backtrack's memo, (column, previous column, word) -> predecessor.
+    While the window grows it carries its last column as int64 (last) and
+    the stored columns' indices by a hash of their offsets (by_hash).
     """
 
     mach: Machinery
@@ -101,6 +119,8 @@ class DPWindow:
     values: list[int | float] = field(default_factory=list)
     repeat: tuple[int, int, int] | None = None
     steps: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    last: np.ndarray | None = field(default=None, init=False, repr=False)
+    by_hash: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.mins)
@@ -110,20 +130,26 @@ class DPWindow:
 
         Column t is the first that equals one of the DEFAULT_MAX_D columns
         before it plus a constant c >= 1, taking the smallest such d.
-        Equal offsets mean equal columns up to the difference of the minima.
+        Equal offsets mean equal columns up to the difference of the minima,
+        so only the stored columns whose offsets hash alike are compared,
+        nearest first.
         """
         while self.repeat is None and len(self) < n:
             r = len(self) + 1
-            if r == 1:
-                data = self.mach.initial
-            else:
-                data = mat_vec(self.mach.matrix, self.column(r - 1))
+            data = self.mach.initial if r == 1 else mat_vec(self.mach.matrix, self.last)
             low, off = _compact(data)
-            for d in range(1, min(DEFAULT_MAX_D, r - 1) + 1):
-                c = low - self.mins[-d]
-                if c >= 1 and np.array_equal(off, self.offsets[-d]):
+            alike = self.by_hash.setdefault(hash(off.tobytes()), [])
+            for i in reversed(alike):
+                d = r - 1 - i
+                if d > DEFAULT_MAX_D:
+                    break
+                c = low - self.mins[i]
+                if c >= 1 and np.array_equal(off, self.offsets[i]):
                     self.repeat = (r, d, c)
+                    self.last = None
                     return
+            alike.append(r - 1)
+            self.last = data
             self.mins.append(low)
             self.offsets.append(off)
             best = int(off[self.mach.finals].min(initial=OFF_INF))
@@ -140,7 +166,7 @@ class DPWindow:
         return t - d - 1 + phase, q * c
 
     def column(self, r: int) -> np.ndarray:
-        """X^r (1-based) as int64 entries with the _INF sentinel."""
+        """X^r (1-based) as int64 entries with the _INF sentinel, one per live word."""
         i, shift = self.locate(r)
         off = self.offsets[i]
         return np.where(off == OFF_INF, _INF, off + np.int64(self.mins[i] + shift))
@@ -151,7 +177,7 @@ class DPWindow:
         return self.values[i] + shift
 
     def backtrack(self, n: int) -> tuple[list[int], int]:
-        """Word ids of a minimum chain of columns 1..n, and its cost.
+        """Live-word ids of a minimum chain of columns 1..n, and its cost.
 
         Picks the smallest final word id achieving the minimum, then the
         smallest predecessor id achieving each step, so the chain is

@@ -22,7 +22,7 @@ from quasidom.solver import (
     solve_width,
     value,
 )
-from quasidom.tropical import _INF, mat_vec
+from quasidom.tropical import _INF, build_initial_vector, build_transition_matrix, final_mask, mat_vec
 
 # boundary values of the finite-difference recurrences, per published table
 TABLE2 = {
@@ -304,6 +304,34 @@ def test_folded_trace_matches_plain_iteration(m):
         assert np.array_equal(window.column(300), x)
 
 
+@pytest.mark.parametrize("m", range(2, 14))
+def test_dp_over_live_words_is_lossless(m):
+    # the full-table DP, iterated past the first repeat: dropped words stay
+    # infinite and the live ones equal the window's columns
+    mach = machinery(m)
+    table = mach.table
+    full = build_transition_matrix(table)
+    x = build_initial_vector(table)
+    dropped = np.ones(table.k, bool)
+    dropped[mach.live] = False
+    assert np.array_equal(mach.live, np.flatnonzero(full.nonempty | (x < _INF)))
+    _, window = run_dp(m, 10**6, keep_trace=True)
+    for r in range(1, 2 * window.repeat[0] + 1):
+        if r > 1:
+            x = mat_vec(full, x)
+        assert (x[dropped] == _INF).all(), r
+        assert np.array_equal(x[mach.live], window.column(r)), r
+    # each live list is the full list less the dropped words, renumbered
+    new_id = np.cumsum(~dropped) - 1
+    for i, p in enumerate(mach.live):
+        preds = full.predecessors(p)
+        expected = new_id[preds[~dropped[preds]]]
+        assert np.array_equal(mach.matrix.predecessors(i), expected), p
+        assert (np.diff(expected) > 0).all()
+    assert np.array_equal(mach.matrix.row_zeros, full.row_zeros[mach.live])
+    assert np.array_equal(mach.finals, final_mask(table)[mach.live])
+
+
 def test_runs_before_the_first_repeat_keep_every_column():
     _window_cache.pop(13, None)
     _, window = run_dp(13, 40, keep_trace=True)
@@ -362,9 +390,10 @@ def test_width13_window_holds_84_uint8_columns():
     window = _window_cache[13]
     assert window.repeat == (85, 12, 36)
     assert len(window) == len(window.offsets) == 84
-    k = machinery(13).table.k
-    assert all(off.dtype == np.uint8 and off.shape == (k,) for off in window.offsets)
-    assert sum(off.nbytes for off in window.offsets) == 84 * 22036  # about 1.8 MB
+    # the columns hold the 8,385 live words of the 22,036 in the table
+    assert len(machinery(13).live) == 8385
+    assert all(off.dtype == np.uint8 and off.shape == (8385,) for off in window.offsets)
+    assert sum(off.nbytes for off in window.offsets) == 84 * 8385  # about 0.7 MB
 
 
 def test_warm_solve_width_is_a_lookup():

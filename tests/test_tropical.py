@@ -14,6 +14,7 @@ from quasidom.tropical import (
     build_transition_matrix,
     final_mask,
     mat_vec,
+    restrict,
 )
 from quasidom.words import (
     can_follow,
@@ -23,6 +24,14 @@ from quasidom.words import (
     is_initial,
     zeros,
 )
+
+
+def dense(matrix):
+    """The full k x k matrix with _INF for missing entries (small k only)."""
+    out = np.full((matrix.k, matrix.k), _INF, dtype=np.int64)
+    for p in range(matrix.k):
+        out[p, matrix.predecessors(p)] = matrix.row_zeros[p]
+    return out
 
 
 def entry(table, x, word):
@@ -59,23 +68,23 @@ def test_initial_vector_finite_entries_count_zeros():
 
 def test_transition_matrix_entries(t2):
     table, matrix, _ = t2
-    dense = matrix.dense()
+    entries = dense(matrix)
     ids = table.words.index
-    assert dense[ids("20"), ids("01")] == 1
-    assert dense[ids("01"), ids("01")] == _INF
+    assert entries[ids("20"), ids("01")] == 1
+    assert entries[ids("01"), ids("01")] == _INF
 
 
 @pytest.mark.parametrize("m", range(2, 8))
 def test_matrix_matches_can_follow(m):
     table = enumerate_suitable(m)
     matrix = build_transition_matrix(table)
-    dense = matrix.dense()
+    entries = dense(matrix)
     for pi, p in enumerate(table):
         for qi, q in enumerate(table):
             if can_follow(p, q):
-                assert dense[pi, qi] == zeros(p)
+                assert entries[pi, qi] == zeros(p)
             else:
-                assert dense[pi, qi] == _INF
+                assert entries[pi, qi] == _INF
 
 
 # width: (k, finite entries, sha256 prefix of pred_ptr || pred_idx as little-endian int64)
@@ -143,6 +152,22 @@ def test_vectors_match_word_predicates(m):
     ]
     assert final_mask(table).tolist() == [is_final(w) for w in table]
     assert matrix.row_zeros.tolist() == [zeros(w) for w in table]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
+    table = enumerate_suitable(m)
+    matrix = build_transition_matrix(table)
+    full = dense(matrix)
+    rng = np.random.default_rng(m)
+    for keep in (rng.random(table.k) < 0.5, np.ones(table.k, bool), np.zeros(table.k, bool)):
+        kept = restrict(matrix, keep)
+        ids = np.flatnonzero(keep)
+        assert np.array_equal(dense(kept), full[np.ix_(ids, ids)])
+        assert np.array_equal(kept.row_zeros, matrix.row_zeros[ids])
+        assert kept.pred_idx.dtype == np.int64 and kept.table is table
+        for p in range(kept.k):
+            assert (np.diff(kept.predecessors(p)) > 0).all()
 
 
 def test_mat_vec_absorbs_infinity(t2):
