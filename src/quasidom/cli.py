@@ -26,9 +26,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .errors import (
     ConstructionError,
-    InvalidSetError,
     MalformedSetError,
-    MalformedWordError,
     PeriodNotFoundError,
     ResourceCapError,
     UnsupportedGridError,
@@ -124,13 +122,13 @@ def _cmd_period(args) -> int:
 
 
 def _cmd_pattern(args) -> int:
-    from .pattern import build_big_grid_set
+    from .pattern import build_big_grid_set, construction_info
 
     t = time.perf_counter()
-    gs, info = build_big_grid_set(args.m, args.n, with_info=True)
+    gs = build_big_grid_set(args.m, args.n)
     env = _envelope(
         "pattern", {"m": args.m, "n": args.n}, t,
-        value=len(gs), set=gs, construction=info,
+        value=len(gs), set=gs, construction=construction_info(args.m, args.n),
     )
     _emit(env, args, f"pattern({args.m},{args.n}): |W| = {len(gs)}", gs)
     return 0
@@ -307,16 +305,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        MalformedWordError,
-        UnsupportedGridError,
-        InvalidSetError,
-        ResourceCapError,
-        PeriodNotFoundError,
-        ConstructionError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # every other quasidom.errors type is a ValueError
+    except (ValueError, OSError, ResourceCapError, PeriodNotFoundError, ConstructionError) as exc:
         if args.json:
             _write_json({"error": {"type": type(exc).__name__, "message": str(exc)}})
         else:

@@ -177,25 +177,53 @@ def _solve_region(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[
     return block
 
 
-def build_big_grid_set(m: int, n: int, with_info: bool = False):
+def construction_info(m: int, n: int) -> dict:
+    """How build_big_grid_set(m, n) builds its set: {"s", "regions", "nets"}.
+
+    s is the residue class, regions the 8x8 corner blocks in repair order
+    and nets the members each block drops: 1, unless V_s already holds its
+    extended-grid corner, which the projection drops.  Widths 14 and 15
+    give {"s": None, "regions": [], "nets": [], "fallback": "dp"}.  Raises
+    UnsupportedGridError outside 14 <= m <= n.
+    """
+    if not 14 <= m <= n:
+        raise UnsupportedGridError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
+    if m <= 15:
+        return {"s": None, "regions": [], "nets": [], "fallback": "dp"}
+    s = choose_residue(m, n)
+    k = CORNER_SIZE
+    # (name, top-left cell, extended-grid corner)
+    corners = [
+        ("top-left", (1, 1), (0, 0)),
+        ("top-right", (1, n - k + 1), (0, n + 1)),
+        ("bottom-left", (m - k + 1, 1), (m + 1, 0)),
+        ("bottom-right", (m - k + 1, n - k + 1), (m + 1, n + 1)),
+    ]
+    return {
+        "s": s,
+        "regions": [
+            {"name": name, "rows": [r1, r1 + k - 1], "cols": [c1, c1 + k - 1]}
+            for name, (r1, c1), _ in corners
+        ],
+        "nets": [int((2 * ei + ej) % 5 != s) for _, _, (ei, ej) in corners],
+    }
+
+
+def build_big_grid_set(m: int, n: int) -> GridSet:
     """An independent [1,2]-set of size floor((m+2)(n+2)/5) - 4 for 14 <= m <= n.
 
     Widths 14 and 15 use the width-m dynamic program.  Wider grids start
     from the `projected_class` rows of `choose_residue(m, n)` and repair
-    their four 8x8 corner blocks in the order top-left, top-right,
-    bottom-left, bottom-right, writing each block back before the next
-    corner reads the rows; a block drops one member unless V_s already
-    misses its extended-grid corner.  The rows become the GridSet's bits as
-    they are, and the set is verified before it is returned.
+    the corner blocks of `construction_info(m, n)` in its order, writing
+    each block back before the next corner reads the rows.  The rows
+    become the GridSet's bits as they are, and the set is verified before
+    it is returned.
 
-    With `with_info`, also returns {"s", "regions", "nets"} describing the
-    repair ({"s": None, "regions": [], "nets": [], "fallback": "dp"} for
-    widths 14 and 15).  Raises UnsupportedGridError outside 14 <= m <= n,
-    ConstructionError if a corner has no repair or the result fails
-    verification, and ResourceCapError above grids.MAX_CELLS cells.
+    Raises UnsupportedGridError outside 14 <= m <= n, ConstructionError if
+    a corner has no repair or the result fails verification, and
+    ResourceCapError above grids.MAX_CELLS cells.
     """
-    if not 14 <= m <= n:
-        raise UnsupportedGridError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
+    info = construction_info(m, n)
     check_cell_cap(m, n)
     target = (m + 2) * (n + 2) // 5 - 4
 
@@ -206,27 +234,18 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
             raise ConstructionError(
                 f"DP extraction for ({m}, {n}) produced {len(result)} members, expected {target}"
             )
-        if with_info:
-            return result, {"s": None, "regions": [], "nets": [], "fallback": "dp"}
         return result
 
-    s = choose_residue(m, n)
-    k = CORNER_SIZE
-    # (name, top-left cell, extended-grid corner); the projection already
-    # drops an extended corner that lies in V_s, so that block nets 0
-    corners = [
-        ("top-left", (1, 1), (0, 0)),
-        ("top-right", (1, n - k + 1), (0, n + 1)),
-        ("bottom-left", (m - k + 1, 1), (m + 1, 0)),
-        ("bottom-right", (m - k + 1, n - k + 1), (m + 1, n + 1)),
-    ]
-    nets = [int((2 * ei + ej) % 5 != s) for _, _, (ei, ej) in corners]
+    s = info["s"]
     rows = projected_class(m, n, s)
-    for (name, (r1, c1), _), net in zip(corners, nets):
+    for region, net in zip(info["regions"], info["nets"]):
+        (r1, _), (c1, _) = region["rows"], region["cols"]
         block = _solve_region(rows, n, r1, c1, net)
         if block is None:
-            raise ConstructionError(f"no repair of the {name} corner of ({m}, {n}) with s={s}")
-        outside = ~(((1 << k) - 1) << (c1 - 1))
+            raise ConstructionError(
+                f"no repair of the {region['name']} corner of ({m}, {n}) with s={s}"
+            )
+        outside = ~(((1 << CORNER_SIZE) - 1) << (c1 - 1))
         for r, b in enumerate(block, start=r1 - 1):
             rows[r] = rows[r] & outside | b << (c1 - 1)
     # row m holds the most significant bits
@@ -236,14 +255,4 @@ def build_big_grid_set(m: int, n: int, with_info: bool = False):
             f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "
             f"members; target {target}"
         )
-    if with_info:
-        info = {
-            "s": s,
-            "regions": [
-                {"name": name, "rows": [r1, r1 + k - 1], "cols": [c1, c1 + k - 1]}
-                for name, (r1, c1), _ in corners
-            ],
-            "nets": nets,
-        }
-        return result, info
     return result

@@ -78,10 +78,6 @@ class TropicalMatrix:
         return self.pred_idx[self.pred_ptr[p] : self.pred_ptr[p + 1]]
 
 
-def _zero_counts(table: WordTable) -> np.ndarray:
-    return np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
-
-
 def build_initial_vector(table: WordTable) -> np.ndarray:
     """X^1: zero-count on initial words, _INF elsewhere, as an int64 array.
 
@@ -90,7 +86,7 @@ def build_initial_vector(table: WordTable) -> np.ndarray:
     """
     _, p = follow_pairs(np.ones((1, table.m), np.uint8), table.digits)
     x = np.full(table.k, _INF, dtype=np.int64)
-    x[p] = _zero_counts(table)[p]
+    x[p] = np.count_nonzero(table.digits[p] == 0, axis=1)
     return x
 
 
@@ -113,7 +109,8 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
         counts = np.bincount(p)
         ptr[lo + 1 : lo + 1 + counts.size] = counts
     np.cumsum(ptr, out=ptr)
-    return _from_lists(table, _zero_counts(table), ptr, np.concatenate(blocks, dtype=np.int64))
+    row_zeros = np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
+    return _from_lists(table, row_zeros, ptr, np.concatenate(blocks, dtype=np.int64))
 
 
 def _from_lists(

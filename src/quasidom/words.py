@@ -81,14 +81,17 @@ def is_final(word: str) -> bool:
 
 
 def can_follow(p: str, q: str) -> bool:
-    """Whether column word p may appear right of q: _follow_ok at every position."""
+    """Whether column word p may appear right of q: _follow_ok at every position.
+
+    q is a suitable word or the all-1s column of is_initial; the rule is
+    stated for those only.
+    """
     _validate(p)
     _validate(q)
     if len(p) != len(q):
         raise MalformedWordError(f"length mismatch: {p!r} vs {q!r}")
-    m = len(p)
     d = [_EDGE, *map(int, p), _EDGE]
-    return all(_follow_ok(int(q[i]), d[i + 1], d[i], 0 < i < m - 1, d[i + 2]) for i in range(m))
+    return all(_follow_ok(int(q[i]), d[i + 1], d[i], d[i + 2]) for i in range(len(p)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,19 +146,25 @@ def _window_ok(before: int, a: int, b: int, after: int) -> bool:
     return True
 
 
-def _follow_ok(q: int, p: int, up: int, interior: int, down: int) -> bool:
+def _follow_ok(q: int, p: int, up: int, down: int) -> bool:
     """The follow rule at one position: labels q and p, p's labels up and down of it.
 
-    interior is false in the top and bottom rows.  Case analysis on q
-    (both words assumed suitable):
+    Case analysis on q, for a suitable q or the virtual first column of 1s:
 
     * q = 0: p is dominated from the left, so p = 1 with no vertical 0
       next to it, or p = 2 with exactly one vertical 0.
     * q = 1: p may be 0 or 3, or 1 with exactly one vertical 0, or 2 with
       vertical 0s on both sides.
-    * q = 2: p = 3, or (away from the boundary) 1 with exactly one
-      vertical 0; p = 0 would give q's vertex a third dominator.
+    * q = 2: p = 3, or 1 with exactly one vertical 0; p = 0 would give q's
+      vertex a third dominator.
     * q = 3: p = 0, the 3 is dominated only from the right.
+
+    The q = 2, p = 1 case needs no exception at the word boundary, at any
+    width.  In a suitable q, a 2 in the top (bottom) row has a 0 directly
+    below (above) it: every other pair with that 2 needs a 0 beyond the
+    boundary.  The p = 1 beside it has the boundary on its other side, so
+    its one vertical 0 must be in p at the row of q's 0, and q = 0 forbids
+    p = 0 there.  The pair fails at that row, whatever this position admits.
     """
     up0, dn0 = up == 0, down == 0
     if q == 3:
@@ -164,7 +173,7 @@ def _follow_ok(q: int, p: int, up: int, interior: int, down: int) -> bool:
         return (p == 1 and not (up0 or dn0)) or (p == 2 and up0 != dn0)
     if q == 1:
         return p in (0, 3) or (p == 1 and up0 != dn0) or (p == 2 and up0 and dn0)
-    return p == 3 or (p == 1 and bool(interior) and up0 != dn0)
+    return p == 3 or (p == 1 and up0 != dn0)
 
 
 def _lookup(rule, *sizes: int) -> np.ndarray:
@@ -180,9 +189,9 @@ def _lookup(rule, *sizes: int) -> np.ndarray:
     return table
 
 
-# _WINDOW[before, a, b, after]; _FOLLOW[q, p, up, interior, down].
+# _WINDOW[before, a, b, after]; _FOLLOW[q, p, up, down].
 _WINDOW = _lookup(_window_ok, _EDGE + 1, 4, 4)
-_FOLLOW = _lookup(_follow_ok, 4, 4, _EDGE + 1, 2)
+_FOLLOW = _lookup(_follow_ok, 4, 4, _EDGE + 1)
 
 
 def _suitable_digits(m: int, max_words: int) -> np.ndarray:
@@ -303,13 +312,13 @@ def _join(
         (q_ptr, q_labels), (p_ptr, p_labels) = q_trie[t], p_trie[t]
         i, p_next = _children(p_ptr, p)
         p_label = p_labels[p_next]
-        if t:  # position t-1 is interior once t >= 2
-            ok = _FOLLOW[q_last[i], p_last[i], p_up[i], int(t >= 2), p_label]
+        if t:
+            ok = _FOLLOW[q_last[i], p_last[i], p_up[i], p_label]
             i, p_next, p_label = i[ok], p_next[ok], p_label[ok]
         j, q_next = _children(q_ptr, q[i])
         i, p_next, p_label = i[j], p_next[j], p_label[j]
         q_label = q_labels[q_next]
-        ok = _FOLLOW[q_label, p_label, p_last[i], int(0 < t < m - 1), _OPEN if t < m - 1 else _EDGE]
+        ok = _FOLLOW[q_label, p_label, p_last[i], _OPEN if t < m - 1 else _EDGE]
         p_up = p_last[i[ok]]
         q, p, q_last, p_last = q_next[ok], p_next[ok], q_label[ok], p_label[ok]
     return q, p

@@ -15,6 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import quasidom
+import quasidom.cli
+import quasidom.errors
 from quasidom.cli import main
 from quasidom.grids import GridSet
 
@@ -145,6 +147,28 @@ def test_pattern_outside_its_domain_is_a_typed_error(capsys):
         code, env = run_json(capsys, "pattern", *argv)
         assert code == 1
         assert env["error"]["type"] == "UnsupportedGridError"
+
+
+def _error_types():
+    return [
+        obj
+        for obj in vars(quasidom.errors).values()
+        if isinstance(obj, type) and issubclass(obj, Exception) and obj.__module__ == "quasidom.errors"
+    ]
+
+
+@pytest.mark.parametrize("error", _error_types(), ids=lambda cls: cls.__name__)
+def test_every_package_error_is_an_error_envelope(capsys, monkeypatch, error):
+    # a new error type that main does not catch would escape as a traceback
+    def fail(args):
+        raise error("boom")
+
+    monkeypatch.setattr(quasidom.cli, "_cmd_value", fail)
+    code, env = run_json(capsys, "value", "2", "4")
+    assert code == 1
+    assert env == {"error": {"type": error.__name__, "message": "boom"}}
+    assert main(["value", "2", "4"]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_usage_error_exits_2():

@@ -9,6 +9,7 @@ from quasidom.grids import verify_set
 from quasidom.pattern import (
     build_big_grid_set,
     choose_residue,
+    construction_info,
     diagonal_partition,
     project_inner,
     projected_class,
@@ -114,11 +115,13 @@ def test_build_rejects_small_grids():
         build_big_grid_set(13, 20)
     with pytest.raises(ValueError):
         build_big_grid_set(15, 14)
+    with pytest.raises(ValueError):
+        construction_info(13, 20)
 
 
 def test_changes_are_localized_for_corner_repairs():
     m, n = 18, 22
-    result, info = build_big_grid_set(m, n, with_info=True)
+    result, info = build_big_grid_set(m, n), construction_info(m, n)
     assert info["s"] is not None
     base = project_inner(diagonal_partition(m, n, info["s"]), m, n)
     touched = set()
@@ -211,7 +214,7 @@ def test_corner_repair_is_periodic():
     The test below repeats the far copies without the region cache.
     """
     for m0, n0 in _representatives():
-        rep, rep_info = build_big_grid_set(m0, n0, with_info=True)
+        rep, rep_info = build_big_grid_set(m0, n0), construction_info(m0, n0)
         assert len(rep) == big_grid_value(m0, n0), (m0, n0)
         assert verify_set(rep).ok, (m0, n0)
         row_shifts = (0, 1, 4) if m0 >= 20 else (0,)
@@ -230,7 +233,7 @@ def test_corner_repair_search_reads_only_its_window(monkeypatch):
     for m0, n0 in _representatives():
         if n0 < 22:
             continue
-        rep, rep_info = build_big_grid_set(m0, n0, with_info=True)
+        rep, rep_info = build_big_grid_set(m0, n0), construction_info(m0, n0)
         monkeypatch.setattr(pattern, "_region_cache", {})
         _assert_translated_copy(rep, rep_info, 4 if m0 >= 20 else 0, 4)
         monkeypatch.undo()
@@ -268,7 +271,7 @@ def test_representatives_match_pinned_digests(monkeypatch):
     assert set(PINNED_DIGESTS) == set(_representatives())
     for (m, n), digest in PINNED_DIGESTS.items():
         monkeypatch.setattr(pattern, "_region_cache", {})  # search every corner afresh
-        result, info = build_big_grid_set(m, n, with_info=True)
+        result, info = build_big_grid_set(m, n), construction_info(m, n)
         payload = json.dumps([result.sorted_members(), info["s"], info["nets"]])
         assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest, (m, n)
 
@@ -276,7 +279,7 @@ def test_representatives_match_pinned_digests(monkeypatch):
 def _assert_translated_copy(rep, rep_info, a, b):
     """Build the copy shifted by (5a, 5b) and compare it with `rep`."""
     m, n = rep.m + 5 * a, rep.n + 5 * b
-    copy, info = build_big_grid_set(m, n, with_info=True)
+    copy, info = build_big_grid_set(m, n), construction_info(m, n)
     assert (info["s"], info["nets"]) == (rep_info["s"], rep_info["nets"]), (m, n)
     rep_windows = _corner_windows(rep.m, rep.n)
     for (r, c), (rows, cols) in _corner_windows(m, n).items():

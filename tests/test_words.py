@@ -8,6 +8,9 @@ from hypothesis import given, strategies as st
 from quasidom.errors import MalformedWordError, ResourceCapError
 from quasidom.tropical import _INF, build_initial_vector
 from quasidom.words import (
+    _EDGE,
+    _follow_ok,
+    _window_ok,
     can_follow,
     enumerate_suitable,
     is_final,
@@ -217,9 +220,9 @@ def _assert_is_suitable_matches_the_reference(m):
         assert is_suitable(w) == reference_is_suitable(w), w
 
 
-def _assert_can_follow_matches_the_reference(words):
-    for q in words:
-        for p in words:
+def _assert_can_follow_matches_the_reference(q_words, p_words):
+    for q in q_words:
+        for p in p_words:
             assert can_follow(p, q) == reference_can_follow(p, q), (p, q)
 
 
@@ -236,18 +239,37 @@ def test_is_suitable_matches_the_reference_loops_wide():
 
 @pytest.mark.parametrize("m", range(2, 5))
 def test_can_follow_matches_the_reference_on_every_pair(m):
-    # unsuitable words included
-    _assert_can_follow_matches_the_reference(_all_words(m))
+    # every p, suitable or not, after each q the rule is stated for: the
+    # suitable words and the virtual first column of 1s (is_initial)
+    q_words = [*enumerate_suitable(m).words, "1" * m]
+    _assert_can_follow_matches_the_reference(q_words, _all_words(m))
 
 
 @pytest.mark.parametrize("m", (5, 6))
 def test_can_follow_matches_the_reference_on_suitable_pairs(m):
-    _assert_can_follow_matches_the_reference(enumerate_suitable(m).words)
+    words = enumerate_suitable(m).words
+    _assert_can_follow_matches_the_reference(words, words)
 
 
 @pytest.mark.slow
 def test_can_follow_matches_the_reference_on_suitable_pairs_wide():
-    _assert_can_follow_matches_the_reference(enumerate_suitable(7).words)
+    words = enumerate_suitable(7).words
+    _assert_can_follow_matches_the_reference(words, words)
+
+
+_NEIGHBORS = (*range(4), _EDGE)
+
+
+def test_a_boundary_2_has_a_0_beside_it():
+    # the facts the _follow_ok docstring uses to drop a boundary exception
+    # for q = 2, p = 1, whatever the width
+    for b, neighbor in itertools.product(range(4), _NEIGHBORS):
+        if _window_ok(_EDGE, 2, b, neighbor):  # a 2 in the top row
+            assert b == 0, (b, neighbor)
+        if _window_ok(neighbor, b, 2, _EDGE):  # a 2 in the bottom row
+            assert b == 0, (neighbor, b)
+    for up, down in itertools.product(_NEIGHBORS, repeat=2):
+        assert not _follow_ok(0, 0, up, down)
 
 
 @pytest.mark.parametrize("m", range(2, 14))
