@@ -10,16 +10,15 @@ without numpy.  Widths 14 and 15 take the set from the transfer-matrix
 extractor instead.  The tests' reference is `diagonal_partition`, V_s as
 (i, j) tuples, and `project_inner`.
 
-A repair is an exact column sweep over one corner block that keeps the
-cells outside it fixed and drops one member unless the class already
-misses that extended-grid corner.  Its state is the last two columns as
-bitmasks of the rows near the corner plus the members used; choosing a
-column settles the one before it, whose non-members each need one or two
-of the masks left, right, up and down.  `_region_cache` keeps the repaired
-blocks, keyed by the cells read.  A repair reads only the cells near its
-corner, so the output of every grid is a translate of one of finitely many
-small grids away from the corners; `test_corner_repair_is_periodic` in
-tests/test_pattern.py checks this.
+A repair re-chooses one corner block, keeping the cells outside it fixed
+and dropping one member unless the class already misses that extended-grid
+corner.  It depends only on the cells of a small window around the block
+(`_corner_key`), and the grids with m >= 16 read 24 windows in all, so
+`_CORNER_BLOCKS` maps each of them to its repaired block and the build
+only looks blocks up.  An exact column sweep in tests/test_pattern.py
+generates that table; its tests re-search every window, prove that no
+grid with m >= 16 reads any other (`test_corner_repair_is_periodic`), and
+pin the output.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .grids import GridSet, check_cell_cap, extract_min_set, verify_set
 
 # side of the square corner regions that the repair search re-chooses
 CORNER_SIZE = 8
-
-_CACHE_MAX = 4096
 
 
 def diagonal_partition(m: int, n: int, s: int) -> frozenset[tuple[int, int]]:
@@ -85,96 +82,34 @@ def projected_class(m: int, n: int, s: int) -> list[int]:
 def choose_residue(m: int, n: int) -> int:
     """Residue whose class is smallest on the extended grid (ties: smallest s).
 
-    Row i meets V_s in the columns j = (s - 2i) mod 5, +5, +10, ... <= n + 1.
+    Row i meets V_s in the columns j = (s - 2i) mod 5, +5, +10, ... <= n + 1,
+    so V_s counts, for each u mod 5, the extended rows i = u (mod 5) times
+    the columns j = s - 2u (mod 5).
     """
-    sizes = [sum((n + 6 - (s - 2 * i) % 5) // 5 for i in range(m + 2)) for s in range(5)]
+    rows = [(m + 6 - u) // 5 for u in range(5)]  # i = u (mod 5) in 0..m+1
+    cols = [(n + 6 - r) // 5 for r in range(5)]  # j = r (mod 5) in 0..n+1
+    sizes = [sum(rows[u] * cols[(s - 2 * u) % 5] for u in range(5)) for s in range(5)]
     return min(range(5), key=lambda s: (sizes[s], s))
 
 
-_region_cache: dict[tuple, tuple[int, ...] | None] = {}
+def _corner_key(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple:
+    """The cells that repairing the corner block with top-left cell (r1, c1) depends on.
 
-
-def _solve_region(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[int, ...] | None:
-    """Re-choose the corner block with top-left cell (r1, c1) of `projected_class`-style rows.
-
-    The rows are only read.  Returns the repaired CORNER_SIZE x CORNER_SIZE
-    block, one bitmask per row with column c1 + k at bit k, with exactly
-    `net` fewer members than the block has now, or None if no such choice
-    exists.  The sweep runs over columns c1-1..c2+2 as bitmasks of rows
-    r1-2..r2+2 (clipped to the grid); a state is (column j, column j-1,
-    block members used).  Choosing column j settles column j-1: each of its
-    non-member cells in rows r1-1..r2+1 needs one or two of the masks left,
-    right, up and down.  States are expanded in sorted order and keep the
-    first predecessor found.
+    The window is rows r1-2..r2+2 and columns c1-3..c2+2 (r2, c2 the
+    block's last row and column) clipped to the grid, h x w cells with
+    top-left cell (top, left).  The key is (h, w, r1 - top, c1 - left, net,
+    rows), with the window's rows as w-bit slices of the row bitmasks.
     """
-    m = len(rows)
-    r2, c2 = r1 + CORNER_SIZE - 1, c1 + CORNER_SIZE - 1
-    lr1, lr2 = max(1, r1 - 2), min(m, r2 + 2)
-    h = lr2 - lr1 + 1
+    top, bottom = max(1, r1 - 2), min(len(rows), r1 + CORNER_SIZE + 1)
+    left, right = max(1, c1 - 3), min(n, c1 + CORNER_SIZE + 1)
+    w = right - left + 1
+    window = tuple(row >> (left - 1) & (1 << w) - 1 for row in rows[top - 1 : bottom])
+    return (bottom - top + 1, w, r1 - top, c1 - left, net, window)
 
-    def span(lo: int, hi: int) -> int:
-        return ((1 << (hi - lo + 1)) - 1) << (lo - lr1)
-
-    free_mask = span(r1, r2)
-    check_mask = span(max(1, r1 - 1), min(m, r2 + 1))
-
-    jstart, jend = max(1, c1 - 1), min(n, c2 + 1)
-    # columns jstart-2..jend+1 as bitmasks of rows lr1..lr2; columns off the grid are empty
-    window = rows[lr1 - 1 : lr2]
-    col_bits = {
-        j: sum((row >> (j - 1) & 1) << t for t, row in enumerate(window)) if j > 0 else 0
-        for j in range(jstart - 2, jend + 2)
-    }
-    sig = (h, r1 - lr1, check_mask, c1 - jstart, jend - jstart, tuple(col_bits.values()), net)
-
-    def candidates(j: int) -> list[tuple[int, int]]:
-        """(column, block members it adds) in increasing column order."""
-        if not c1 <= j <= c2:
-            return [(col_bits[j], 0)]
-        fixed = col_bits[j] & ~free_mask
-        cols = (fixed | v << (r1 - lr1) for v in range(1 << CORNER_SIZE))
-        return [(c, bin(c & free_mask).count("1")) for c in cols if not c & (c >> 1)]
-
-    def search() -> tuple[int, ...] | None:
-        target = sum(bin(col_bits[j] & free_mask).count("1") for j in range(c1, c2 + 1)) - net
-        if target < 0:
-            return None
-        sweep = range(jstart, jend + 2)
-        layers = [{(col_bits[jstart - 1], col_bits[jstart - 2], 0): None}]
-        for j in sweep:
-            cands = candidates(j)
-            nxt: dict[tuple[int, int, int], tuple] = {}
-            for key in sorted(layers[-1]):
-                prev, left, used = key
-                up, down = prev << 1, prev >> 1
-                # column jstart - 1 lies outside the checked stretch
-                need = check_mask & ~prev if j > jstart else 0
-                if need & left & up & down:
-                    continue
-                once = left | up | down
-                twice = (left & up) | (left & down) | (up & down)
-                for mem, cost in cands:
-                    ok = not (mem & prev or need & ~(once | mem) or need & twice & mem)
-                    if ok and used + cost <= target:
-                        nxt.setdefault((mem, prev, used + cost), key)
-            if not nxt:
-                return None
-            layers.append(nxt)
-        key = min((k for k in layers[-1] if k[2] == target), default=None)
-        if key is None:
-            return None
-        block = [0] * CORNER_SIZE
-        for j, layer in zip(reversed(sweep), reversed(layers)):
-            if c1 <= j <= c2:
-                for t in range(CORNER_SIZE):
-                    block[t] |= (key[0] >> (r1 - lr1 + t) & 1) << (j - c1)
-            key = layer[key]
-        return tuple(block)
-
-    block = _region_cache[sig] if sig in _region_cache else search()
-    if len(_region_cache) < _CACHE_MAX:
-        _region_cache.setdefault(sig, block)
-    return block
+    """The _CORNER_BLOCKS block at (r1, c1), column c1 + k at bit k; None if not in the table."""
+def _corner_block(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[int, ...] | None:
+    """The _CORNER_BLOCKS block at (r1, c1), column c1 + k at bit k; None if the window is new."""
+    return _CORNER_BLOCKS.get(_corner_key(rows, n, r1, c1, net))
 
 
 def construction_info(m: int, n: int) -> dict:
@@ -220,8 +155,8 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     it is returned.
 
     Raises UnsupportedGridError outside 14 <= m <= n, ConstructionError if
-    a corner has no repair or the result fails verification, and
-    ResourceCapError above grids.MAX_CELLS cells.
+    a corner's window is not in _CORNER_BLOCKS or the result fails
+    verification, and ResourceCapError above grids.MAX_CELLS cells.
     """
     info = construction_info(m, n)
     check_cell_cap(m, n)
@@ -240,10 +175,10 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     rows = projected_class(m, n, s)
     for region, net in zip(info["regions"], info["nets"]):
         (r1, _), (c1, _) = region["rows"], region["cols"]
-        block = _solve_region(rows, n, r1, c1, net)
+        block = _corner_block(rows, n, r1, c1, net)
         if block is None:
             raise ConstructionError(
-                f"no repair of the {region['name']} corner of ({m}, {n}) with s={s}"
+                f"no repaired block for the {region['name']} corner window of ({m}, {n}) with s={s}"
             )
         outside = ~(((1 << CORNER_SIZE) - 1) << (c1 - 1))
         for r, b in enumerate(block, start=r1 - 1):
@@ -256,3 +191,58 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
             f"members; target {target}"
         )
     return result
+
+
+# The repaired block of every corner window that a grid with m >= 16 reads, keyed by
+# _corner_key.  The sweep in tests/test_pattern.py generates it (`PYTHONPATH=src python
+# tests/test_pattern.py` prints it), and its tests re-search every key and prove it complete.
+_CORNER_BLOCKS: dict[tuple, tuple[int, ...]] = {
+    (10, 10, 0, 0, 0, (660, 33, 264, 66, 529, 132, 33, 264, 66, 529)):
+        (148, 33, 8, 66, 17, 132, 33, 8),
+    (10, 10, 0, 0, 1, (165, 264, 66, 529, 132, 33, 264, 66, 529, 132)):
+        (68, 17, 68, 17, 132, 33, 8, 66),
+    (10, 10, 0, 0, 1, (297, 66, 529, 132, 33, 264, 66, 529, 132, 33)):
+        (17, 68, 17, 132, 33, 8, 66, 17),
+    (10, 10, 0, 0, 1, (330, 529, 132, 33, 264, 66, 529, 132, 33, 264)):
+        (68, 17, 132, 33, 8, 66, 17, 132),
+    (10, 10, 0, 0, 1, (595, 132, 33, 264, 66, 529, 132, 33, 264, 66)):
+        (81, 132, 33, 8, 66, 17, 132, 33),
+    (10, 10, 2, 0, 0, (529, 132, 33, 264, 66, 529, 132, 33, 264, 594)):
+        (34, 8, 69, 16, 130, 40, 1, 84),
+    (10, 10, 2, 0, 1, (33, 264, 66, 529, 132, 33, 264, 66, 529, 165)):
+        (66, 17, 132, 33, 8, 66, 17, 164),
+    (10, 10, 2, 0, 1, (66, 529, 132, 33, 264, 66, 529, 132, 33, 330)):
+        (132, 33, 8, 66, 16, 133, 32, 74),
+    (10, 10, 2, 0, 1, (132, 33, 264, 66, 529, 132, 33, 264, 66, 661)):
+        (8, 66, 17, 132, 34, 8, 65, 148),
+    (10, 10, 2, 0, 1, (264, 66, 529, 132, 33, 264, 66, 529, 132, 297)):
+        (16, 133, 32, 10, 64, 21, 128, 42),
+    (10, 11, 0, 3, 0, (594, 132, 1057, 264, 1090, 528, 132, 1057, 264, 1090)):
+        (42, 128, 20, 65, 40, 130, 16, 68),
+    (10, 11, 0, 3, 1, (660, 1057, 264, 1090, 528, 132, 1057, 264, 1090, 528)):
+        (82, 4, 161, 8, 66, 16, 132, 33),
+    (10, 11, 0, 3, 1, (1186, 264, 1090, 528, 132, 1057, 264, 1090, 528, 132)):
+        (84, 1, 168, 2, 80, 4, 161, 8),
+    (10, 11, 0, 3, 1, (1189, 264, 1090, 528, 132, 1057, 264, 1090, 528, 132)):
+        (84, 1, 168, 2, 80, 4, 161, 8),
+    (10, 11, 0, 3, 1, (1321, 1090, 528, 132, 1057, 264, 1090, 528, 132, 1057)):
+        (165, 8, 66, 16, 132, 33, 136, 66),
+    (10, 11, 0, 3, 1, (1354, 528, 132, 1057, 264, 1090, 528, 132, 1057, 264)):
+        (169, 2, 80, 4, 161, 8, 66, 16),
+    (10, 11, 2, 3, 0, (66, 528, 132, 1057, 264, 1090, 528, 132, 1057, 330)):
+        (16, 132, 33, 136, 34, 132, 17, 68),
+    (10, 11, 2, 3, 0, (1090, 528, 132, 1057, 264, 1090, 528, 132, 1057, 330)):
+        (16, 132, 33, 136, 34, 132, 17, 68),
+    (10, 11, 2, 3, 1, (132, 545, 264, 1090, 528, 132, 1057, 264, 1090, 660)):
+        (33, 136, 66, 16, 132, 33, 136, 34),
+    (10, 11, 2, 3, 1, (132, 1057, 264, 1090, 528, 132, 1057, 264, 1090, 660)):
+        (33, 136, 66, 16, 132, 33, 136, 34),
+    (10, 11, 2, 3, 1, (264, 1090, 528, 132, 1057, 264, 1090, 528, 132, 1321)):
+        (66, 16, 132, 33, 136, 34, 136, 34),
+    (10, 11, 2, 3, 1, (528, 132, 1057, 264, 1090, 528, 132, 1057, 264, 1618)):
+        (132, 33, 136, 66, 16, 132, 33, 74),
+    (10, 11, 2, 3, 1, (1057, 264, 1090, 528, 132, 1057, 264, 1090, 528, 1189)):
+        (136, 66, 16, 132, 33, 136, 18, 68),
+    (10, 11, 2, 3, 1, (1288, 66, 528, 132, 1057, 264, 1090, 528, 132, 1321)):
+        (66, 16, 132, 33, 136, 34, 136, 34),
+}

@@ -195,6 +195,7 @@ class DPWindow:
         """
         m, matrix, finals = self.mach.table.m, self.mach.matrix, self.mach.finals
         mins, offsets, steps = self.mins, self.offsets, self.steps
+        pred_ptr, pred_idx = memoryview(matrix.pred_ptr), memoryview(matrix.pred_idx)
         i, shift = self.locate(n)
         low = int(offsets[i][finals].min(initial=OFF_INF))
         if low == OFF_INF:
@@ -220,13 +221,16 @@ class DPWindow:
                     mins[i] + shift + int(offsets[i][p]) - int(matrix.row_zeros[p])
                     - mins[j] - prev_shift
                 )
-                row = matrix.predecessors(p)
-                hits = np.flatnonzero(offsets[j][row] == target) if 0 <= target < OFF_INF else ()
-                if not len(hits):
+                # memoryviews read ints without numpy scalars or copies; sorted ids,
+                # so the first hit is the smallest
+                row = pred_idx[pred_ptr[p] : pred_ptr[p + 1]] if 0 <= target < OFF_INF else ()
+                col = memoryview(offsets[j])
+                q = next((q for q in row if col[q] == target), None)
+                if q is None:
                     raise RuntimeError(
                         f"DP window inconsistent at column {r} for ({m}, {n}); this is a bug"
                     )
-                q = steps[i, j, p] = int(row[hits[0]])  # sorted ids: first hit is smallest
+                steps[i, j, p] = q
             ids.append(q)
             p, i, shift, r = q, j, prev_shift, r - 1
         ids.reverse()

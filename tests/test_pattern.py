@@ -1,12 +1,15 @@
 import functools
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
 from quasidom import pattern
+from quasidom.errors import ConstructionError
 from quasidom.grids import verify_set
 from quasidom.pattern import (
+    CORNER_SIZE,
     build_big_grid_set,
     choose_residue,
     construction_info,
@@ -77,6 +80,18 @@ def test_choose_residue_attains_minimum():
             assert sizes[s] <= (m + 2) * (n + 2) // 5, (m, n)
 
 
+def _reference_choose_residue(m, n):
+    """choose_residue as a sum over the m + 2 extended rows."""
+    sizes = [sum((n + 6 - (s - 2 * i) % 5) // 5 for i in range(m + 2)) for s in range(5)]
+    return min(range(5), key=lambda s: (sizes[s], s))
+
+
+def test_choose_residue_matches_the_row_sum():
+    for m in range(1, 201):
+        for n in range(1, 201):
+            assert choose_residue(m, n) == _reference_choose_residue(m, n), (m, n)
+
+
 def test_choose_residue_tie_break():
     # when several classes tie, the smallest residue wins
     for m in range(1, 31):
@@ -142,8 +157,10 @@ def test_wider_grids_beyond_the_default_sweep():
         assert verify_set(s).ok, (m, n)
 
 
-# A corner repair reads rows at most WINDOW_ROWS from its horizontal border and
-# columns at most WINDOW_COLS from its vertical border (see _solve_region).
+# A corner's repaired block is the pattern._CORNER_BLOCKS entry of its window
+# (pattern._corner_key): rows at most WINDOW_ROWS from its horizontal border
+# and columns at most WINDOW_COLS from its vertical border.  The tests below
+# regenerate that table with the sweep and prove it complete.
 WINDOW_ROWS = 10
 WINDOW_COLS = 11
 
@@ -175,6 +192,149 @@ def _inside(members, rows, cols):
     return {(i, j) for i, j in members if rows[0] <= i <= rows[1] and cols[0] <= j <= cols[1]}
 
 
+def _sweep(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[int, ...] | None:
+    """Re-choose the corner block with top-left cell (r1, c1) of `projected_class`-style rows.
+
+    The rows are only read.  Returns the repaired CORNER_SIZE x CORNER_SIZE
+    block, one bitmask per row with column c1 + k at bit k, with exactly
+    `net` fewer members than the block has now, or None if no such choice
+    exists.  The sweep runs over columns c1-1..c2+2 as bitmasks of rows
+    r1-2..r2+2 (clipped to the grid); a state is (column j, column j-1,
+    block members used).  Choosing column j settles column j-1: each of its
+    non-member cells in rows r1-1..r2+1 needs one or two of the masks left,
+    right, up and down.  States are expanded in sorted order and keep the
+    first predecessor found.
+    """
+    m = len(rows)
+    r2, c2 = r1 + CORNER_SIZE - 1, c1 + CORNER_SIZE - 1
+    lr1, lr2 = max(1, r1 - 2), min(m, r2 + 2)
+
+    def span(lo: int, hi: int) -> int:
+        return ((1 << (hi - lo + 1)) - 1) << (lo - lr1)
+
+    free_mask = span(r1, r2)
+    check_mask = span(max(1, r1 - 1), min(m, r2 + 1))
+
+    jstart, jend = max(1, c1 - 1), min(n, c2 + 1)
+    # columns jstart-2..jend+1 as bitmasks of rows lr1..lr2; columns off the grid are empty
+    window = rows[lr1 - 1 : lr2]
+    col_bits = {
+        j: sum((row >> (j - 1) & 1) << t for t, row in enumerate(window)) if j > 0 else 0
+        for j in range(jstart - 2, jend + 2)
+    }
+
+    def candidates(j: int) -> list[tuple[int, int]]:
+        """(column, block members it adds) in increasing column order."""
+        if not c1 <= j <= c2:
+            return [(col_bits[j], 0)]
+        fixed = col_bits[j] & ~free_mask
+        cols = (fixed | v << (r1 - lr1) for v in range(1 << CORNER_SIZE))
+        return [(c, bin(c & free_mask).count("1")) for c in cols if not c & (c >> 1)]
+
+    def search() -> tuple[int, ...] | None:
+        target = sum(bin(col_bits[j] & free_mask).count("1") for j in range(c1, c2 + 1)) - net
+        if target < 0:
+            return None
+        sweep = range(jstart, jend + 2)
+        layers = [{(col_bits[jstart - 1], col_bits[jstart - 2], 0): None}]
+        for j in sweep:
+            cands = candidates(j)
+            nxt: dict[tuple[int, int, int], tuple] = {}
+            for key in sorted(layers[-1]):
+                prev, left, used = key
+                up, down = prev << 1, prev >> 1
+                # column jstart - 1 lies outside the checked stretch
+                need = check_mask & ~prev if j > jstart else 0
+                if need & left & up & down:
+                    continue
+                once = left | up | down
+                twice = (left & up) | (left & down) | (up & down)
+                for mem, cost in cands:
+                    ok = not (mem & prev or need & ~(once | mem) or need & twice & mem)
+                    if ok and used + cost <= target:
+                        nxt.setdefault((mem, prev, used + cost), key)
+            if not nxt:
+                return None
+            layers.append(nxt)
+        key = min((k for k in layers[-1] if k[2] == target), default=None)
+        if key is None:
+            return None
+        block = [0] * CORNER_SIZE
+        for j, layer in zip(reversed(sweep), reversed(layers)):
+            if c1 <= j <= c2:
+                for t in range(CORNER_SIZE):
+                    block[t] |= (key[0] >> (r1 - lr1 + t) & 1) << (j - c1)
+            key = layer[key]
+        return tuple(block)
+
+    return search()
+
+
+def _representatives_and_copies():
+    """The grids that test_corner_repair_is_periodic builds.
+
+    Each representative, and its copies shifted by 5 or 20 rows (m >= 20)
+    and by 5 or 20 columns (n >= 22).
+    """
+    for m0, n0 in _representatives():
+        for a in (0, 1, 4) if m0 >= 20 else (0,):
+            for b in (0, 1, 4) if n0 >= 22 else (0,):
+                if m0 + 5 * a <= n0 + 5 * b:
+                    yield m0 + 5 * a, n0 + 5 * b
+
+
+def _generate_corner_blocks():
+    """pattern._CORNER_BLOCKS as the sweep gives it.
+
+    Builds every grid of `_representatives_and_copies` and sweeps each corner
+    window the first time a grid reads it; the table is every window read,
+    with its block.
+    """
+    table = {}
+
+    def sweep_once(rows, n, r1, c1, net):
+        key = pattern._corner_key(rows, n, r1, c1, net)
+        if key not in table:
+            table[key] = _sweep(rows, n, r1, c1, net)
+        return table[key]
+
+    with mock.patch.object(pattern, "_corner_block", sweep_once):
+        for m, n in _representatives_and_copies():
+            build_big_grid_set(m, n)
+    return table
+
+
+def test_corner_table_is_the_generated_one():
+    """The table is every window `_representatives_and_copies` reads, with its block.
+
+    With test_corner_repair_is_periodic, no grid with m >= 16 reads a window
+    outside the table.
+    """
+    generated = _generate_corner_blocks()
+    table = pattern._CORNER_BLOCKS
+    assert sorted(generated.keys() - table.keys()) == [], "windows missing from the table"
+    assert sorted(table.keys() - generated.keys()) == [], "windows no grid reads"
+    assert generated == table
+    assert len(table) == 24
+
+
+def test_corner_blocks_are_the_sweep_of_the_window_alone():
+    # the window on its own, as an h x w grid, reads as the same key and sweeps to the same block
+    for key, block in pattern._CORNER_BLOCKS.items():
+        h, w, dr, dc, net, window = key
+        rows = list(window)
+        assert len(rows) == h
+        assert pattern._corner_key(rows, w, dr + 1, dc + 1, net) == key
+        assert _sweep(rows, w, dr + 1, dc + 1, net) == block, key
+        assert len(block) == CORNER_SIZE and all(0 <= b < 1 << CORNER_SIZE for b in block)
+
+
+def test_a_window_missing_from_the_table_names_its_corner(monkeypatch):
+    monkeypatch.setattr(pattern, "_CORNER_BLOCKS", {})
+    with pytest.raises(ConstructionError, match="top-left corner"):
+        build_big_grid_set(16, 16)
+
+
 def test_representatives_cover_every_wide_grid():
     reps = set(_representatives())
     assert len(reps) == 66
@@ -191,13 +351,13 @@ def test_representatives_cover_every_wide_grid():
 def test_corner_repair_is_periodic():
     """The corner repair gives a verified set for every grid with m >= 16.
 
-    Locality.  `_solve_region` is a deterministic function of its net and
-    of the cells it reads, which form its cache key: rows at most 10 from
-    its horizontal border and columns at most 11 from its vertical border.  Top and bottom windows
-    are disjoint once m >= 20; left and right windows once n >= 22.  The
-    base pattern (the projected class V_s) is invariant under shifts by 5
-    in either direction, and `choose_residue` and the nets depend only on
-    (m mod 5, n mod 5).  So adding 5 rows (when m >= 20) or 5 columns
+    Locality.  A corner's block is the `_CORNER_BLOCKS` entry of its key,
+    which holds only its net and the cells of its window: rows at most 10
+    from its horizontal border and columns at most 11 from its vertical
+    border.  Top and bottom windows are disjoint once m >= 20; left and
+    right windows once n >= 22.  The base pattern (the projected class
+    V_s) is invariant under shifts by 5 in either direction, and
+    `choose_residue` and the nets depend only on (m mod 5, n mod 5).  So adding 5 rows (when m >= 20) or 5 columns
     (when n >= 22) translates every corner window, and with it every
     repair.  Every grid with m >= 16 is a copy (m' + 5a, n' + 5b) of one
     of 66 representatives, with m' <= 24 and n' <= 28, where a = 0 when
@@ -211,7 +371,7 @@ def test_corner_repair_is_periodic():
     for a >= 1 copy (a + 1, b) is valid when copy (a, b) is, and likewise
     for b.  Every copy thus follows from the copies with a, b <= 1, which
     are built and verified here; the far copies check the translation.
-    The test below repeats the far copies without the region cache.
+    The test below searches the far copies afresh with the sweep.
     """
     for m0, n0 in _representatives():
         rep, rep_info = build_big_grid_set(m0, n0), construction_info(m0, n0)
@@ -228,13 +388,13 @@ def test_corner_repair_is_periodic():
 
 
 def test_corner_repair_search_reads_only_its_window(monkeypatch):
-    # _region_cache is keyed by the window, so the test above only exercises
-    # the search on representatives; here the far copies are searched afresh
+    # the table is keyed by the window, so the test above reads the blocks of
+    # the far copies from their representatives' entries; here they are swept afresh
     for m0, n0 in _representatives():
         if n0 < 22:
             continue
         rep, rep_info = build_big_grid_set(m0, n0), construction_info(m0, n0)
-        monkeypatch.setattr(pattern, "_region_cache", {})
+        monkeypatch.setattr(pattern, "_corner_block", _sweep)
         _assert_translated_copy(rep, rep_info, 4 if m0 >= 20 else 0, 4)
         monkeypatch.undo()
 
@@ -269,11 +429,13 @@ PINNED_DIGESTS = {
 
 def test_representatives_match_pinned_digests(monkeypatch):
     assert set(PINNED_DIGESTS) == set(_representatives())
-    for (m, n), digest in PINNED_DIGESTS.items():
-        monkeypatch.setattr(pattern, "_region_cache", {})  # search every corner afresh
-        result, info = build_big_grid_set(m, n), construction_info(m, n)
-        payload = json.dumps([result.sorted_members(), info["s"], info["nets"]])
-        assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest, (m, n)
+    # the table, then every corner swept afresh
+    for search in (pattern._corner_block, _sweep):
+        monkeypatch.setattr(pattern, "_corner_block", search)
+        for (m, n), digest in PINNED_DIGESTS.items():
+            result, info = build_big_grid_set(m, n), construction_info(m, n)
+            payload = json.dumps([result.sorted_members(), info["s"], info["nets"]])
+            assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest, (m, n, search)
 
 
 def _assert_translated_copy(rep, rep_info, a, b):
@@ -313,3 +475,11 @@ def test_interior_is_a_perfect_code():
                 if v in members
             )
             assert count == 1, (i, j)
+
+
+if __name__ == "__main__":
+    # print the table for src/quasidom/pattern.py
+    print("_CORNER_BLOCKS: dict[tuple, tuple[int, ...]] = {")
+    for key, block in sorted(_generate_corner_blocks().items()):
+        print(f"    {key}:\n        {block},")
+    print("}")
