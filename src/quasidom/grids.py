@@ -281,8 +281,8 @@ def extract_min_set(m: int, n: int) -> GridSet:
     # after run_dp, so its errors keep their type; before the backtrack lists n ids
     check_cell_cap(m, n)
     ids, best = window.backtrack(n)
-    # column j of the grid is live word ids[j - 1]; its 0s are the members
-    packed = np.packbits(mach.table.digits[mach.live[ids]].T == 0, axis=None, bitorder="little")
+    # column j of the grid is word ids[j - 1] of the live table; its 0s are the members
+    packed = np.packbits(mach.matrix.table.digits[ids].T == 0, axis=None, bitorder="little")
     result = GridSet.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))
     if len(result) != best:
         raise RuntimeError(

@@ -24,6 +24,7 @@ pin the output.
 from __future__ import annotations
 
 from .errors import ConstructionError, UnsupportedGridError
+from .formulas import big_grid_value
 from .grids import GridSet, check_cell_cap, extract_min_set, verify_set
 
 # side of the square corner regions that the repair search re-chooses
@@ -106,7 +107,7 @@ def _corner_key(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple:
     window = tuple(row >> (left - 1) & (1 << w) - 1 for row in rows[top - 1 : bottom])
     return (bottom - top + 1, w, r1 - top, c1 - left, net, window)
 
-    """The _CORNER_BLOCKS block at (r1, c1), column c1 + k at bit k; None if not in the table."""
+
 def _corner_block(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[int, ...] | None:
     """The _CORNER_BLOCKS block at (r1, c1), column c1 + k at bit k; None if the window is new."""
     return _CORNER_BLOCKS.get(_corner_key(rows, n, r1, c1, net))
@@ -160,7 +161,7 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     """
     info = construction_info(m, n)
     check_cell_cap(m, n)
-    target = (m + 2) * (n + 2) // 5 - 4
+    target = big_grid_value(m, n)
 
     if m <= 15:
         # the top and bottom 8x8 corners would overlap; the DP is exact here

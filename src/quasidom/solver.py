@@ -18,10 +18,10 @@ increment c from n0 = t - d on, which extends them to every larger n.
 
 The DP runs over the live words only: those with a predecessor, and the
 initial ones.  Any other word is infinite in every column, so dropping it
-is exact.  Machinery.matrix, .initial and .finals, every window column and
-the ids backtrack returns are indexed by live word; Machinery.live maps
-them back to table ids, in ascending order, so tie-breaks on the smallest
-id pick the same words as over the whole table.
+is exact.  Machinery.matrix carries the live words, in table order, as its
+own table: .initial, .finals, every window column and the ids backtrack
+returns index its rows, so tie-breaks on the smallest id pick the same
+words as over the whole table.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .tropical import (
     mat_vec,
     restrict,
 )
-from .words import WordTable, enumerate_suitable
+from .words import enumerate_suitable
 
 # offset of an infinite entry in a kept column; finite offsets are 0..254
 OFF_INF = 255
@@ -54,12 +54,10 @@ OFF_INF = 255
 class Machinery:
     """Everything solve-time code needs for one width, built once.
 
-    live holds the table ids of the live words, ascending; matrix, initial
-    and finals are restricted to them, so live word i is table word live[i].
+    matrix is restricted to the live words and its table holds them;
+    initial and finals index the same rows.
     """
 
-    table: WordTable
-    live: np.ndarray
     matrix: TropicalMatrix
     initial: np.ndarray
     finals: np.ndarray
@@ -73,15 +71,12 @@ def machinery(m: int) -> Machinery:
     if cached is not None:
         return cached
     table = enumerate_suitable(m)
-    # full-length temporaries end before the next large step: final_mask's
-    # k x m array before the matrix is held, the full X^1 before restrict
-    finals = final_mask(table)
     full = build_transition_matrix(table)
     initial = build_initial_vector(table)
     keep = full.nonempty | (initial < _INF)
-    live = np.flatnonzero(keep)
-    initial = initial[live]
-    built = Machinery(table, live, restrict(full, keep), initial, finals[live])
+    initial = initial[keep]  # frees the full-length X^1 before restrict's transients
+    matrix = restrict(full, keep)
+    built = Machinery(matrix, initial, final_mask(matrix.table))
     _machinery_cache[m] = built
     return built
 
@@ -166,7 +161,7 @@ class DPWindow:
         return t - d - 1 + phase, q * c
 
     def column(self, r: int) -> np.ndarray:
-        """X^r (1-based) as int64 entries with the _INF sentinel, one per live word."""
+        """X^r (1-based) as int64 entries with the _INF sentinel, one per matrix row."""
         i, shift = self.locate(r)
         off = self.offsets[i]
         return np.where(off == OFF_INF, _INF, off + np.int64(self.mins[i] + shift))
@@ -177,7 +172,7 @@ class DPWindow:
         return self.values[i] + shift
 
     def backtrack(self, n: int) -> tuple[list[int], int]:
-        """Live-word ids of a minimum chain of columns 1..n, and its cost.
+        """Ids in the live table of a minimum chain of columns 1..n, and its cost.
 
         Picks the smallest final word id achieving the minimum, then the
         smallest predecessor id achieving each step, so the chain is
@@ -193,7 +188,7 @@ class DPWindow:
         goes on from column s.  A warm call thus costs about t steps plus
         the tile, whatever n is.
         """
-        m, matrix, finals = self.mach.table.m, self.mach.matrix, self.mach.finals
+        m, matrix, finals = self.mach.matrix.table.m, self.mach.matrix, self.mach.finals
         mins, offsets, steps = self.mins, self.offsets, self.steps
         pred_ptr, pred_idx = memoryview(matrix.pred_ptr), memoryview(matrix.pred_idx)
         i, shift = self.locate(n)

@@ -12,11 +12,11 @@ layered join, run over blocks of _BLOCK_ROWS rows p against one q trie
 yields the q of one p in ascending order) and counted per row.  X^1 is the
 same join from a virtual first column of 1s.
 
-The builders here index by table id.  restrict keeps the rows and columns
-of a kept-word mask, renumbered in ascending order; the solver keeps only
-the live words (those with a predecessor, and the initial ones), so its
-matrix, cost vectors and predecessor ids are indexed by live word.  The
-other words are infinite in every column: 13,651 of the 22,036 at width 13.
+Rows, cost vectors and predecessor ids index the rows of a matrix's table.
+restrict keeps the rows and columns of a kept-word mask, and the kept words,
+in ascending order, as its table; the solver keeps only the live words
+(those with a predecessor, and the initial ones).  The other words are
+infinite in every column: 13,651 of the 22,036 at width 13.
 
 Blocking bounds the join's transient candidate pairs, which set the build's
 peak memory: at width 13 the one-shot join peaked near 11 MB under
@@ -54,9 +54,8 @@ class TropicalMatrix:
     row_zeros[p] is the zero-count of word p; pred_idx[pred_ptr[p]:pred_ptr[p+1]]
     lists the ids q (sorted) with a finite entry A[p][q] = row_zeros[p].
     nonempty marks the rows with a predecessor and starts holds their
-    pred_ptr, so that mat_vec does not recompute them on every step.  table
-    is the word table the rows come from: row p is table word p, or after
-    restrict the p-th kept word.
+    pred_ptr, so that mat_vec does not recompute them on every step.  Row p
+    is word p of table.
     """
 
     table: WordTable
@@ -123,13 +122,13 @@ def _from_lists(
 def restrict(matrix: TropicalMatrix, keep: np.ndarray) -> TropicalMatrix:
     """The matrix on the words where the bool mask keep holds, renumbered.
 
-    Kept word p becomes the number of kept words before it, so new ids keep
-    the old order (and smallest-id tie-breaks pick the same words).  Rows
-    of dropped words go, and so do predecessor entries naming a dropped
-    word; each kept list stays ascending.  Besides the kept pred_idx and
-    the positions it is gathered from, the transients are masks and int32
-    ranks: at width 17 restricting to the live words raises the peak RSS
-    of solver.machinery by under 2 MB.
+    Kept word p becomes the number of kept words before it, so new ids and
+    the result's read-only table keep the old order (smallest-id tie-breaks
+    pick the same words).  Rows of dropped words go, and so do predecessor
+    entries naming a dropped word; each kept list stays ascending.  Besides
+    the kept pred_idx and the positions it is gathered from, the transients
+    are masks and int32 ranks: at width 17 restricting to the live words
+    raises the peak RSS of solver.machinery by under 2 MB.
     """
     rank = np.cumsum(keep, dtype=np.int32)
     rank -= 1
@@ -142,7 +141,9 @@ def restrict(matrix: TropicalMatrix, keep: np.ndarray) -> TropicalMatrix:
     pred_idx = matrix.pred_idx[pos]
     del pos
     pred_idx[:] = rank[pred_idx]
-    return _from_lists(matrix.table, matrix.row_zeros[keep], ptr, pred_idx)
+    digits = matrix.table.digits[keep]
+    digits.setflags(write=False)
+    return _from_lists(WordTable(matrix.table.m, digits), matrix.row_zeros[keep], ptr, pred_idx)
 
 
 def mat_vec(matrix: TropicalMatrix, x: np.ndarray) -> np.ndarray:

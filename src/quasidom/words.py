@@ -96,7 +96,7 @@ def can_follow(p: str, q: str) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class WordTable:
-    """All suitable words of one length, lexicographically ordered.
+    """Suitable words of one length (all, or a restricted matrix's), lexicographically ordered.
 
     digits holds them as a read-only k x m uint8 array; words, as strings, on first use.
     """

@@ -1,5 +1,7 @@
+import gc
 import math
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from quasidom.solver import (
     value,
 )
 from quasidom.tropical import _INF, build_initial_vector, build_transition_matrix, final_mask, mat_vec
+from quasidom.words import enumerate_suitable
 
 # boundary values of the finite-difference recurrences, per published table
 TABLE2 = {
@@ -309,27 +312,74 @@ def test_dp_over_live_words_is_lossless(m):
     # the full-table DP, iterated past the first repeat: dropped words stay
     # infinite and the live ones equal the window's columns
     mach = machinery(m)
-    table = mach.table
+    table = enumerate_suitable(m)
     full = build_transition_matrix(table)
     x = build_initial_vector(table)
+    live = np.flatnonzero(full.nonempty | (x < _INF))
     dropped = np.ones(table.k, bool)
-    dropped[mach.live] = False
-    assert np.array_equal(mach.live, np.flatnonzero(full.nonempty | (x < _INF)))
+    dropped[live] = False
+    assert np.array_equal(mach.matrix.table.digits, table.digits[live])
     _, window = run_dp(m, 10**6, keep_trace=True)
     for r in range(1, 2 * window.repeat[0] + 1):
         if r > 1:
             x = mat_vec(full, x)
         assert (x[dropped] == _INF).all(), r
-        assert np.array_equal(x[mach.live], window.column(r)), r
+        assert np.array_equal(x[live], window.column(r)), r
     # each live list is the full list less the dropped words, renumbered
     new_id = np.cumsum(~dropped) - 1
-    for i, p in enumerate(mach.live):
+    for i, p in enumerate(live):
         preds = full.predecessors(p)
         expected = new_id[preds[~dropped[preds]]]
         assert np.array_equal(mach.matrix.predecessors(i), expected), p
         assert (np.diff(expected) > 0).all()
-    assert np.array_equal(mach.matrix.row_zeros, full.row_zeros[mach.live])
-    assert np.array_equal(mach.finals, final_mask(table)[mach.live])
+    assert np.array_equal(mach.matrix.row_zeros, full.row_zeros[live])
+    assert np.array_equal(mach.finals, final_mask(table)[live])
+
+
+# (suitable words, live words, live predecessor entries) per width
+LIVE_COUNTS = {
+    2: (6, 6, 8),
+    3: (13, 12, 18),
+    4: (27, 23, 38),
+    5: (57, 46, 78),
+    6: (120, 85, 164),
+    7: (253, 165, 342),
+    8: (532, 314, 704),
+    9: (1121, 602, 1459),
+    10: (2360, 1160, 3036),
+    11: (4970, 2237, 6351),
+    12: (10464, 4326, 13304),
+    13: (22036, 8385, 27920),
+    14: (46399, 16267, 58684),
+    15: (97704, 31606, 123564),
+}
+
+
+@pytest.mark.parametrize("m", range(2, 16))
+def test_machinery_keeps_one_table_of_the_live_words(m):
+    mach = machinery(m)
+    table = mach.matrix.table
+    assert (enumerate_suitable(m).k, table.k, mach.matrix.finite_entries) == LIVE_COUNTS[m]
+    assert table.k == mach.matrix.k == len(mach.initial) == len(mach.finals)
+    assert table.m == m and not table.digits.flags.writeable
+
+
+def test_machinery_frees_the_full_table(monkeypatch):
+    from quasidom import solver
+
+    built = []
+
+    def enumerate_and_watch(m):
+        table = enumerate_suitable(m)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(solver, "_machinery_cache", {})
+    monkeypatch.setattr(solver, "enumerate_suitable", enumerate_and_watch)
+    mach = solver.machinery(7)
+    gc.collect()
+    assert built[0]() is None
+    assert mach.matrix.table.k == LIVE_COUNTS[7][1]
 
 
 def test_runs_before_the_first_repeat_keep_every_column():
@@ -391,9 +441,10 @@ def test_width13_window_holds_84_uint8_columns():
     assert window.repeat == (85, 12, 36)
     assert len(window) == len(window.offsets) == 84
     # the columns hold the 8,385 live words of the 22,036 in the table
-    assert len(machinery(13).live) == 8385
-    assert all(off.dtype == np.uint8 and off.shape == (8385,) for off in window.offsets)
-    assert sum(off.nbytes for off in window.offsets) == 84 * 8385  # about 0.7 MB
+    live = LIVE_COUNTS[13][1]
+    assert machinery(13).matrix.k == live
+    assert all(off.dtype == np.uint8 and off.shape == (live,) for off in window.offsets)
+    assert sum(off.nbytes for off in window.offsets) == 84 * live  # about 0.7 MB
 
 
 def test_warm_solve_width_is_a_lookup():

@@ -165,7 +165,9 @@ def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
         ids = np.flatnonzero(keep)
         assert np.array_equal(dense(kept), full[np.ix_(ids, ids)])
         assert np.array_equal(kept.row_zeros, matrix.row_zeros[ids])
-        assert kept.pred_idx.dtype == np.int64 and kept.table is table
+        assert kept.pred_idx.dtype == np.int64 and kept.table.m == m
+        assert np.array_equal(kept.table.digits, table.digits[ids])
+        assert not kept.table.digits.flags.writeable
         for p in range(kept.k):
             assert (np.diff(kept.predecessors(p)) > 0).all()
 

@@ -43,7 +43,7 @@ def test_the_dp_path_never_builds_the_word_strings(monkeypatch):
     solver.solve_width(7, 40)
     grids.extract_min_set(7, 40)
     solver.detect_period(7)
-    table = solver.machinery(7).table
+    table = solver.machinery(7).matrix.table
     assert "words" not in vars(table)
     assert table.k == len(table.words) == len(table.digits)
     assert "words" in vars(table)
