@@ -18,10 +18,10 @@ increment c from n0 = t - d on, which extends them to every larger n.
 
 The DP runs over the live words only: those with a predecessor, and the
 initial ones.  Any other word is infinite in every column, so dropping it
-is exact.  Machinery.matrix carries the live words, in table order, as its
-own table: .initial, .finals, every window column and the ids backtrack
-returns index its rows, so tie-breaks on the smallest id pick the same
-words as over the whole table.
+is exact.  machinery() enumerates the live words directly, in table order,
+and builds the matrix, .initial and .finals on that one table: every window
+column and the ids backtrack returns index its rows, so tie-breaks on the
+smallest id pick the same words as over the whole table.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ from .tropical import (
     build_transition_matrix,
     final_mask,
     mat_vec,
-    restrict,
 )
 from .words import enumerate_suitable
 
@@ -54,8 +53,8 @@ OFF_INF = 255
 class Machinery:
     """Everything solve-time code needs for one width, built once.
 
-    matrix is restricted to the live words and its table holds them;
-    initial and finals index the same rows.
+    matrix.table holds the width's live words; matrix, initial and finals
+    index its rows.
     """
 
     matrix: TropicalMatrix
@@ -70,13 +69,8 @@ def machinery(m: int) -> Machinery:
     cached = _machinery_cache.get(m)
     if cached is not None:
         return cached
-    table = enumerate_suitable(m)
-    full = build_transition_matrix(table)
-    initial = build_initial_vector(table)
-    keep = full.nonempty | (initial < _INF)
-    initial = initial[keep]  # frees the full-length X^1 before restrict's transients
-    matrix = restrict(full, keep)
-    built = Machinery(matrix, initial, final_mask(matrix.table))
+    table = enumerate_suitable(m, live=True)
+    built = Machinery(build_transition_matrix(table), build_initial_vector(table), final_mask(table))
     _machinery_cache[m] = built
     return built
 

@@ -13,10 +13,10 @@ yields the q of one p in ascending order) and counted per row.  X^1 is the
 same join from a virtual first column of 1s.
 
 Rows, cost vectors and predecessor ids index the rows of a matrix's table.
-restrict keeps the rows and columns of a kept-word mask, and the kept words,
-in ascending order, as its table; the solver keeps only the live words
-(those with a predecessor, and the initial ones).  The other words are
-infinite in every column: 13,651 of the 22,036 at width 13.
+The solver builds its matrix on the live words alone (those with a
+predecessor, and the initial ones; words.enumerate_suitable with
+live=True).  The other words are infinite in every column: 13,651 of the
+22,036 at width 13.
 
 Blocking bounds the join's transient candidate pairs, which set the build's
 peak memory: at width 13 the one-shot join peaked near 11 MB under
@@ -73,9 +73,6 @@ class TropicalMatrix:
     def finite_entries(self) -> int:
         return int(self.pred_ptr[-1])
 
-    def predecessors(self, p: int) -> np.ndarray:
-        return self.pred_idx[self.pred_ptr[p] : self.pred_ptr[p + 1]]
-
 
 def build_initial_vector(table: WordTable) -> np.ndarray:
     """X^1: zero-count on initial words, _INF elsewhere, as an int64 array.
@@ -109,41 +106,9 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
         ptr[lo + 1 : lo + 1 + counts.size] = counts
     np.cumsum(ptr, out=ptr)
     row_zeros = np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
-    return _from_lists(table, row_zeros, ptr, np.concatenate(blocks, dtype=np.int64))
-
-
-def _from_lists(
-    table: WordTable, row_zeros: np.ndarray, ptr: np.ndarray, pred_idx: np.ndarray
-) -> TropicalMatrix:
     nonempty = ptr[1:] > ptr[:-1]
+    pred_idx = np.concatenate(blocks, dtype=np.int64)
     return TropicalMatrix(table, row_zeros, ptr, pred_idx, nonempty, ptr[:-1][nonempty])
-
-
-def restrict(matrix: TropicalMatrix, keep: np.ndarray) -> TropicalMatrix:
-    """The matrix on the words where the bool mask keep holds, renumbered.
-
-    Kept word p becomes the number of kept words before it, so new ids and
-    the result's read-only table keep the old order (smallest-id tie-breaks
-    pick the same words).  Rows of dropped words go, and so do predecessor
-    entries naming a dropped word; each kept list stays ascending.  Besides
-    the kept pred_idx and the positions it is gathered from, the transients
-    are masks and int32 ranks: at width 17 restricting to the live words
-    raises the peak RSS of solver.machinery by under 2 MB.
-    """
-    rank = np.cumsum(keep, dtype=np.int32)
-    rank -= 1
-    entries = keep[matrix.pred_idx]
-    entries &= np.repeat(keep, np.diff(matrix.pred_ptr))
-    pos = np.flatnonzero(entries)
-    del entries
-    # a kept list starts after the kept entries that precede its old start
-    ptr = np.searchsorted(pos, matrix.pred_ptr[np.append(np.flatnonzero(keep), matrix.k)])
-    pred_idx = matrix.pred_idx[pos]
-    del pos
-    pred_idx[:] = rank[pred_idx]
-    digits = matrix.table.digits[keep]
-    digits.setflags(write=False)
-    return _from_lists(WordTable(matrix.table.m, digits), matrix.row_zeros[keep], ptr, pred_idx)
 
 
 def mat_vec(matrix: TropicalMatrix, x: np.ndarray) -> np.ndarray:

@@ -11,18 +11,23 @@ from one adjacent pair and its two outer neighbors, and _follow_ok decides
 whether a word may follow another at one position.  The per-word predicates
 (is_suitable, can_follow) evaluate them along a word.  Tables are built by
 one array engine: words are rows of a uint8 digit array in lexicographic
-order, and both builders grow rows one position at a time, checking every
-rule through the same functions tabulated (_WINDOW, _FOLLOW) as soon as the
-labels it reads are placed.
-enumerate_suitable grows the word prefixes themselves; follow_pairs joins
-the prefix trie of the left-hand words with that of the right-hand words
-level by level, which yields every admissible (q, p) pair without looking
-at the pairs that fail.  follow_blocks runs the same join over contiguous
-blocks of right-hand rows against one left-hand trie.  The join's last
-level holds several index arrays over about two candidate pairs per
-admissible one (width 13: 131,215 for 64,112), so joining a whole table at
-once takes many times the memory of the pairs it returns; in blocks, only
-one block's candidates are live while the pairs accumulate.
+order, built one position at a time, and every rule is checked through the
+same functions tabulated (_WINDOW, _FOLLOW) as soon as the labels it reads
+are placed.
+enumerate_suitable runs one deterministic automaton over the labels (_STEP,
+_END), tabulated from _WINDOW and _FOLLOW: its state is the word's last
+three labels and the set of states a predecessor can still be in, so it
+decides both suitability and liveness (the word is initial or can follow
+some suitable word).  Per-state completion counts size the table before it
+is built and keep only the prefixes that still complete.  follow_pairs
+joins the prefix trie of the left-hand words with that of the right-hand
+words level by level, which yields every admissible (q, p) pair without
+looking at the pairs that fail.  follow_blocks runs the same join over
+contiguous blocks of right-hand rows against one left-hand trie.  The
+join's last level holds several index arrays over about two candidate
+pairs per admissible one (width 13: 131,215 for 64,112), so joining a whole
+table at once takes many times the memory of the pairs it returns; in
+blocks, only one block's candidates are live while the pairs accumulate.
 is_initial is can_follow after a virtual column of 1s, so the first-column
 rule is stated once.
 """
@@ -40,7 +45,7 @@ from .errors import MalformedWordError, ResourceCapError
 
 ALPHABET = "0123"
 
-# Default ceiling on the number of suitable words materialized for one width.
+# Default ceiling on the number of suitable words of one width, live or not.
 DEFAULT_WORD_CAP = 2_000_000
 
 
@@ -96,7 +101,7 @@ def can_follow(p: str, q: str) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class WordTable:
-    """Suitable words of one length (all, or a restricted matrix's), lexicographically ordered.
+    """Suitable words of one length (all, or the live ones), lexicographically ordered.
 
     digits holds them as a read-only k x m uint8 array; words, as strings, on first use.
     """
@@ -194,32 +199,71 @@ _WINDOW = _lookup(_window_ok, _EDGE + 1, 4, 4)
 _FOLLOW = _lookup(_follow_ok, 4, 4, _EDGE + 1)
 
 
-def _suitable_digits(m: int, max_words: int) -> np.ndarray:
-    """Digit rows of every suitable word of length m, lexicographically.
+def _placeable(x: int, y: int, z: int, label: int) -> bool:
+    """Whether label, or the word boundary _EDGE, may follow a word's last labels x, y, z.
 
-    Position t is placed on every prefix of length t: a label is kept when
-    it completes the window of the pair two back and leaves the pair it
-    forms passable by some next label (or by the boundary, at the end).
-    Every kept prefix extends to a suitable word (whether it does depends
-    only on its last three labels, and every ending that occurs can be
-    continued), so a level with more than max_words prefixes means the table
-    would have more words too, and the error comes before that level is
-    materialized.
+    It settles the window of the pair (y, z); x and y are _EDGE before the
+    word's start, where no pair has formed yet.
     """
-    labels = np.arange(4, dtype=np.uint8)
-    digits = np.zeros((1, 0), dtype=np.uint8)
-    for t in range(m):
-        a, b, c = (digits[:, t - j, None] if t >= j else _EDGE for j in (3, 2, 1))
-        ok = np.ones((len(digits), 4), dtype=bool)
-        if t >= 1:
-            ok &= _WINDOW[b, c, labels, _OPEN if t < m - 1 else _EDGE]
-        if t >= 2:
-            ok &= _WINDOW[a, b, c, labels]
-        if np.count_nonzero(ok) > max_words:
-            raise ResourceCapError(f"more than {max_words} suitable words of length {m}")
-        rows, placed = np.nonzero(ok)
-        digits = np.concatenate([digits[rows], placed.astype(np.uint8)[:, None]], axis=1)
-    return digits
+    return y == _EDGE or _WINDOW.item(x, y, z, label)
+
+
+def _preds_after(preds: frozenset, y: int, z: int, label: int) -> frozenset:
+    """The predecessor states still possible once p reads label (or _EDGE) after y, z.
+
+    A predecessor state is the last three labels of a suitable prefix of q,
+    or None for the virtual column of 1s.  It stays if p's previous label z
+    passes _follow_ok beside q's last label, with label below z; q then
+    reads every label it may place (or the boundary, when p does).
+    """
+    out = set()
+    for q in preds:
+        if z == _EDGE or _FOLLOW.item(1 if q is None else q[2], z, y, label):
+            labels = range(4) if label < _EDGE else [_EDGE]
+            out.update([None] if q is None else [(*q[1:], a) for a in labels if _placeable(*q, a)])
+    return frozenset(out)
+
+
+def _tabulate() -> tuple[np.ndarray, np.ndarray]:
+    """The word automaton, as _STEP[state, label] and _END[state].
+
+    A state is p's last three labels and the set of predecessor states
+    still possible.  State 0 is dead and stays dead; state 1 is the empty
+    word, whose predecessors are the empty prefix of q and the column of
+    1s.  _END classifies the word that ends in a state: _DEAD, _SUITABLE or
+    _LIVE (also initial, or able to follow some suitable q).
+    """
+    start = (_EDGE, _EDGE, _EDGE, frozenset({(_EDGE, _EDGE, _EDGE), None}))
+    ids = {None: 0, start: 1}
+    step, end, walk = [[0] * 4], [_DEAD], [start]
+    for x, y, z, preds in walk:  # grows while it is walked, until no state is new
+        nxt = [(y, z, a, _preds_after(preds, y, z, a)) if _placeable(x, y, z, a) else None for a in range(4)]
+        step.append([ids.setdefault(state, len(ids)) for state in nxt])
+        walk += list(ids)[len(walk) + 1 :]  # the states first seen in this row
+        ok = _placeable(x, y, z, _EDGE)
+        end.append(_LIVE if ok and _preds_after(preds, y, z, _EDGE) else _SUITABLE if ok else _DEAD)
+    return np.array(step, dtype=np.uint8), np.array(end, dtype=np.uint8)
+
+
+_DEAD, _SUITABLE, _LIVE = 0, 1, 2
+_STEP, _END = _tabulate()
+
+
+def _completions(m: int, accept: int, cap: int) -> list[np.ndarray]:
+    """Entry j: per state, its completions by j more labels, for j = 0..m at most.
+
+    A completion counts when its word's _END class is at least accept.
+    Counts saturate at cap + 1, so that no width overflows them.  The list
+    stops early at an entry that repeats the one before, since every later
+    entry equals it (at the default cap, within 42 entries).
+    """
+    counts = [(_END >= accept).astype(np.int64)]
+    while len(counts) <= m:
+        more = np.minimum(counts[-1][_STEP].sum(axis=1), cap + 1)
+        if np.array_equal(more, counts[-1]):
+            break
+        counts.append(more)
+    return counts
 
 
 def _words_of(digits: np.ndarray) -> list[str]:
@@ -227,14 +271,30 @@ def _words_of(digits: np.ndarray) -> list[str]:
     return (digits + ord("0")).view(f"S{m}").ravel().astype(f"U{m}").tolist()
 
 
-def enumerate_suitable(m: int, max_words: int = DEFAULT_WORD_CAP) -> WordTable:
-    """Materialize every suitable word of length m, lexicographically.
+def enumerate_suitable(m: int, max_words: int = DEFAULT_WORD_CAP, *, live: bool = False) -> WordTable:
+    """Materialize every suitable word of length m, or only the live ones, lexicographically.
 
-    Raises ResourceCapError when there are more than max_words of them.
+    A word is live when it is suitable and is initial or can follow some
+    suitable word.  Raises ResourceCapError when there are more than
+    max_words suitable words, in either case, before any row is built.
+
+    The automaton's completion counts give the table's size and, per
+    prefix, the block of rows its completions fill: each level keeps the
+    prefixes that still complete, as automaton states, and writes its label
+    once per completion.
     """
     if m < 2:
         raise MalformedWordError(f"word length must be at least 2, got {m}")
-    digits = _suitable_digits(m, max_words)
+    if _completions(m, _SUITABLE, max_words)[-1][1] > max_words:
+        raise ResourceCapError(f"more than {max_words} suitable words of length {m}")
+    counts = _completions(m, _LIVE if live else _SUITABLE, max_words)
+    digits = np.empty((counts[-1][1], m), dtype=np.uint8)  # state 1 is the empty word
+    states = np.ones(1, dtype=np.uint8)  # the state of each kept prefix
+    for t in range(m):
+        done = counts[min(m - 1 - t, len(counts) - 1)]  # completions once position t is placed
+        rows, labels = np.nonzero((done > 0)[_STEP][states])
+        states = _STEP[states[rows], labels]
+        digits[:, t] = np.repeat(labels.astype(np.uint8), done[states])
     digits.setflags(write=False)
     return WordTable(m=m, digits=digits)
 
@@ -331,7 +391,7 @@ def successors(q: str) -> list[str]:
     ResourceCapError when the words of that length exceed DEFAULT_WORD_CAP.
     """
     _validate(q)
-    words = _suitable_digits(len(q), DEFAULT_WORD_CAP)
+    words = enumerate_suitable(len(q)).digits
     q_digits = np.frombuffer(q.encode("ascii"), dtype=np.uint8)[None, :] - ord("0")
     _, p = follow_pairs(q_digits, words)
     return _words_of(words[np.sort(p)])

@@ -1,7 +1,5 @@
-import gc
 import math
 import time
-import weakref
 
 import numpy as np
 import pytest
@@ -307,6 +305,11 @@ def test_folded_trace_matches_plain_iteration(m):
         assert np.array_equal(window.column(300), x)
 
 
+def predecessors(matrix, p):
+    """The ids q with a finite entry A[p][q], ascending."""
+    return matrix.pred_idx[matrix.pred_ptr[p] : matrix.pred_ptr[p + 1]]
+
+
 @pytest.mark.parametrize("m", range(2, 14))
 def test_dp_over_live_words_is_lossless(m):
     # the full-table DP, iterated past the first repeat: dropped words stay
@@ -319,19 +322,22 @@ def test_dp_over_live_words_is_lossless(m):
     dropped = np.ones(table.k, bool)
     dropped[live] = False
     assert np.array_equal(mach.matrix.table.digits, table.digits[live])
+    assert mach.matrix.table.m == m and not mach.matrix.table.digits.flags.writeable
     _, window = run_dp(m, 10**6, keep_trace=True)
     for r in range(1, 2 * window.repeat[0] + 1):
         if r > 1:
             x = mat_vec(full, x)
         assert (x[dropped] == _INF).all(), r
         assert np.array_equal(x[live], window.column(r)), r
-    # each live list is the full list less the dropped words, renumbered
+    # each live list is the full list less the dropped words, renumbered,
+    # and stays ascending
     new_id = np.cumsum(~dropped) - 1
     for i, p in enumerate(live):
-        preds = full.predecessors(p)
+        preds = predecessors(full, p)
         expected = new_id[preds[~dropped[preds]]]
-        assert np.array_equal(mach.matrix.predecessors(i), expected), p
+        assert np.array_equal(predecessors(mach.matrix, i), expected), p
         assert (np.diff(expected) > 0).all()
+    assert mach.matrix.pred_idx.dtype == np.int64
     assert np.array_equal(mach.matrix.row_zeros, full.row_zeros[live])
     assert np.array_equal(mach.finals, final_mask(table)[live])
 
@@ -364,22 +370,20 @@ def test_machinery_keeps_one_table_of_the_live_words(m):
     assert table.m == m and not table.digits.flags.writeable
 
 
-def test_machinery_frees_the_full_table(monkeypatch):
+@pytest.mark.parametrize("m", [7, 13])
+def test_machinery_joins_only_the_live_words(m, monkeypatch):
     from quasidom import solver
 
-    built = []
+    rows = []
 
-    def enumerate_and_watch(m):
-        table = enumerate_suitable(m)
-        built.append(weakref.ref(table))
-        return table
+    def build_and_watch(table):
+        rows.append(table.k)
+        return build_transition_matrix(table)
 
     monkeypatch.setattr(solver, "_machinery_cache", {})
-    monkeypatch.setattr(solver, "enumerate_suitable", enumerate_and_watch)
-    mach = solver.machinery(7)
-    gc.collect()
-    assert built[0]() is None
-    assert mach.matrix.table.k == LIVE_COUNTS[7][1]
+    monkeypatch.setattr(solver, "build_transition_matrix", build_and_watch)
+    solver.machinery(m)
+    assert rows == [LIVE_COUNTS[m][1]]
 
 
 def test_runs_before_the_first_repeat_keep_every_column():
@@ -400,9 +404,9 @@ def test_solve_width_reaches_a_million_columns(m):
 
 @pytest.mark.parametrize(
     "m",
-    # widths 17, 18 and 19 build their matrices in about 1.2, 2.9 and 5.8 s;
-    # run alone, the test peaks near 125, 230 and 465 MB
-    [14, 15, 16, 17, 18, pytest.param(19, marks=pytest.mark.slow)],
+    # at widths 17, 18 and 19 the test takes about 0.7, 1.3 and 2.5 s on
+    # 2 shared CPUs; run alone, it peaks near 70, 95 and 150 MB
+    [14, 15, 16, 17, 18, 19],
 )
 def test_big_grid_formula_is_proved_for_every_n(m):
     """The DP proves value(m, n) = floor((m+2)(n+2)/5) - 4 for every n >= m.
@@ -484,7 +488,7 @@ def walk_backtrack(window, n):
                 mins[i] + shift + int(offsets[i][p]) - int(matrix.row_zeros[p])
                 - mins[j] - prev_shift
             )
-            row = matrix.predecessors(p)
+            row = predecessors(matrix, p)
             q = steps[i, j, p] = int(row[np.flatnonzero(offsets[j][row] == target)[0]])
         ids.append(q)
         p, i, shift = q, j, prev_shift

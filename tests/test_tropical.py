@@ -14,7 +14,6 @@ from quasidom.tropical import (
     build_transition_matrix,
     final_mask,
     mat_vec,
-    restrict,
 )
 from quasidom.words import (
     can_follow,
@@ -26,11 +25,16 @@ from quasidom.words import (
 )
 
 
+def predecessors(matrix, p):
+    """The ids q with a finite entry A[p][q]."""
+    return matrix.pred_idx[matrix.pred_ptr[p] : matrix.pred_ptr[p + 1]]
+
+
 def dense(matrix):
     """The full k x k matrix with _INF for missing entries (small k only)."""
     out = np.full((matrix.k, matrix.k), _INF, dtype=np.int64)
     for p in range(matrix.k):
-        out[p, matrix.predecessors(p)] = matrix.row_zeros[p]
+        out[p, predecessors(matrix, p)] = matrix.row_zeros[p]
     return out
 
 
@@ -154,24 +158,6 @@ def test_vectors_match_word_predicates(m):
     assert matrix.row_zeros.tolist() == [zeros(w) for w in table]
 
 
-@pytest.mark.parametrize("m", range(2, 8))
-def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
-    table = enumerate_suitable(m)
-    matrix = build_transition_matrix(table)
-    full = dense(matrix)
-    rng = np.random.default_rng(m)
-    for keep in (rng.random(table.k) < 0.5, np.ones(table.k, bool), np.zeros(table.k, bool)):
-        kept = restrict(matrix, keep)
-        ids = np.flatnonzero(keep)
-        assert np.array_equal(dense(kept), full[np.ix_(ids, ids)])
-        assert np.array_equal(kept.row_zeros, matrix.row_zeros[ids])
-        assert kept.pred_idx.dtype == np.int64 and kept.table.m == m
-        assert np.array_equal(kept.table.digits, table.digits[ids])
-        assert not kept.table.digits.flags.writeable
-        for p in range(kept.k):
-            assert (np.diff(kept.predecessors(p)) > 0).all()
-
-
 def test_mat_vec_absorbs_infinity(t2):
     table, matrix, _ = t2
     all_inf = np.full(table.k, _INF, dtype=np.int64)
@@ -226,7 +212,7 @@ def test_single_predecessor_row_is_translation():
         x = np.arange(1, table.k + 1, dtype=np.int64)
         out = mat_vec(matrix, x)
         for p in range(table.k):
-            preds = matrix.predecessors(p)
+            preds = predecessors(matrix, p)
             if len(preds) == 1:
                 q = int(preds[0])
                 assert out[p] == matrix.row_zeros[p] + x[q]
@@ -238,7 +224,7 @@ def test_rows_without_predecessors_stay_infinite():
     x = np.zeros(table.k, dtype=np.int64)
     out = mat_vec(matrix, x)
     for p in range(table.k):
-        if len(matrix.predecessors(p)) == 0:
+        if len(predecessors(matrix, p)) == 0:
             assert out[p] == _INF
 
 

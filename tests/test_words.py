@@ -54,6 +54,17 @@ def test_enumeration_matches_brute_force_filter(m):
     assert list(enumerate_suitable(m).words) == brute_suitable(m)
 
 
+@pytest.mark.parametrize("m", range(2, 7))
+def test_live_enumeration_matches_brute_force_filter(m):
+    # live: suitable, and initial or following some suitable word, checked
+    # word by word with the per-word predicates
+    suitable = brute_suitable(m)
+    live = [p for p in suitable if is_initial(p) or any(can_follow(p, q) for q in suitable)]
+    table = enumerate_suitable(m, live=True)
+    assert list(table.words) == live
+    assert not table.digits.flags.writeable
+
+
 def test_suitability_rule_examples():
     assert not is_suitable("00")
     assert is_suitable("0120")
@@ -106,19 +117,35 @@ def test_enumeration_cap():
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_enumeration_cap_is_exact(m):
+    # the cap counts the suitable words, whichever table is built
     k = enumerate_suitable(m).k
-    assert enumerate_suitable(m, max_words=k).k == k
-    with pytest.raises(ResourceCapError):
-        enumerate_suitable(m, max_words=k - 1)
+    for live in (False, True):
+        assert enumerate_suitable(m, max_words=k, live=live).k == enumerate_suitable(m, live=live).k
+        with pytest.raises(ResourceCapError):
+            enumerate_suitable(m, max_words=k - 1, live=live)
 
 
 def test_enumeration_cap_raises_before_allocating():
-    # width 17 has about 430,000 suitable words; a cap of 1,000 must stop the
-    # growth at the first level above it, long before the table's megabytes
+    # width 17 has about 430,000 suitable words; a cap of 1,000 must refuse
+    # them before the table's megabytes are allocated
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError):
             enumerate_suitable(17, max_words=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("m", [20, 100, 10**9])
+def test_widths_over_the_default_cap_are_refused_before_allocating(m):
+    # width 20 has more than 2,000,000 suitable words; the count comes from
+    # the automaton, not from grown prefixes, and stops once it saturates
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=f"more than 2000000 suitable words of length {m}"):
+            enumerate_suitable(m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
