@@ -107,7 +107,7 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
     np.cumsum(ptr, out=ptr)
     row_zeros = np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
     nonempty = ptr[1:] > ptr[:-1]
-    pred_idx = np.concatenate(blocks, dtype=np.int64)
+    pred_idx = np.concatenate([np.empty(0, np.int64), *blocks], dtype=np.int64)
     return TropicalMatrix(table, row_zeros, ptr, pred_idx, nonempty, ptr[:-1][nonempty])
 
 

@@ -16,6 +16,7 @@ from quasidom.tropical import (
     mat_vec,
 )
 from quasidom.words import (
+    WordTable,
     can_follow,
     enumerate_suitable,
     follow_pairs,
@@ -156,6 +157,32 @@ def test_vectors_match_word_predicates(m):
     ]
     assert final_mask(table).tolist() == [is_final(w) for w in table]
     assert matrix.row_zeros.tolist() == [zeros(w) for w in table]
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
+    # a matrix built over a sub-table of the suitable words (as the live words
+    # are) is the submatrix of the full matrix on the kept words
+    table = enumerate_suitable(m)
+    matrix = build_transition_matrix(table)
+    full = dense(matrix)
+    rng = np.random.default_rng(m)
+    live = np.isin(table.digits.view(f"V{m}").ravel(),
+                   enumerate_suitable(m, live=True).digits.view(f"V{m}").ravel())
+    for keep in (rng.random(table.k) < 0.5, live, np.ones(table.k, bool), np.zeros(table.k, bool)):
+        digits = table.digits[keep]
+        digits.flags.writeable = False
+        kept = build_transition_matrix(WordTable(m, digits))
+        ids = np.flatnonzero(keep)
+        assert np.array_equal(dense(kept), full[np.ix_(ids, ids)])
+        assert np.array_equal(kept.row_zeros, matrix.row_zeros[ids])
+        assert kept.pred_idx.dtype == np.int64 and kept.table.m == m
+        assert np.array_equal(kept.table.digits, table.digits[ids])
+        assert not kept.table.digits.flags.writeable
+        for p in range(kept.k):
+            assert (np.diff(predecessors(kept, p)) > 0).all()
+        x = np.arange(kept.k, dtype=np.int64)
+        assert mat_vec(kept, x).shape == (kept.k,)
 
 
 def test_mat_vec_absorbs_infinity(t2):
