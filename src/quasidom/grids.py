@@ -193,12 +193,24 @@ class VerificationReport:
         return self.independent and self.dominated_ok
 
 
+def _tile(unit: int, span: int, cells: int) -> int:
+    """`unit` repeated every `span` bits over the first `cells` bits, by doubling.
+
+    Each step copies all the bits so far, so the cost is a few shifts of at
+    most `cells` bits, where dividing by 2^span - 1 would be quadratic.
+    """
+    bits = unit
+    while span < cells:
+        bits |= bits << span
+        span *= 2
+    return bits & (1 << cells) - 1
+
+
 @lru_cache(maxsize=16)
 def _frame(m: int, n: int) -> tuple[int, int, int]:
     """Masks of every cell, of every cell off column 1 and of every cell off column n."""
     full = (1 << m * n) - 1
-    # bit 0 of each row: column 1; from bit text, as dividing full by 2^n - 1 is quadratic in n
-    first = int(("0" * (n - 1) + "1") * m, 2)
+    first = _tile(1, n, m * n)  # bit 0 of each row: column 1
     return full, full ^ first, full ^ (first << (n - 1))
 
 

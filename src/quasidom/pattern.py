@@ -3,10 +3,12 @@
 The extended (m+2) x (n+2) grid is partitioned into five diagonal residue
 classes V_s = {(i, j): 2i + j = s (mod 5)}; each is a perfect code of the
 infinite grid.  For m >= 16 the smallest class (`choose_residue`) becomes
-one bitmask per row (`projected_class`), whose four 8x8 corner blocks are
-repaired in place; the rows, joined, are the GridSet's bits: a valid set of
-exactly floor((m+2)(n+2)/5) - 4 vertices, the known lower bound, built
-without numpy.  Widths 14 and 15 take the set from the transfer-matrix
+one bitmask per row (`projected_class`), five distinct rows plus the two
+border rows, whose four 8x8 corner blocks are repaired in place.  The
+GridSet's bits are one 5-row period of the class tiled over rows 9..m-8
+plus the 16 repaired border rows: a valid set of exactly
+floor((m+2)(n+2)/5) - 4 vertices, the known lower bound, built without
+numpy.  Widths 14 and 15 take the set from the transfer-matrix
 extractor instead.  The tests' reference is `diagonal_partition`, V_s as
 (i, j) tuples, and `project_inner`.
 
@@ -25,12 +27,15 @@ from __future__ import annotations
 
 from .errors import ConstructionError, UnsupportedGridError
 from .formulas import big_grid_value
-from .grids import GridSet, check_cell_cap, extract_min_set, verify_set
+from .grids import GridSet, _tile, check_cell_cap, extract_min_set, verify_set
 
 # side of the square corner regions that the repair search re-chooses
 CORNER_SIZE = 8
 
 
+# diagonal_partition and project_inner are the tests' tuple reference for
+# projected_class, and the benchmark's tracer wraps them by name
+# (pattern.residue_s), so they stay here although the build never calls them.
 def diagonal_partition(m: int, n: int, s: int) -> frozenset[tuple[int, int]]:
     """Residue class {(i, j): 2i + j = s (mod 5)} on the extended grid.
 
@@ -62,7 +67,9 @@ def projected_class(m: int, n: int, s: int) -> list[int]:
     Entry i - 1 holds row i, with column j at bit j - 1.  Extended row e of
     V_s is one 5-periodic run of bits shifted by (s - 2e - 1) mod 5.  The
     border lines are ORed one step inward; the extended corners fall outside
-    every fold, so they drop out.
+    every fold, so they drop out.  So row i depends only on i mod 5, except
+    rows 1 and m, which also hold the folded rows 0 and m + 1: five rows are
+    built and the list repeats them.
     """
     width = (1 << n) - 1
     every5 = int("00001" * (n // 5 + 1), 2)  # columns 1, 6, 11, ...
@@ -71,10 +78,10 @@ def projected_class(m: int, n: int, s: int) -> list[int]:
         return every5 << (s - 2 * e - 1) % 5 & width
 
     # extended columns 0 and n + 1 fold onto columns 1 and n
-    rows = [
-        inner(i) | (2 * i % 5 == s) | ((2 * i + n + 1) % 5 == s) << (n - 1)
-        for i in range(1, m + 1)
+    period = [
+        inner(i) | (2 * i % 5 == s) | ((2 * i + n + 1) % 5 == s) << (n - 1) for i in range(1, 6)
     ]
+    rows = (period * (m // 5 + 1))[:m]
     rows[0] |= inner(0)
     rows[-1] |= inner(m + 1)
     return rows
@@ -113,6 +120,36 @@ def _corner_block(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[
     return _CORNER_BLOCKS.get(_corner_key(rows, n, r1, c1, net))
 
 
+def _join(rows: list[int], n: int) -> int:
+    """The n-bit rows as one int, rows[0] in the lowest n bits."""
+    bits = 0
+    for row in reversed(rows):
+        bits = bits << n | row
+    return bits
+
+
+def _check_wide(m: int, n: int) -> None:
+    if not 14 <= m <= n:
+        raise UnsupportedGridError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
+
+
+def _corners(m: int, n: int, s: int) -> list[tuple[str, int, int, int]]:
+    """(name, top row, left column, net) of each 8x8 corner block, in repair order.
+
+    net is the number of members the repair drops: 1, unless V_s holds the
+    block's extended-grid corner, which the projection already drops.
+    """
+    r, c = m - CORNER_SIZE + 1, n - CORNER_SIZE + 1
+    # (name, top-left cell, extended-grid corner)
+    corners = [
+        ("top-left", 1, 1, 0, 0),
+        ("top-right", 1, c, 0, n + 1),
+        ("bottom-left", r, 1, m + 1, 0),
+        ("bottom-right", r, c, m + 1, n + 1),
+    ]
+    return [(name, r1, c1, int((2 * ei + ej) % 5 != s)) for name, r1, c1, ei, ej in corners]
+
+
 def construction_info(m: int, n: int) -> dict:
     """How build_big_grid_set(m, n) builds its set: {"s", "regions", "nets"}.
 
@@ -122,26 +159,19 @@ def construction_info(m: int, n: int) -> dict:
     give {"s": None, "regions": [], "nets": [], "fallback": "dp"}.  Raises
     UnsupportedGridError outside 14 <= m <= n.
     """
-    if not 14 <= m <= n:
-        raise UnsupportedGridError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
+    _check_wide(m, n)
     if m <= 15:
         return {"s": None, "regions": [], "nets": [], "fallback": "dp"}
     s = choose_residue(m, n)
+    corners = _corners(m, n, s)
     k = CORNER_SIZE
-    # (name, top-left cell, extended-grid corner)
-    corners = [
-        ("top-left", (1, 1), (0, 0)),
-        ("top-right", (1, n - k + 1), (0, n + 1)),
-        ("bottom-left", (m - k + 1, 1), (m + 1, 0)),
-        ("bottom-right", (m - k + 1, n - k + 1), (m + 1, n + 1)),
-    ]
     return {
         "s": s,
         "regions": [
             {"name": name, "rows": [r1, r1 + k - 1], "cols": [c1, c1 + k - 1]}
-            for name, (r1, c1), _ in corners
+            for name, r1, c1, _ in corners
         ],
-        "nets": [int((2 * ei + ej) % 5 != s) for _, _, (ei, ej) in corners],
+        "nets": [net for *_, net in corners],
     }
 
 
@@ -151,15 +181,17 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     Widths 14 and 15 use the width-m dynamic program.  Wider grids start
     from the `projected_class` rows of `choose_residue(m, n)` and repair
     the corner blocks of `construction_info(m, n)` in its order, writing
-    each block back before the next corner reads the rows.  The rows
-    become the GridSet's bits as they are, and the set is verified before
-    it is returned.
+    each block back before the next corner reads the rows.  The repairs
+    touch only the top and bottom 8 rows; rows 9..m-8 keep the class's
+    5-row period, so the set's bits are that period tiled over the middle
+    band plus the 16 repaired border rows, joined by shifts.  The set is
+    verified before it is returned.
 
     Raises UnsupportedGridError outside 14 <= m <= n, ConstructionError if
     a corner's window is not in _CORNER_BLOCKS or the result fails
     verification, and ResourceCapError above grids.MAX_CELLS cells.
     """
-    info = construction_info(m, n)
+    _check_wide(m, n)
     check_cell_cap(m, n)
     target = big_grid_value(m, n)
 
@@ -172,20 +204,23 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
             )
         return result
 
-    s = info["s"]
+    s, k = choose_residue(m, n), CORNER_SIZE
     rows = projected_class(m, n, s)
-    for region, net in zip(info["regions"], info["nets"]):
-        (r1, _), (c1, _) = region["rows"], region["cols"]
+    # rows k+1..k+5 are one period of the middle band k+1..m-k, which no repair touches;
+    # taken before the repairs, as the bottom ones rewrite some of them when m <= 20
+    band = _tile(_join(rows[k : k + 5], n), 5 * n, (m - 2 * k) * n)
+    for name, r1, c1, net in _corners(m, n, s):
         block = _corner_block(rows, n, r1, c1, net)
         if block is None:
             raise ConstructionError(
-                f"no repaired block for the {region['name']} corner window of ({m}, {n}) with s={s}"
+                f"no repaired block for the {name} corner window of ({m}, {n}) with s={s}"
             )
-        outside = ~(((1 << CORNER_SIZE) - 1) << (c1 - 1))
+        outside = ~(((1 << k) - 1) << (c1 - 1))
         for r, b in enumerate(block, start=r1 - 1):
             rows[r] = rows[r] & outside | b << (c1 - 1)
     # row m holds the most significant bits
-    result = GridSet.from_bits(m, n, int("".join(format(r, f"0{n}b") for r in reversed(rows)), 2))
+    bits = _join(rows[:k], n) | band << k * n | _join(rows[-k:], n) << (m - k) * n
+    result = GridSet.from_bits(m, n, bits)
     if len(result) != target or not verify_set(result).ok:
         raise ConstructionError(
             f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "

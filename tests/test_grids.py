@@ -10,6 +10,8 @@ from quasidom.errors import InvalidSetError, MalformedSetError, ResourceCapError
 from quasidom.grids import (
     MAX_CELLS,
     GridSet,
+    _frame,
+    _tile,
     VerificationReport,
     Violation,
     extract_min_set,
@@ -243,6 +245,34 @@ def test_rule_faults_on_a_wide_grid_is_fast():
     assert undominated == (1 << m * n) - 1 and right == down == over == four == 0
     one = GridSet(m, n, [(1, 1)])
     assert rule_faults(m, n, one.bits)[2] == (1 << m * n) - 1 - 0b11 - (1 << n)
+
+
+@pytest.mark.parametrize("m,n", [(16, 250_000), (2000, 2000), (MAX_CELLS, 1), (1, MAX_CELLS)])
+def test_frame_column_mask_matches_the_bit_text(m, n):
+    # the column-1 mask is tiled by doubling; the reference parses its bit text
+    full, off_first, off_last = _frame(m, n)
+    first = int(("0" * (n - 1) + "1") * m, 2)
+    assert full == (1 << m * n) - 1
+    assert off_first == full ^ first and off_last == full ^ (first << (n - 1))
+
+
+def test_frame_column_mask_matches_the_bit_text_on_small_grids():
+    for m in range(1, 41):
+        for n in range(1, 41):
+            first = int(("0" * (n - 1) + "1") * m, 2)
+            assert _frame(m, n)[1] == (1 << m * n) - 1 ^ first, (m, n)
+
+
+def test_tile_repeats_the_unit_and_stops_at_the_cells():
+    assert _tile(0b101, 3, 0) == 0
+    assert _tile(0b101, 3, 2) == 0b01  # one partial copy
+    assert _tile(0b101, 3, 8) == 0b01101101
+    assert _tile(0b11, 2, 7) == 0b1111111
+    for span in range(1, 12):
+        for cells in range(0, 60):
+            unit = (1 << span) - 3 if span > 1 else 1
+            expected = sum(unit << t for t in range(0, cells, span)) & (1 << cells) - 1
+            assert _tile(unit, span, cells) == expected, (span, cells)
 
 
 def test_cell_cap_is_exact():

@@ -59,6 +59,15 @@ def test_projected_class_mask_matches_the_tuple_reference():
                 assert cells == project_inner(diagonal_partition(m, n, s), m, n).members, (m, n, s)
 
 
+def test_projected_class_rows_repeat_with_period_5_except_rows_1_and_m():
+    for m in range(1, 41):
+        for n in (1, 2, 7, 23, 40):
+            for s in range(5):
+                rows = projected_class(m, n, s)
+                for i in range(2, m - 5):  # rows i and i + 5, both in 2..m-1
+                    assert rows[i - 1] == rows[i + 4], (m, n, s, i)
+
+
 @pytest.mark.parametrize("m,n", [(14, 14), (14, 18), (15, 20), (17, 23)])
 def test_projection_never_grows(m, n):
     for s in range(5):
@@ -436,6 +445,59 @@ def test_representatives_match_pinned_digests(monkeypatch):
             result, info = build_big_grid_set(m, n), construction_info(m, n)
             payload = json.dumps([result.sorted_members(), info["s"], info["nets"]])
             assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest, (m, n, search)
+
+
+def _bits_digest(*grids):
+    """First 16 hex digits of the sha256 of the grids' sets, as little-endian bytes in turn."""
+    h = hashlib.sha256()
+    for m, n in grids:
+        h.update(build_big_grid_set(m, n).bits.to_bytes((m * n + 7) // 8, "little"))
+    return h.hexdigest()[:16]
+
+
+def test_wide_grid_bits_match_the_pinned_sweep_digest():
+    # the 3,655 grids 16 <= m <= n <= 100, as the row-by-row build gave them
+    grids = [(m, n) for m in range(16, 101) for n in range(m, 101)]
+    assert len(grids) == 3655
+    assert _bits_digest(*grids) == "28542aedf9ad0fe1"
+
+
+# the bits digest of large grids, as the row-by-row build gave them; (16, 250000) has no
+# middle band and (2000, 2000) a long one, both at grids.MAX_CELLS
+PINNED_BITS_DIGESTS = {
+    (200, 300): "1bbcf3eb509f86ba",
+    (500, 500): "039485b56f983e49",
+    (300, 1000): "5f7d97a5f7f72570",
+    (1000, 2000): "5d5f87f6a3c1a109",
+    (16, 250_000): "454a7ac1cabb13db",
+    (2000, 2000): "62b7e9b1f94baec3",
+}
+
+
+@pytest.mark.parametrize("m,n", sorted(PINNED_BITS_DIGESTS))
+def test_large_grids_match_pinned_bits_digests(m, n):
+    # build_big_grid_set verifies the set before it returns it
+    assert _bits_digest((m, n)) == PINNED_BITS_DIGESTS[m, n]
+
+
+@pytest.mark.parametrize("m,n", [(16, 16), (16, 40), (17, 17), (17, 41), (21, 33)])
+def test_middle_band_edges_match_the_row_reference(m, n):
+    # m = 16 has no row between the repaired top and bottom 8, m = 17 one;
+    # the reference joins every repaired row as bit text
+    seen = []
+
+    def lookup(rows, n_, r1, c1, net):
+        seen.append(rows)
+        return pattern._CORNER_BLOCKS.get(pattern._corner_key(rows, n_, r1, c1, net))
+
+    with mock.patch.object(pattern, "_corner_block", lookup):
+        result = build_big_grid_set(m, n)
+    rows = seen[0]  # the list the build repairs in place, after the last repair
+    assert len(seen) == 4 and all(r is rows for r in seen)
+    assert result.bits == int("".join(format(r, f"0{n}b") for r in reversed(rows)), 2)
+    k = CORNER_SIZE
+    assert rows[k : m - k] == projected_class(m, n, choose_residue(m, n))[k : m - k]
+    assert len(result) == big_grid_value(m, n)
 
 
 def _assert_translated_copy(rep, rep_info, a, b):
