@@ -5,16 +5,20 @@ iterating the min-plus transition matrix on the initial vector and minimizing
 over final words.  The iteration stops at the first column t that repeats an
 earlier one up to a constant shift, X^t = X^{t-d} + c: since
 mat_vec(x + c) = mat_vec(x) + c, every later column is a stored one plus a
-multiple of c.  The columns X^1..X^{t-1} depend only on m, so each width
-keeps them once, in a DPWindow that grows on demand: solving or extracting
-at any n only reads and backtracks once the window holds min(n, t - 1)
-columns.  Backtracking, too, stops growing with n: past column t - d the
-chain repeats as soon as a (stored column, word) state recurs, so that cycle
-is tiled as a list, and the searched steps are kept on the window.  A
-column is a plain int64 array with the _INF sentinel while mat_vec computes
-it, and its minimum plus uint8 offsets once stored.  The first repeat is
-also the period certificate: the grid values repeat with period d and
-increment c from n0 = t - d on, which extends them to every larger n.
+multiple of c.  A column less its minimum determines the next one less
+its minimum, so t - d and d are the minimal preperiod and the minimal
+period of that sequence, and each column's offsets key a dict that finds
+t with one exact lookup, at any distance.  The columns X^1..X^{t-1} depend
+only on m, so each width keeps them once, in a DPWindow that grows on
+demand: solving or extracting at any n only reads and backtracks once the
+window holds min(n, t - 1) columns.  Backtracking, too, stops growing with
+n: past column t - d the chain repeats as soon as a (stored column, word)
+state recurs, so that cycle is tiled as a list, and the searched steps are
+kept on the window.  A column is a plain int64 array with the _INF
+sentinel while mat_vec computes it, and its minimum plus uint8 offsets
+once stored.  The first repeat is also the period certificate: the grid
+values repeat with period d and increment c from n0 = t - d on, which
+extends them to every larger n.
 
 The DP runs over the live words only: those with a predecessor, and the
 initial ones.  Any other word is infinite in every column, so dropping it
@@ -99,7 +103,8 @@ class DPWindow:
     the stored column s + (r - s) mod d plus c * ((r - s) // d), s = t - d.
     steps is backtrack's memo, (column, previous column, word) -> predecessor.
     While the window grows it carries its last column as int64 (last) and
-    the stored columns' indices by a hash of their offsets (by_hash).
+    maps each stored column's offset bytes to its index (index); each
+    offsets entry is a read-only view of its key, so a column is held once.
     """
 
     mach: Machinery
@@ -109,7 +114,7 @@ class DPWindow:
     repeat: tuple[int, int, int] | None = None
     steps: dict[tuple[int, int, int], int] = field(default_factory=dict)
     last: np.ndarray | None = field(default=None, init=False, repr=False)
-    by_hash: dict[int, list[int]] = field(default_factory=dict, init=False, repr=False)
+    index: dict[bytes, int] = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.mins)
@@ -117,27 +122,27 @@ class DPWindow:
     def grow(self, n: int) -> None:
         """Store the columns up to min(n, t - 1) not yet held; find t if t <= n.
 
-        Column t is the first that equals one of the DEFAULT_MAX_D columns
-        before it plus a constant c >= 1, taking the smallest such d.
-        Equal offsets mean equal columns up to the difference of the minima,
-        so only the stored columns whose offsets hash alike are compared,
-        nearest first.
+        Column t is the first whose offsets equal a stored column's, so
+        X^t = X^{t-d} + c with c the difference of their minima (c >= 0:
+        row costs are non-negative, so no column's minimum falls).  No two
+        stored columns are equal, or the window would have stopped at the
+        later one, so the offsets key a single index and one exact lookup
+        per column finds the repeat at any distance d.
         """
         while self.repeat is None and len(self) < n:
             r = len(self) + 1
             data = self.mach.initial if r == 1 else mat_vec(self.mach.matrix, self.last)
             low, off = _compact(data)
-            alike = self.by_hash.setdefault(hash(off.tobytes()), [])
-            for i in reversed(alike):
-                d = r - 1 - i
-                if d > DEFAULT_MAX_D:
-                    break
-                c = low - self.mins[i]
-                if c >= 1 and np.array_equal(off, self.offsets[i]):
-                    self.repeat = (r, d, c)
-                    self.last = None
-                    return
-            alike.append(r - 1)
+            key = off.tobytes()
+            # keep the column once, as a read-only view of its key, and free the
+            # uint8 array now: held until the next column, it cost about 2,000
+            # more minor page faults over widths 2..13
+            off = np.frombuffer(key, np.uint8)
+            i = self.index.setdefault(key, r - 1)
+            if i < r - 1:
+                self.repeat = (r, r - 1 - i, low - self.mins[i])
+                self.last = None
+                return
             self.last = data
             self.mins.append(low)
             self.offsets.append(off)
@@ -186,9 +191,9 @@ class DPWindow:
         mins, offsets, steps = self.mins, self.offsets, self.steps
         pred_ptr, pred_idx = memoryview(matrix.pred_ptr), memoryview(matrix.pred_idx)
         i, shift = self.locate(n)
-        low = int(offsets[i][finals].min(initial=OFF_INF))
-        if low == OFF_INF:
+        if self.values[i] == INFINITY:
             raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
+        low = self.values[i] - mins[i]  # the final minimum, as an offset of the stored column
         p = int(np.flatnonzero(finals & (offsets[i] == low))[0])
         ids = [p]
         s = n if self.repeat is None else self.repeat[0] - self.repeat[1]
@@ -288,31 +293,24 @@ def detect_period(
     max_d: int = DEFAULT_MAX_D,
     max_n: int = DEFAULT_MAX_N,
 ) -> PeriodCertificate:
-    """The smallest d, then the smallest n0, with X^{n0+d} = X^{n0} + c, c >= 1.
+    """The smallest d, then the smallest n0, with X^{n0+d} = X^{n0} + c.
 
-    Read off the width's first repeat X^t = X^{t-d} + c as n0 = t - d.  From
-    column n0 on the run repeats with period d.  No earlier n0 repeats with
-    this d, and no smaller d repeats at any n0: shifted back by multiples of
-    d, either would give a repeat before column t, or one at t with a
-    smaller d.  max_d and max_n are refusal bounds: raises
-    PeriodNotFoundError when d > max_d or t > max_n, which signals caps that
-    are too small rather than a mathematical failure.  Periods longer than
-    DEFAULT_MAX_D are never searched, so a larger max_d cannot find one the
-    fold missed; the error then names that bound.
+    Read off the width's first repeat X^t = X^{t-d} + c as n0 = t - d.  The
+    first repeat is the minimal preperiod plus the minimal period of the
+    columns less their minima: from column n0 on the run repeats with
+    period d, no earlier n0 repeats with this d, and no smaller d repeats
+    at any n0, since shifted back by multiples of d either would give a
+    repeat before column t, or one at t with a smaller d.  max_d and max_n
+    are refusal bounds: raises PeriodNotFoundError when d > max_d or
+    t > max_n, which signals caps that are too small rather than a
+    mathematical failure.
     """
     if m < 2:
         raise UnsupportedGridError("period detection needs at least 2 rows")
     _, window = run_dp(m, max_n, keep_trace=True)
     repeat = window.repeat
     if repeat is None or repeat[0] > max_n or repeat[1] > max_d:
-        beyond = (
-            f"; periods longer than DEFAULT_MAX_D={DEFAULT_MAX_D} are not searched"
-            if max_d > DEFAULT_MAX_D
-            else ""
-        )
-        raise PeriodNotFoundError(
-            f"no period for m={m} within d<={max_d}, n<={max_n}; raise the bounds{beyond}"
-        )
+        raise PeriodNotFoundError(f"no period for m={m} within d<={max_d}, n<={max_n}; raise the bounds")
     t, d, c = repeat
     n0 = t - d
     boundary = {}

@@ -10,6 +10,7 @@ from quasidom.oracle import profile_dp_min
 from quasidom.solver import (
     OFF_INF,
     DPWindow,
+    Machinery,
     _compact,
     _machinery_cache,
     _window_cache,
@@ -22,8 +23,15 @@ from quasidom.solver import (
     solve_width,
     value,
 )
-from quasidom.tropical import _INF, build_initial_vector, build_transition_matrix, final_mask, mat_vec
-from quasidom.words import enumerate_suitable
+from quasidom.tropical import (
+    _INF,
+    TropicalMatrix,
+    build_initial_vector,
+    build_transition_matrix,
+    final_mask,
+    mat_vec,
+)
+from quasidom.words import WordTable, enumerate_suitable
 
 # boundary values of the finite-difference recurrences, per published table
 TABLE2 = {
@@ -136,10 +144,10 @@ def test_period_search_bounds_raise():
 
 
 def test_max_d_above_the_fold_limit():
-    # the fold finds every period up to DEFAULT_MAX_D, so a larger max_d still
-    # gets the minimal one; when there is none, the error names that limit
+    # max_d above its default still gets the minimal period; when the first
+    # repeat lies past max_n, the error asks for larger bounds
     assert detect_period(13, max_d=20).d == 12
-    with pytest.raises(PeriodNotFoundError, match="DEFAULT_MAX_D=15"):
+    with pytest.raises(PeriodNotFoundError, match="raise the bounds"):
         detect_period(13, max_d=20, max_n=50)
 
 
@@ -402,6 +410,12 @@ def test_solve_width_reaches_a_million_columns(m):
     assert solve_width(m, 10**6) == value(m, 10**6)
 
 
+# the first repeat (t, d, c) of the wide widths' DPs
+WIDE_FIRST_REPEAT = {
+    14: (95, 5, 16), 15: (67, 5, 17), 16: (51, 5, 18), 17: (48, 5, 19), 18: (46, 1, 4), 19: (51, 5, 21),
+}
+
+
 @pytest.mark.parametrize(
     "m",
     # at widths 17, 18 and 19 the test takes about 0.7, 1.3 and 2.5 s on
@@ -421,6 +435,7 @@ def test_big_grid_formula_is_proved_for_every_n(m):
     try:
         solve_width(m, 10**6)
         t, d, c = _window_cache[m].repeat
+        assert (t, d, c) == WIDE_FIRST_REPEAT[m]
         assert t - d >= m
         assert (m + 2) * d == 5 * c
         for n in range(m, t):
@@ -449,6 +464,49 @@ def test_width13_window_holds_84_uint8_columns():
     assert machinery(13).matrix.k == live
     assert all(off.dtype == np.uint8 and off.shape == (live,) for off in window.offsets)
     assert sum(off.nbytes for off in window.offsets) == 84 * live  # about 0.7 MB
+    # each column is held once: its offsets are a read-only view of its index key
+    assert all(window.index[off.base] == i for i, off in enumerate(window.offsets))
+    assert all(isinstance(off.base, bytes) and not off.flags.writeable for off in window.offsets)
+
+
+def ring_window(k, cost):
+    """A DPWindow over a k-word ring, not a grid DP: word p's only predecessor is p - 1 mod k.
+
+    X^1 is 0 at word 0 and infinite elsewhere, every row costs `cost`, and
+    every word is final, so X^r is cost * (r - 1) at word (r - 1) mod k.
+    The table is a placeholder; the window reads only its width, in messages.
+    """
+    ids = np.arange(k, dtype=np.int64)
+    ptr = np.arange(k + 1, dtype=np.int64)
+    matrix = TropicalMatrix(
+        WordTable(1, np.zeros((k, 1), np.uint8)),
+        np.full(k, cost, np.int64), ptr, (ids - 1) % k, np.ones(k, bool), ptr[:-1],
+    )
+    initial = np.where(ids == 0, 0, _INF)
+    return DPWindow(Machinery(matrix, initial, np.ones(k, bool)))
+
+
+def test_a_ring_with_period_20_folds_at_its_first_repeat():
+    # d = 20 is past DEFAULT_MAX_D; the window still stops at the first repeat
+    window = ring_window(20, cost=1)
+    window.grow(100)
+    assert window.repeat == (21, 20, 20)
+    assert len(window) == len(window.offsets) == 20
+    x = window.mach.initial
+    for r in range(1, 101):
+        assert np.array_equal(window.column(r), x), r
+        x = mat_vec(window.mach.matrix, x)
+    assert window.value(57) == 56
+    assert window.backtrack(57) == ([r % 20 for r in range(57)], 56)
+
+
+def test_a_zero_cost_ring_folds_with_no_increment():
+    window = ring_window(5, cost=0)
+    window.grow(100)
+    assert window.repeat == (6, 5, 0)
+    assert len(window) == 5
+    assert window.value(100) == 0
+    assert window.backtrack(100) == ([r % 5 for r in range(100)], 0)
 
 
 def test_warm_solve_width_is_a_lookup():

@@ -38,3 +38,19 @@ def test_stray_constants_finds_a_string_after_return():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_bare_constant_statements(path):
     assert stray_constants(path.read_text(encoding="utf-8")) == []
+
+
+def assert_statements(source: str) -> list[int]:
+    """Lines of the assert statements in a module, at any depth."""
+    return [node.lineno for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Assert)]
+
+
+def test_assert_statements_finds_a_nested_assert():
+    source = '"""Doc: assert x."""\n\n\ndef f(x):\n    if x:\n        assert x > 0\n    return x\n'
+    assert assert_statements(source) == [6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_assert_statements(path):
+    # runtime invariants raise exceptions: python -O strips an assert
+    assert assert_statements(path.read_text(encoding="utf-8")) == []

@@ -9,6 +9,8 @@ from quasidom.errors import MalformedWordError, ResourceCapError
 from quasidom.tropical import _INF, build_initial_vector
 from quasidom.words import (
     _EDGE,
+    _END,
+    _STEP,
     _follow_ok,
     _window_ok,
     can_follow,
@@ -33,6 +35,12 @@ def test_length2_enumeration_golden():
     assert table.k == 6
     assert [w for w in table if is_initial(w)] == ["01", "10"]
     assert [w for w in table if is_final(w)] == ["01", "02", "10", "20"]
+
+
+def test_the_automaton_has_158_states_plus_the_dead_one():
+    # the README states this figure
+    assert _STEP.shape == (159, 4)
+    assert _END.shape == (159,)
 
 
 def test_the_dp_path_never_builds_the_word_strings(monkeypatch):
