@@ -14,11 +14,12 @@ demand: solving or extracting at any n only reads and backtracks once the
 window holds min(n, t - 1) columns.  Backtracking, too, stops growing with
 n: past column t - d the chain repeats as soon as a (stored column, word)
 state recurs, so that cycle is tiled as a list, and the searched steps are
-kept on the window.  A column is a plain int64 array with the _INF
-sentinel while mat_vec computes it, and its minimum plus uint8 offsets
-once stored.  The first repeat is also the period certificate: the grid
-values repeat with period d and increment c from n0 = t - d on, which
-extends them to every larger n.
+kept on the window.  A column is its minimum plus uint8 offsets, OFF_INF
+where infinite, from X^1 on: mat_vec steps that form to that form, and
+column() rebuilds an int64 array with the _INF sentinel on request.  The
+first repeat is also the period certificate: the grid values repeat with
+period d and increment c from n0 = t - d on, which extends them to every
+larger n.
 
 The DP runs over the live words only: those with a predecessor, and the
 initial ones.  Any other word is infinite in every column, so dropping it
@@ -41,6 +42,7 @@ from .formulas import DEFAULT_MAX_D, DEFAULT_MAX_N, big_grid_value, closed_form,
 from .tropical import (
     _INF,
     INFINITY,
+    OFF_INF,
     TropicalMatrix,
     build_initial_vector,
     build_transition_matrix,
@@ -48,10 +50,6 @@ from .tropical import (
     mat_vec,
 )
 from .words import enumerate_suitable
-
-# offset of an infinite entry in a kept column; finite offsets are 0..254
-OFF_INF = 255
-
 
 @dataclass(frozen=True, eq=False)
 class Machinery:
@@ -79,20 +77,6 @@ def machinery(m: int) -> Machinery:
     return built
 
 
-def _compact(data: np.ndarray) -> tuple[int, np.ndarray]:
-    """Minimum of a column and its entries less that minimum, as uint8 offsets."""
-    finite = data < _INF
-    low = int(data.min())
-    spread = data - low
-    top = int(spread[finite].max(initial=0))
-    if top >= OFF_INF:
-        raise RuntimeError(
-            f"a DP column spreads {top} above its minimum, "
-            f"more than the {OFF_INF - 1} a uint8 offset holds"
-        )
-    return low, np.where(finite, spread, OFF_INF).astype(np.uint8)
-
-
 @dataclass(eq=False)
 class DPWindow:
     """The columns X^1..X^len of one width's DP, kept up to its first repeat.
@@ -102,9 +86,9 @@ class DPWindow:
     Once repeat = (t, d, c) is set the window is complete: X^r for r >= t is
     the stored column s + (r - s) mod d plus c * ((r - s) // d), s = t - d.
     steps is backtrack's memo, (column, previous column, word) -> predecessor.
-    While the window grows it carries its last column as int64 (last) and
-    maps each stored column's offset bytes to its index (index); each
-    offsets entry is a read-only view of its key, so a column is held once.
+    While the window grows it maps each stored column's offset bytes to its
+    index (index); each offsets entry is a read-only view of its key, so a
+    column is held once, and mat_vec steps from the last one.
     """
 
     mach: Machinery
@@ -113,7 +97,6 @@ class DPWindow:
     values: list[int | float] = field(default_factory=list)
     repeat: tuple[int, int, int] | None = None
     steps: dict[tuple[int, int, int], int] = field(default_factory=dict)
-    last: np.ndarray | None = field(default=None, init=False, repr=False)
     index: dict[bytes, int] = field(default_factory=dict, init=False, repr=False)
 
     def __len__(self) -> int:
@@ -131,8 +114,12 @@ class DPWindow:
         """
         while self.repeat is None and len(self) < n:
             r = len(self) + 1
-            data = self.mach.initial if r == 1 else mat_vec(self.mach.matrix, self.last)
-            low, off = _compact(data)
+            if r == 1:
+                x = self.mach.initial  # zero counts, so no finite offset reaches OFF_INF
+                low = int(x.min())
+                off = np.minimum(x - low, OFF_INF).astype(np.uint8)
+            else:
+                low, off = mat_vec(self.mach.matrix, self.mins[-1], self.offsets[-1])
             key = off.tobytes()
             # keep the column once, as a read-only view of its key, and free the
             # uint8 array now: held until the next column, it cost about 2,000
@@ -141,9 +128,7 @@ class DPWindow:
             i = self.index.setdefault(key, r - 1)
             if i < r - 1:
                 self.repeat = (r, r - 1 - i, low - self.mins[i])
-                self.last = None
                 return
-            self.last = data
             self.mins.append(low)
             self.offsets.append(off)
             best = int(off[self.mach.finals].min(initial=OFF_INF))

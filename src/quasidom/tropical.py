@@ -12,6 +12,17 @@ layered join, run over blocks of _BLOCK_ROWS rows p against one q trie
 yields the q of one p in ascending order) and counted per row.  X^1 is the
 same join from a virtual first column of 1s.
 
+mat_vec steps a column kept as its minimum plus uint8 offsets above it
+(OFF_INF where infinite), the form the DP window stores, and returns the
+next column in the same form; no int64 column is built.  For the step the
+matrix also holds its predecessor lists as padded index blocks, one per
+power-of-two predecessor count: a row with 2^(j-1) < c <= 2^j predecessors
+is a column of block j, 2^j slots high, its unused slots pointing at a
+sentinel entry that reads OFF_INF (width 13: 7 blocks, 32,078 slots for
+27,920 entries).  One gather and one minimum down the slots then steps a
+whole block, where a reduction over one segment per row cost about 28 ns a
+row.
+
 Rows, cost vectors and predecessor ids index the rows of a matrix's table.
 The solver builds its matrix on the live words alone (those with a
 predecessor, and the initial ones; words.enumerate_suitable with
@@ -20,16 +31,17 @@ live=True).  The other words are infinite in every column: 13,651 of the
 
 Blocking bounds the join's transient candidate pairs, which set the build's
 peak memory: at width 13 the one-shot join peaked near 11 MB under
-tracemalloc to keep 0.5 MB of pred_idx.  pred_idx stays int64 (intp),
-although int32 would halve it: numpy casts any other index dtype on every
-fancy index, so at width 13 the gather x[pred_idx] in mat_vec takes about
-twice as long with an int32 index (235 against 115 us).
+tracemalloc to keep 0.5 MB of pred_idx.  pred_idx and the step's blocks
+stay int64 (intp), although int32 would halve them: numpy casts any other
+index dtype on every fancy index, so at width 13 one gather through the
+32,078 slots takes about twice as long with an int32 index (110 against
+35-55 us).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +52,10 @@ INFINITY = math.inf
 # Internal int64 sentinel; finite costs stay far below it so one addition
 # can never wrap.
 _INF = np.int64(1) << 62
+
+# offset of an infinite entry in a column kept as its minimum plus uint8
+# offsets; finite offsets are 0..254
+OFF_INF = 255
 
 # Rows p per block of the matrix join.  At width 13 smaller blocks lower the
 # process peak by under 1 MB and build slower from 1,024 rows down; larger
@@ -53,17 +69,44 @@ class TropicalMatrix:
 
     row_zeros[p] is the zero-count of word p; pred_idx[pred_ptr[p]:pred_ptr[p+1]]
     lists the ids q (sorted) with a finite entry A[p][q] = row_zeros[p].
-    nonempty marks the rows with a predecessor and starts holds their
-    pred_ptr, so that mat_vec does not recompute them on every step.  Row p
-    is word p of table.
+    Row p is word p of table.  The rest is derived from these for mat_vec:
+    blocks holds the predecessor lists of the rows with 2^(j-1) < c <= 2^j
+    predecessors as one 2^j x rows index array per j, ascending, each list
+    down a column and padded with k, the sentinel; block_zeros is the
+    zero-count of each column of the blocks, in turn, then one more entry
+    for the rows without a predecessor; block_pos[p] is row p's place in
+    that order.
     """
 
     table: WordTable
     row_zeros: np.ndarray
     pred_ptr: np.ndarray
     pred_idx: np.ndarray
-    nonempty: np.ndarray
-    starts: np.ndarray
+    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    block_zeros: np.ndarray = field(init=False, repr=False)
+    block_pos: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        ptr, idx, k = self.pred_ptr, self.pred_idx, self.k
+        counts = np.diff(ptr)
+        rows = np.flatnonzero(counts)
+        # row p goes to block j, the least j with counts[p] <= 2^j
+        j = np.searchsorted(1 << np.arange(63), counts[rows])
+        blocks, order = [], []
+        for b in np.flatnonzero(np.bincount(j)):
+            ids = rows[j == b]  # in table order
+            slot = np.arange(1 << int(b))[:, None]
+            block = idx.take(ptr[ids] + slot, mode="clip")  # pads read any entry, then k
+            block[slot >= counts[ids]] = k
+            blocks.append(block)
+            order.append(ids)
+        rows = np.concatenate([rows[:0], *order])
+        block_pos = np.full(k, len(rows), dtype=np.intp)
+        block_pos[rows] = np.arange(len(rows))
+        set_ = object.__setattr__
+        set_(self, "blocks", tuple(blocks))
+        set_(self, "block_zeros", np.append(self.row_zeros[rows], 0).astype(np.int16))
+        set_(self, "block_pos", block_pos)
 
     @property
     def k(self) -> int:
@@ -106,23 +149,49 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
         ptr[lo + 1 : lo + 1 + counts.size] = counts
     np.cumsum(ptr, out=ptr)
     row_zeros = np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
-    nonempty = ptr[1:] > ptr[:-1]
     pred_idx = np.concatenate([np.empty(0, np.int64), *blocks], dtype=np.int64)
-    return TropicalMatrix(table, row_zeros, ptr, pred_idx, nonempty, ptr[:-1][nonempty])
+    return TropicalMatrix(table, row_zeros, ptr, pred_idx)
 
 
-def mat_vec(matrix: TropicalMatrix, x: np.ndarray) -> np.ndarray:
-    """Min-plus product of int64 cost arrays: out[p] = min over q of A[p][q] + x[q].
+def mat_vec(matrix: TropicalMatrix, low: int, off: np.ndarray) -> tuple[int, np.ndarray]:
+    """One min-plus step: out[p] = min over q of A[p][q] + x[q], for x = low + off.
 
-    Exploits the row-constant structure: out[p] = zeros(p) + min over
-    predecessors q of x[q], saturating at _INF.
+    A column is its minimum `low` plus uint8 offsets above it, OFF_INF where
+    infinite; out comes back the same way, its offsets in table order and
+    its minimum _INF when it is infinite everywhere.  Exploits the
+    row-constant structure: out[p] = zeros(p) + low + the least offset over
+    p's predecessors.  Each block of matrix.blocks is one gather and one
+    minimum down its slots into a buffer in block order; the zeros are
+    added there in int16, and block_pos puts the new offsets in table order.
+    Raises RuntimeError when a finite offset of out would not fit a uint8.
     """
-    if matrix.k != len(x):
+    k = matrix.k
+    if k != len(off):
         raise ValueError("matrix and vector sizes disagree")
-    out = np.full(matrix.k, _INF, dtype=np.int64)
-    if matrix.pred_idx.size:
-        mins = np.minimum.reduceat(x[matrix.pred_idx], matrix.starts)
-        out[matrix.nonempty] = np.where(
-            mins >= _INF, _INF, mins + matrix.row_zeros[matrix.nonempty]
+    x = np.empty(k + 1, dtype=np.uint8)
+    x[:k] = off
+    x[k] = OFF_INF
+    least = np.empty(len(matrix.block_zeros), dtype=np.uint8)
+    least[-1] = OFF_INF
+    lo = 0
+    for block in matrix.blocks:
+        hi = lo + block.shape[1]
+        np.minimum.reduce(x[block], axis=0, out=least[lo:hi])
+        lo = hi
+    inf = least == OFF_INF
+    step = least + matrix.block_zeros  # int16; at least OFF_INF where inf
+    rise = int(step.min())
+    if rise >= OFF_INF:  # the least entry may be an infinite one
+        finite = step[~inf]
+        if not finite.size:
+            return int(_INF), np.full(k, OFF_INF, dtype=np.uint8)
+        rise = int(finite.min())
+    step -= rise
+    step[inf] = -1  # wraps to OFF_INF in the uint8 cast, below every finite offset here
+    top = int(step.max())
+    if top >= OFF_INF:
+        raise RuntimeError(
+            f"a DP column spreads {top} above its minimum, "
+            f"more than the {OFF_INF - 1} a uint8 offset holds"
         )
-    return out
+    return low + rise, step.astype(np.uint8).take(matrix.block_pos)

@@ -414,6 +414,24 @@ def test_extraction_through_the_fold_matches_pinned_digests(m, n):
     assert digest == EXTRACT_DIGESTS[m, n]
 
 
+# first 16 hex digits of one sha256 over the bits of extract_min_set(m, n), in turn,
+# each as ceil(m * n / 8) little-endian bytes, for m = 2..13 and n = m..199,
+# 333, 777, 1500 (2,346 grids)
+EXTRACT_RANGE_DIGEST = "4c1c767f134bd33d"
+
+
+def test_extraction_over_the_whole_range_matches_a_pinned_digest():
+    digest = hashlib.sha256()
+    grids = 0
+    for m in range(2, 14):
+        for n in [*range(m, 200), 333, 777, 1500]:
+            bits = extract_min_set(m, n).bits
+            digest.update(bits.to_bytes((m * n + 7) // 8, "little"))
+            grids += 1
+    assert grids == 2346
+    assert digest.hexdigest()[:16] == EXTRACT_RANGE_DIGEST
+
+
 def test_extraction_memory_is_bounded_by_the_fold():
     machinery(15)
     _window_cache.pop(15, None)

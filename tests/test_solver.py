@@ -11,7 +11,6 @@ from quasidom.solver import (
     OFF_INF,
     DPWindow,
     Machinery,
-    _compact,
     _machinery_cache,
     _window_cache,
     big_grid_value,
@@ -32,6 +31,7 @@ from quasidom.tropical import (
     mat_vec,
 )
 from quasidom.words import WordTable, enumerate_suitable
+from test_tropical import reference_compact, reference_mat_vec
 
 # boundary values of the finite-difference recurrences, per published table
 TABLE2 = {
@@ -304,7 +304,7 @@ def test_folded_trace_matches_plain_iteration(m):
         x = mach.initial
         for r in range(300):
             if r:
-                x = mat_vec(mach.matrix, x)
+                x = reference_mat_vec(mach.matrix, x)
             assert np.array_equal(window.column(r + 1), x), (memo, r)
             if r in (0, FIRST_REPEAT[m] - 2, FIRST_REPEAT[m] - 1, 299):
                 if memo == "cold":
@@ -326,7 +326,7 @@ def test_dp_over_live_words_is_lossless(m):
     table = enumerate_suitable(m)
     full = build_transition_matrix(table)
     x = build_initial_vector(table)
-    live = np.flatnonzero(full.nonempty | (x < _INF))
+    live = np.flatnonzero((np.diff(full.pred_ptr) > 0) | (x < _INF))
     dropped = np.ones(table.k, bool)
     dropped[live] = False
     assert np.array_equal(mach.matrix.table.digits, table.digits[live])
@@ -334,7 +334,7 @@ def test_dp_over_live_words_is_lossless(m):
     _, window = run_dp(m, 10**6, keep_trace=True)
     for r in range(1, 2 * window.repeat[0] + 1):
         if r > 1:
-            x = mat_vec(full, x)
+            x = reference_mat_vec(full, x)
         assert (x[dropped] == _INF).all(), r
         assert np.array_equal(x[live], window.column(r)), r
     # each live list is the full list less the dropped words, renumbered,
@@ -477,10 +477,9 @@ def ring_window(k, cost):
     The table is a placeholder; the window reads only its width, in messages.
     """
     ids = np.arange(k, dtype=np.int64)
-    ptr = np.arange(k + 1, dtype=np.int64)
     matrix = TropicalMatrix(
         WordTable(1, np.zeros((k, 1), np.uint8)),
-        np.full(k, cost, np.int64), ptr, (ids - 1) % k, np.ones(k, bool), ptr[:-1],
+        np.full(k, cost, np.int64), np.arange(k + 1, dtype=np.int64), (ids - 1) % k,
     )
     initial = np.where(ids == 0, 0, _INF)
     return DPWindow(Machinery(matrix, initial, np.ones(k, bool)))
@@ -495,7 +494,7 @@ def test_a_ring_with_period_20_folds_at_its_first_repeat():
     x = window.mach.initial
     for r in range(1, 101):
         assert np.array_equal(window.column(r), x), r
-        x = mat_vec(window.mach.matrix, x)
+        x = reference_mat_vec(window.mach.matrix, x)
     assert window.value(57) == 56
     assert window.backtrack(57) == ([r % 20 for r in range(57)], 56)
 
@@ -520,10 +519,51 @@ def test_warm_solve_width_is_a_lookup():
 
 
 def test_offsets_that_do_not_fit_a_uint8_raise():
-    low, off = _compact(np.array([7, 7 + 254, _INF]))
+    # three words, each its own only predecessor, so a step adds the row costs
+    ids = np.arange(3, dtype=np.int64)
+    matrix = TropicalMatrix(
+        WordTable(1, np.zeros((3, 1), np.uint8)), np.array([0, 254, 0]), np.arange(4), ids
+    )
+    low, off = mat_vec(matrix, 7, np.array([0, 0, OFF_INF], np.uint8))
     assert low == 7 and off.tolist() == [0, 254, OFF_INF]
-    with pytest.raises(RuntimeError):
-        _compact(np.array([7, 7 + 255]))
+    text = "a DP column spreads 255 above its minimum, more than the 254 a uint8 offset holds"
+    with pytest.raises(RuntimeError, match=f"^{text}$"):
+        mat_vec(matrix, 7, np.array([0, 1, OFF_INF], np.uint8))
+
+
+def reference_grow(mach):
+    """mins, offsets, values and repeat of a width's window, grown by the reference step.
+
+    Each column is reference_mat_vec of the last as an int64 array, then
+    reference_compact; the first repeat is found by the same offset lookup.
+    """
+    mins, offsets, values, index = [], [], [], {}
+    x = mach.initial
+    while True:
+        low, off = reference_compact(x)
+        i = index.setdefault(off.tobytes(), len(mins))
+        if i < len(mins):
+            return mins, offsets, values, (len(mins) + 1, len(mins) - i, low - mins[i])
+        mins.append(low)
+        offsets.append(off)
+        best = x[mach.finals].min()
+        values.append(math.inf if best >= _INF else int(best))
+        x = reference_mat_vec(mach.matrix, x)
+
+
+@pytest.mark.parametrize(
+    "m", [*range(2, 16), *(pytest.param(m, marks=pytest.mark.slow) for m in (16, 17))]
+)
+def test_window_matches_a_reference_grow(m):
+    try:
+        _, window = run_dp(m, 10**6, keep_trace=True)
+        mins, offsets, values, repeat = reference_grow(window.mach)
+        assert (window.mins, window.values, window.repeat) == (mins, values, repeat)
+        assert all(np.array_equal(a, b) for a, b in zip(window.offsets, offsets, strict=True))
+    finally:
+        if m > 15:  # no other test of the default run reads these widths
+            _machinery_cache.pop(m, None)
+            _window_cache.pop(m, None)
 
 
 def walk_backtrack(window, n):

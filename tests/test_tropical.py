@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from quasidom import tropical
 from quasidom.tropical import (
     INFINITY,
+    OFF_INF,
     _INF,
     build_initial_vector,
     build_transition_matrix,
@@ -43,6 +44,46 @@ def entry(table, x, word):
     """The cost of word in the int64 cost array x, as an int or INFINITY."""
     v = x[table.words.index(word)]
     return INFINITY if v >= _INF else int(v)
+
+
+def reference_mat_vec(matrix, x):
+    """The min-plus step on int64 columns, one np.minimum.reduceat segment per row.
+
+    out[p] = row_zeros[p] + min over p's predecessors q of x[q], _INF where
+    p has no predecessor or every x[q] is infinite.
+    """
+    if matrix.k != len(x):
+        raise ValueError("matrix and vector sizes disagree")
+    out = np.full(matrix.k, _INF, dtype=np.int64)
+    nonempty = np.diff(matrix.pred_ptr) > 0
+    if matrix.pred_idx.size:
+        mins = np.minimum.reduceat(x[matrix.pred_idx], matrix.pred_ptr[:-1][nonempty])
+        out[nonempty] = np.where(mins >= _INF, _INF, mins + matrix.row_zeros[nonempty])
+    return out
+
+
+def reference_compact(data):
+    """Minimum of an int64 column and its entries less that minimum, as uint8 offsets."""
+    finite = data < _INF
+    low = int(data.min())
+    spread = data - low
+    top = int(spread[finite].max(initial=0))
+    if top >= OFF_INF:
+        raise RuntimeError(
+            f"a DP column spreads {top} above its minimum, "
+            f"more than the {OFF_INF - 1} a uint8 offset holds"
+        )
+    return low, np.where(finite, spread, OFF_INF).astype(np.uint8)
+
+
+def expand(low, off):
+    """The int64 column, _INF where infinite, of a column kept as low plus offsets."""
+    return np.where(off == OFF_INF, _INF, off + np.int64(low))
+
+
+def step(matrix, x):
+    """mat_vec on an int64 column, as an int64 column."""
+    return expand(*mat_vec(matrix, *reference_compact(x)))
 
 
 @pytest.fixture(scope="module")
@@ -181,29 +222,32 @@ def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
         assert not kept.table.digits.flags.writeable
         for p in range(kept.k):
             assert (np.diff(predecessors(kept, p)) > 0).all()
-        x = np.arange(kept.k, dtype=np.int64)
-        assert mat_vec(kept, x).shape == (kept.k,)
+        x = np.arange(kept.k, dtype=np.int64) % 7
+        low, off = mat_vec(kept, 0, x.astype(np.uint8))
+        assert off.shape == (kept.k,)
+        assert np.array_equal(expand(low, off), reference_mat_vec(kept, x))
 
 
 def test_mat_vec_absorbs_infinity(t2):
     table, matrix, _ = t2
-    all_inf = np.full(table.k, _INF, dtype=np.int64)
-    out = mat_vec(matrix, all_inf)
-    assert all(entry(table, out, w) == INFINITY for w in table)
+    low, off = mat_vec(matrix, int(_INF), np.full(table.k, OFF_INF, dtype=np.uint8))
+    assert low == _INF and (off == OFF_INF).all()
 
 
 def test_second_column_value(t2):
     table, matrix, x1 = t2
-    x2 = mat_vec(matrix, x1)
+    x2 = step(matrix, x1)
     assert entry(table, x2, "20") == 2  # reaches the 2x2 grid minimum
     finals = final_mask(table)
     assert x2[finals].min() == 2
 
 
-def _vectors(table):
-    cost = st.one_of(st.just(INFINITY), st.integers(min_value=0, max_value=30))
-    return st.lists(cost, min_size=table.k, max_size=table.k).map(
-        lambda vals: np.array([_INF if v == INFINITY else v for v in vals], dtype=np.int64)
+def _columns(table):
+    """Columns of table's words as (low, uint8 offsets), each offset finite or OFF_INF."""
+    offset = st.one_of(st.just(OFF_INF), st.integers(min_value=0, max_value=30))
+    return st.tuples(
+        st.integers(min_value=0, max_value=50),
+        st.lists(offset, min_size=table.k, max_size=table.k).map(lambda v: np.array(v, np.uint8)),
     )
 
 
@@ -211,24 +255,29 @@ TABLE3 = enumerate_suitable(3)
 MATRIX3 = build_transition_matrix(TABLE3)
 
 
-@given(_vectors(TABLE3), _vectors(TABLE3))
+@given(_columns(TABLE3), _columns(TABLE3))
 def test_mat_vec_monotone(x, y):
-    lo = np.minimum(x, y)
-    out_lo = mat_vec(MATRIX3, lo)
-    out_x = mat_vec(MATRIX3, x)
-    assert (out_lo <= out_x).all()
+    lo = reference_compact(np.minimum(expand(*x), expand(*y)))
+    assert (expand(*mat_vec(MATRIX3, *lo)) <= expand(*mat_vec(MATRIX3, *x))).all()
 
 
-def _plus(x, c):
-    """x + c on finite entries; _INF is absorbing."""
-    return np.where(x >= _INF, _INF, x + np.int64(c))
-
-
-@given(_vectors(TABLE3), st.integers(min_value=0, max_value=10))
+@given(_columns(TABLE3), st.integers(min_value=0, max_value=10))
 def test_mat_vec_translation_equivariance(x, c):
-    lhs = mat_vec(MATRIX3, _plus(x, c))
-    rhs = _plus(mat_vec(MATRIX3, x), c)
-    assert np.array_equal(lhs, rhs)
+    low, off = x
+    out_low, out = mat_vec(MATRIX3, low, off)
+    shifted_low, shifted = mat_vec(MATRIX3, low + c, off)
+    assert np.array_equal(shifted, out)
+    assert shifted_low == (_INF if out_low == _INF else out_low + c)
+
+
+@given(_columns(TABLE3))
+def test_mat_vec_infinite_only_through_infinite_predecessors(x):
+    # out[p] is infinite exactly when every predecessor of p is: rows with
+    # none, and the all-infinite column, included
+    for low, off in (x, (x[0], np.full(TABLE3.k, OFF_INF, np.uint8))):
+        _, out = mat_vec(MATRIX3, low, off)
+        for p in range(MATRIX3.k):
+            assert (out[p] == OFF_INF) == bool((off[predecessors(MATRIX3, p)] == OFF_INF).all())
 
 
 def test_single_predecessor_row_is_translation():
@@ -237,7 +286,7 @@ def test_single_predecessor_row_is_translation():
         table = enumerate_suitable(m)
         matrix = build_transition_matrix(table)
         x = np.arange(1, table.k + 1, dtype=np.int64)
-        out = mat_vec(matrix, x)
+        out = step(matrix, x)
         for p in range(table.k):
             preds = predecessors(matrix, p)
             if len(preds) == 1:
@@ -248,11 +297,11 @@ def test_single_predecessor_row_is_translation():
 def test_rows_without_predecessors_stay_infinite():
     table = enumerate_suitable(4)
     matrix = build_transition_matrix(table)
-    x = np.zeros(table.k, dtype=np.int64)
-    out = mat_vec(matrix, x)
+    low, out = mat_vec(matrix, 0, np.zeros(table.k, dtype=np.uint8))
+    assert low == 0
     for p in range(table.k):
         if len(predecessors(matrix, p)) == 0:
-            assert out[p] == _INF
+            assert out[p] == OFF_INF
 
 
 @pytest.mark.parametrize("m,depth", [(2, 5), (3, 4), (4, 3)])
@@ -282,7 +331,74 @@ def test_iterates_match_exhaustive_chain_enumeration(m, depth):
     x = build_initial_vector(table)
     for r in range(1, depth + 1):
         if r > 1:
-            x = mat_vec(matrix, x)
+            x = step(matrix, x)
         for w in table:
             expected = best[r].get(w, INFINITY)
             assert entry(table, x, w) == expected, (m, r, w)
+
+
+def _reference_step(matrix, low, off):
+    """reference_mat_vec then reference_compact: (low, offsets as a list), or the RuntimeError text."""
+    try:
+        low, out = reference_compact(reference_mat_vec(matrix, expand(low, off)))
+    except RuntimeError as err:
+        return str(err)
+    return low, out.tolist()
+
+
+def _step_or_error(matrix, low, off):
+    """mat_vec as (low, offsets as a list), or the RuntimeError text."""
+    try:
+        low, out = mat_vec(matrix, low, off)
+    except RuntimeError as err:
+        return str(err)
+    assert out.dtype == np.uint8 and out.shape == (matrix.k,)
+    return low, out.tolist()
+
+
+@pytest.mark.parametrize("m", range(2, 16))
+def test_mat_vec_matches_the_reference_step(m):
+    from quasidom.solver import machinery
+
+    matrices = [machinery(m).matrix]  # from m = 3 on some initial words have no predecessor
+    assert m == 2 or (np.diff(matrices[0].pred_ptr) == 0).any()
+    if m <= 10:  # the full tables, where thousands of rows have none
+        matrices.append(build_transition_matrix(enumerate_suitable(m)))
+    rng = np.random.default_rng(m)
+    for matrix in matrices:
+        k = matrix.k
+        columns = [(int(_INF), np.full(k, OFF_INF, np.uint8)), (3, np.zeros(k, np.uint8))]
+        for top, inf_share in [(20, 0.0), (20, 0.5), (60, 0.9), (240, 0.3), (254, 0.0), (20, 1.0)]:
+            off = rng.integers(0, top + 1, k).astype(np.uint8)
+            off[rng.random(k) < inf_share] = OFF_INF
+            columns.append((int(rng.integers(0, 1000)), off))
+        results = [_reference_step(matrix, low, off) for low, off in columns]
+        assert [_step_or_error(matrix, low, off) for low, off in columns] == results
+        assert sum(isinstance(r, str) for r in results) < len(columns) - 2
+
+
+# width: (blocks, their slots); the live entries are LIVE_COUNTS' in test_solver.py
+BLOCK_SLOTS = {2: (2, 8), 5: (4, 87), 9: (5, 1678), 12: (6, 15288), 13: (7, 32078)}
+
+
+@pytest.mark.parametrize("m", sorted(BLOCK_SLOTS))
+def test_blocks_hold_each_predecessor_list_once_padded_with_the_sentinel(m):
+    from quasidom.solver import machinery
+
+    matrix = machinery(m).matrix
+    k = matrix.k
+    assert (len(matrix.blocks), sum(b.size for b in matrix.blocks)) == BLOCK_SLOTS[m]
+    heights = [b.shape[0] for b in matrix.blocks]
+    assert heights == sorted(set(heights)) and all(h & (h - 1) == 0 for h in heights)
+    # block_pos lists the rows with a predecessor in block order, then the others
+    columns = [col for b in matrix.blocks for col in b.T]
+    counts = np.diff(matrix.pred_ptr)
+    assert sorted(matrix.block_pos[counts > 0]) == list(range(len(columns)))
+    assert (matrix.block_pos[counts == 0] == len(columns)).all()
+    for p in np.flatnonzero(counts):
+        col = columns[matrix.block_pos[p]]
+        c = counts[p]
+        assert len(col) // 2 < c <= len(col)
+        assert np.array_equal(col[:c], predecessors(matrix, p)) and (col[c:] == k).all()
+        assert matrix.block_zeros[matrix.block_pos[p]] == matrix.row_zeros[p]
+    assert all(b.dtype == np.intp for b in matrix.blocks)
