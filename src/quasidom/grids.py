@@ -293,8 +293,10 @@ def extract_min_set(m: int, n: int) -> GridSet:
     # after run_dp, so its errors keep their type; before the backtrack lists n ids
     check_cell_cap(m, n)
     ids, best = window.backtrack(n)
-    # column j of the grid is word ids[j - 1] of the live table; its 0s are the members
-    packed = np.packbits(mach.matrix.table.digits[ids].T == 0, axis=None, bitorder="little")
+    # column j of the grid is word ids[j - 1] of the live table; its 0s are the members.
+    # take reads the id list about twice as fast as fancy indexing does
+    columns = mach.matrix.table.digits.take(ids, axis=0)
+    packed = np.packbits(columns.T == 0, axis=None, bitorder="little")
     result = GridSet.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))
     if len(result) != best:
         raise RuntimeError(

@@ -14,14 +14,17 @@ same join from a virtual first column of 1s.
 
 mat_vec steps a column kept as its minimum plus uint8 offsets above it
 (OFF_INF where infinite), the form the DP window stores, and returns the
-next column in the same form; no int64 column is built.  For the step the
-matrix also holds its predecessor lists as padded index blocks, one per
-power-of-two predecessor count: a row with 2^(j-1) < c <= 2^j predecessors
-is a column of block j, 2^j slots high, its unused slots pointing at a
-sentinel entry that reads OFF_INF (width 13: 7 blocks, 32,078 slots for
-27,920 entries).  One gather and one minimum down the slots then steps a
-whole block, where a reduction over one segment per row cost about 28 ns a
-row.
+next column in the same form; no int64 column is built.  The matrix keeps
+its predecessor lists once, as padded index blocks: a row with
+2^(j-1) < c <= 2^j predecessors falls in bucket j, runs of consecutive
+buckets share one block 2^j slots high (j the run's top bucket), each row
+down one column and its unused slots repeating its first entry, so a pad
+never changes the row's minimum (width 13: 7 blocks, 32,078 slots for
+27,920 entries; widths 2 to 6 need one block).  One gather and one
+minimum down the slots then step a whole block, where a reduction over one
+segment per row cost about 28 ns a row.  A block costs two numpy calls
+whatever its size, so _merge_buckets pads a small bucket into its
+neighbour's block when that costs fewer slots than the calls.
 
 Rows, cost vectors and predecessor ids index the rows of a matrix's table.
 The solver builds its matrix on the live words alone (those with a
@@ -31,17 +34,22 @@ live=True).  The other words are infinite in every column: 13,651 of the
 
 Blocking bounds the join's transient candidate pairs, which set the build's
 peak memory: at width 13 the one-shot join peaked near 11 MB under
-tracemalloc to keep 0.5 MB of pred_idx.  pred_idx and the step's blocks
-stay int64 (intp), although int32 would halve them: numpy casts any other
-index dtype on every fancy index, so at width 13 one gather through the
-32,078 slots takes about twice as long with an int32 index (110 against
-35-55 us).
+tracemalloc to keep 0.5 MB of predecessor lists.  The join's lists and
+the CSR pred_idx they form are int32 and live only until the blocks are
+built, each block filled over its own index array, so at width 19 the
+build peaks near 106 MB of RSS, where one int64 pred_idx kept beside the
+blocks peaked at 145 MB (Python 3.11, numpy 2.4).  predecessors(p) reads
+a row's list down its block column.  The blocks stay int64 (intp),
+although int32 would halve them: numpy casts any other index dtype on
+every fancy index, so at width 13 one gather through the 32,078 slots
+takes about twice as long with an int32 index (110 against 35-55 us).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -62,51 +70,67 @@ OFF_INF = 255
 # ones raise it (34.4 MB at 8,192 rows, 41.0 MB in one block, 32.3 MB here).
 _BLOCK_ROWS = 4096
 
+# What one more index block costs mat_vec, in slots: its gather and its
+# minimum are two numpy calls of about 1-1.5 us each, where a slot costs
+# about 2 ns (width 13; Python 3.11, numpy 2.4, 2 shared x86-64 CPUs).
+_BLOCK_COST = 1024
+
 
 @dataclass(frozen=True, eq=False)
 class TropicalMatrix:
-    """Sparse k x k transition matrix in CSR-like predecessor form.
+    """Sparse k x k transition matrix in predecessor form.
 
-    row_zeros[p] is the zero-count of word p; pred_idx[pred_ptr[p]:pred_ptr[p+1]]
-    lists the ids q (sorted) with a finite entry A[p][q] = row_zeros[p].
-    Row p is word p of table.  The rest is derived from these for mat_vec:
-    blocks holds the predecessor lists of the rows with 2^(j-1) < c <= 2^j
-    predecessors as one 2^j x rows index array per j, ascending, each list
-    down a column and padded with k, the sentinel; block_zeros is the
-    zero-count of each column of the blocks, in turn, then one more entry
-    for the rows without a predecessor; block_pos[p] is row p's place in
-    that order.
+    Row p is word p of table; row_zeros[p] is its zero-count, the value of
+    every finite entry A[p][q], and the q with one are its
+    pred_ptr[p+1] - pred_ptr[p] predecessors.  The lists come in as CSR
+    (pred_ptr, pred_idx) and are kept only as blocks, one 2^j x rows intp
+    array per run of buckets from _merge_buckets (see the module
+    docstring), each row's ascending list down one column, padded with its
+    first entry.  block_zeros is the zero-count of each column of the
+    blocks, in turn, then one more entry for the rows without a
+    predecessor; block_pos[p] is row p's place in that order.
     """
 
     table: WordTable
     row_zeros: np.ndarray
     pred_ptr: np.ndarray
-    pred_idx: np.ndarray
+    pred_idx: InitVar[np.ndarray]
     blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
     block_zeros: np.ndarray = field(init=False, repr=False)
     block_pos: np.ndarray = field(init=False, repr=False)
+    # for predecessors(): each block's first place in block order, its width and
+    # its slots as a flat memoryview; then block_pos and pred_ptr as memoryviews
+    _views: tuple = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        ptr, idx, k = self.pred_ptr, self.pred_idx, self.k
+    def __post_init__(self, pred_idx: np.ndarray) -> None:
+        ptr, k = self.pred_ptr, self.k
         counts = np.diff(ptr)
         rows = np.flatnonzero(counts)
-        # row p goes to block j, the least j with counts[p] <= 2^j
-        j = np.searchsorted(1 << np.arange(63), counts[rows])
-        blocks, order = [], []
-        for b in np.flatnonzero(np.bincount(j)):
-            ids = rows[j == b]  # in table order
-            slot = np.arange(1 << int(b))[:, None]
-            block = idx.take(ptr[ids] + slot, mode="clip")  # pads read any entry, then k
-            block[slot >= counts[ids]] = k
-            blocks.append(block)
-            order.append(ids)
-        rows = np.concatenate([rows[:0], *order])
+        # row p goes to bucket j, the least j with counts[p] <= 2^j
+        j = np.searchsorted(1 << np.arange(63), counts[rows]).astype(np.uint8)
+        blocks, zeros, starts = [], [], []
         block_pos = np.full(k, len(rows), dtype=np.intp)
-        block_pos[rows] = np.arange(len(rows))
+        start = 0
+        for lo, hi in _merge_buckets(np.bincount(j).tolist()):
+            ids = rows[(lo <= j) & (j <= hi)]  # in table order
+            slot = np.arange(1 << hi)[:, None]
+            # each slot's place in pred_idx; a pad reads the row's first entry,
+            # which leaves its minimum as it is
+            block = slot * (slot < counts[ids])
+            block += ptr[ids]
+            block[:] = pred_idx.take(block)
+            blocks.append(block)
+            zeros.append(self.row_zeros[ids])
+            block_pos[ids] = np.arange(start, start + len(ids))
+            starts.append(start)
+            start += len(ids)
         set_ = object.__setattr__
         set_(self, "blocks", tuple(blocks))
-        set_(self, "block_zeros", np.append(self.row_zeros[rows], 0).astype(np.int16))
+        set_(self, "block_zeros", np.concatenate([*zeros, [0]]).astype(np.int16))
         set_(self, "block_pos", block_pos)
+        flats = [memoryview(b.reshape(-1)) for b in blocks]
+        widths = [b.shape[1] for b in blocks]
+        set_(self, "_views", (starts, widths, flats, memoryview(block_pos), memoryview(ptr)))
 
     @property
     def k(self) -> int:
@@ -115,6 +139,40 @@ class TropicalMatrix:
     @property
     def finite_entries(self) -> int:
         return int(self.pred_ptr[-1])
+
+    def predecessors(self, p: int) -> memoryview:
+        """Row p's predecessor ids, ascending, read down its block column without a copy."""
+        starts, widths, flats, pos, ptr = self._views
+        lo, hi = ptr[p], ptr[p + 1]
+        if lo == hi:
+            return memoryview(np.empty(0, np.intp))
+        b = bisect_right(starts, pos[p]) - 1
+        n = widths[b]
+        col = pos[p] - starts[b]
+        return flats[b][col : col + (hi - lo) * n : n]
+
+
+def _merge_buckets(sizes: list[int]) -> list[tuple[int, int]]:
+    """Runs lo..hi of the non-empty buckets, each one block 2^hi high, at least cost.
+
+    sizes[j] rows have 2^(j-1) < count <= 2^j.  A block costs its slots
+    plus _BLOCK_COST, so small buckets join a taller neighbour when padding
+    them costs less than two more numpy calls; the exact minimum over all
+    runs is a short dynamic program over the at most 63 buckets.
+    """
+    full = [j for j, size in enumerate(sizes) if size]
+    best = [(0, -1)]  # (cost, start of the last run) over the first i non-empty buckets
+    for i in range(1, len(full) + 1):
+        best.append(min(
+            (best[a][0] + _BLOCK_COST + (sum(sizes[j] for j in full[a:i]) << full[i - 1]), a)
+            for a in range(i)
+        ))
+    runs, i = [], len(full)
+    while i:
+        a = best[i][1]
+        runs.append((full[a], full[i - 1]))
+        i = a
+    return runs[::-1]
 
 
 def build_initial_vector(table: WordTable) -> np.ndarray:
@@ -142,14 +200,16 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
     depend on the block size.
     """
     ptr = np.zeros(table.k + 1, dtype=np.int64)
-    blocks = []
+    lists = []
     for lo, q, p in follow_blocks(table.digits, table.digits, _BLOCK_ROWS):
-        blocks.append(q[np.argsort(p, kind="stable")])
+        # int32 until the blocks are built from them, then dropped: the blocks are intp
+        lists.append(q[np.argsort(p, kind="stable")].astype(np.int32))
         counts = np.bincount(p)
         ptr[lo + 1 : lo + 1 + counts.size] = counts
     np.cumsum(ptr, out=ptr)
     row_zeros = np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
-    pred_idx = np.concatenate([np.empty(0, np.int64), *blocks], dtype=np.int64)
+    pred_idx = np.concatenate([np.empty(0, np.int32), *lists])
+    lists.clear()  # free the pieces before the matrix builds its index blocks
     return TropicalMatrix(table, row_zeros, ptr, pred_idx)
 
 
@@ -163,20 +223,20 @@ def mat_vec(matrix: TropicalMatrix, low: int, off: np.ndarray) -> tuple[int, np.
     p's predecessors.  Each block of matrix.blocks is one gather and one
     minimum down its slots into a buffer in block order; the zeros are
     added there in int16, and block_pos puts the new offsets in table order.
-    Raises RuntimeError when a finite offset of out would not fit a uint8.
+    Raises ValueError unless off is a uint8 array of length k, and
+    RuntimeError when a finite offset of out would not fit a uint8.
     """
     k = matrix.k
     if k != len(off):
         raise ValueError("matrix and vector sizes disagree")
-    x = np.empty(k + 1, dtype=np.uint8)
-    x[:k] = off
-    x[k] = OFF_INF
+    if off.dtype != np.uint8:
+        raise ValueError(f"offsets must be uint8, got {off.dtype}")
     least = np.empty(len(matrix.block_zeros), dtype=np.uint8)
-    least[-1] = OFF_INF
+    least[-1] = OFF_INF  # the rows without a predecessor
     lo = 0
     for block in matrix.blocks:
         hi = lo + block.shape[1]
-        np.minimum.reduce(x[block], axis=0, out=least[lo:hi])
+        np.minimum.reduce(off[block], axis=0, out=least[lo:hi])
         lo = hi
     inf = least == OFF_INF
     step = least + matrix.block_zeros  # int16; at least OFF_INF where inf

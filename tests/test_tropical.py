@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -28,8 +29,23 @@ from quasidom.words import (
 
 
 def predecessors(matrix, p):
-    """The ids q with a finite entry A[p][q]."""
-    return matrix.pred_idx[matrix.pred_ptr[p] : matrix.pred_ptr[p + 1]]
+    """The ids q with a finite entry A[p][q], as an int64 array."""
+    return np.asarray(matrix.predecessors(p), dtype=np.int64)
+
+
+def pred_idx(matrix):
+    """The CSR predecessor array that goes with matrix.pred_ptr, read back from the blocks."""
+    ptr, counts = matrix.pred_ptr, np.diff(matrix.pred_ptr)
+    out = np.empty(matrix.finite_entries, dtype=np.int64)
+    rows = np.argsort(matrix.block_pos, kind="stable")  # in block order
+    start = 0
+    for block in matrix.blocks:
+        ids = rows[start : start + block.shape[1]]
+        slot = np.arange(block.shape[0])[:, None]
+        real = slot < counts[ids]
+        out[(ptr[ids] + slot)[real]] = block[real]
+        start += block.shape[1]
+    return out
 
 
 def dense(matrix):
@@ -56,8 +72,9 @@ def reference_mat_vec(matrix, x):
         raise ValueError("matrix and vector sizes disagree")
     out = np.full(matrix.k, _INF, dtype=np.int64)
     nonempty = np.diff(matrix.pred_ptr) > 0
-    if matrix.pred_idx.size:
-        mins = np.minimum.reduceat(x[matrix.pred_idx], matrix.pred_ptr[:-1][nonempty])
+    idx = pred_idx(matrix)
+    if idx.size:
+        mins = np.minimum.reduceat(x[idx], matrix.pred_ptr[:-1][nonempty])
         out[nonempty] = np.where(mins >= _INF, _INF, mins + matrix.row_zeros[nonempty])
     return out
 
@@ -147,7 +164,7 @@ MATRIX_FINGERPRINTS = {
 )
 def test_matrix_fingerprint(m):
     matrix = build_transition_matrix(enumerate_suitable(m))
-    blob = matrix.pred_ptr.astype("<i8").tobytes() + matrix.pred_idx.astype("<i8").tobytes()
+    blob = matrix.pred_ptr.astype("<i8").tobytes() + pred_idx(matrix).astype("<i8").tobytes()
     digest = hashlib.sha256(blob).hexdigest()[:16]
     assert (matrix.k, matrix.finite_entries, digest) == MATRIX_FINGERPRINTS[m]
 
@@ -170,8 +187,8 @@ def test_blocked_build_matches_one_shot_join(m, rows, monkeypatch):
     matrix = build_transition_matrix(table)
     ptr, idx = reference_predecessors(table)
     assert np.array_equal(matrix.pred_ptr, ptr)
-    assert np.array_equal(matrix.pred_idx, idx)
-    assert matrix.pred_idx.dtype == np.int64
+    assert np.array_equal(pred_idx(matrix), idx)
+    assert all(np.array_equal(matrix.predecessors(p), idx[ptr[p] : ptr[p + 1]]) for p in range(table.k))
 
 
 @pytest.mark.parametrize("m,limit", [(13, 5_000_000), (15, 20_000_000)])
@@ -217,7 +234,7 @@ def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
         ids = np.flatnonzero(keep)
         assert np.array_equal(dense(kept), full[np.ix_(ids, ids)])
         assert np.array_equal(kept.row_zeros, matrix.row_zeros[ids])
-        assert kept.pred_idx.dtype == np.int64 and kept.table.m == m
+        assert all(b.dtype == np.intp for b in kept.blocks) and kept.table.m == m
         assert np.array_equal(kept.table.digits, table.digits[ids])
         assert not kept.table.digits.flags.writeable
         for p in range(kept.k):
@@ -378,15 +395,14 @@ def test_mat_vec_matches_the_reference_step(m):
 
 
 # width: (blocks, their slots); the live entries are LIVE_COUNTS' in test_solver.py
-BLOCK_SLOTS = {2: (2, 8), 5: (4, 87), 9: (5, 1678), 12: (6, 15288), 13: (7, 32078)}
+BLOCK_SLOTS = {2: (1, 12), 5: (1, 320), 9: (2, 2956), 12: (5, 16192), 13: (7, 32078)}
 
 
 @pytest.mark.parametrize("m", sorted(BLOCK_SLOTS))
-def test_blocks_hold_each_predecessor_list_once_padded_with_the_sentinel(m):
+def test_blocks_hold_each_predecessor_list_once_padded_with_its_first_entry(m):
     from quasidom.solver import machinery
 
     matrix = machinery(m).matrix
-    k = matrix.k
     assert (len(matrix.blocks), sum(b.size for b in matrix.blocks)) == BLOCK_SLOTS[m]
     heights = [b.shape[0] for b in matrix.blocks]
     assert heights == sorted(set(heights)) and all(h & (h - 1) == 0 for h in heights)
@@ -395,10 +411,47 @@ def test_blocks_hold_each_predecessor_list_once_padded_with_the_sentinel(m):
     counts = np.diff(matrix.pred_ptr)
     assert sorted(matrix.block_pos[counts > 0]) == list(range(len(columns)))
     assert (matrix.block_pos[counts == 0] == len(columns)).all()
-    for p in np.flatnonzero(counts):
-        col = columns[matrix.block_pos[p]]
+    for p in range(matrix.k):
         c = counts[p]
-        assert len(col) // 2 < c <= len(col)
-        assert np.array_equal(col[:c], predecessors(matrix, p)) and (col[c:] == k).all()
+        assert len(matrix.predecessors(p)) == c
+        if not c:
+            continue
+        col = columns[matrix.block_pos[p]]
+        assert c <= len(col)
+        assert np.array_equal(col[:c], predecessors(matrix, p)) and (col[c:] == col[0]).all()
         assert matrix.block_zeros[matrix.block_pos[p]] == matrix.row_zeros[p]
     assert all(b.dtype == np.intp for b in matrix.blocks)
+    assert not hasattr(matrix, "pred_idx")  # the lists are kept once, in the blocks
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_merged_buckets_cost_the_least_of_all_runs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 9))
+    sizes = (rng.integers(0, 2000, n) * (rng.random(n) < 0.7)).tolist()
+    full = [j for j, s in enumerate(sizes) if s]
+
+    def cost(runs):
+        return sum(
+            tropical._BLOCK_COST + (sum(sizes[j] for j in full if lo <= j <= hi) << hi)
+            for lo, hi in runs
+        )
+
+    runs = tropical._merge_buckets(sizes)
+    # consecutive runs covering every non-empty bucket once, from its first to its last
+    assert [j for lo, hi in runs for j in full if lo <= j <= hi] == full
+    assert all(lo in full and hi in full for lo, hi in runs)
+    best = min(
+        cost([(full[a], full[b - 1]) for a, b in zip((0, *cuts), (*cuts, len(full)))])
+        for r in range(len(full))
+        for cuts in itertools.combinations(range(1, len(full)), r)
+    ) if full else 0
+    assert cost(runs) == best
+
+
+def test_mat_vec_rejects_offsets_that_are_not_uint8(t2):
+    _, matrix, x1 = t2
+    with pytest.raises(ValueError, match="offsets must be uint8, got int64"):
+        mat_vec(matrix, 0, x1)
+    with pytest.raises(ValueError, match="sizes disagree"):
+        mat_vec(matrix, 0, np.zeros(matrix.k + 1, np.uint8))
