@@ -4,8 +4,8 @@ The extended (m+2) x (n+2) grid is partitioned into five diagonal residue
 classes V_s = {(i, j): 2i + j = s (mod 5)}; each is a perfect code of the
 infinite grid.  For m >= 16 the smallest class (`choose_residue`) becomes
 one bitmask per row (`projected_class`), five distinct rows plus the two
-border rows, whose four 8x8 corner blocks are repaired in place.  The
-GridSet's bits are one 5-row period of the class tiled over rows 9..m-8
+border rows, whose four 8x8 corner blocks are replaced by repaired ones.
+The GridSet's bits are one 5-row period of the class tiled over rows 9..m-8
 plus the 16 repaired border rows: a valid set of exactly
 floor((m+2)(n+2)/5) - 4 vertices, the known lower bound, built without
 numpy.  Widths 14 and 15 take the set from the transfer-matrix
@@ -21,9 +21,21 @@ only looks blocks up.  An exact column sweep in tests/test_pattern.py
 generates that table; its tests re-search every window, prove that no
 grid with m >= 16 reads any other (`test_corner_repair_is_periodic`), and
 pin the output.
+
+That proof also says that every grid with m >= 16 reads the same four
+windows, so the same four blocks, as one of 66 small representatives
+(`_representative`): s and the nets depend only on (m mod 5, n mod 5)
+(see `choose_residue`), the class repeats every 5 rows and columns, and so
+adding 5 rows (m >= 20) or 5 columns (n >= 22) translates each window
+without changing it.  So the first build of any grid of a representative's
+family keeps the four blocks in `_REPAIRS`, once its set has passed
+verification, and every later build of that family writes them back
+without reading a window.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .errors import ConstructionError, UnsupportedGridError
 from .formulas import big_grid_value
@@ -92,12 +104,39 @@ def choose_residue(m: int, n: int) -> int:
 
     Row i meets V_s in the columns j = (s - 2i) mod 5, +5, +10, ... <= n + 1,
     so V_s counts, for each u mod 5, the extended rows i = u (mod 5) times
-    the columns j = s - 2u (mod 5).
+    the columns j = s - 2u (mod 5).  With m = 5p + a and n = 5q + b those
+    counts are p + x_u and q + y_r, where x and y depend only on a and b, and
+    |V_s| = 5pq + p * sum(y) + q * sum(x) + sum_u x_u * y_{(s - 2u) mod 5}.
+    Only the last sum depends on s, so the choice depends only on
+    (m mod 5, n mod 5) and is computed once for each of the 25 pairs.
     """
-    rows = [(m + 6 - u) // 5 for u in range(5)]  # i = u (mod 5) in 0..m+1
-    cols = [(n + 6 - r) // 5 for r in range(5)]  # j = r (mod 5) in 0..n+1
-    sizes = [sum(rows[u] * cols[(s - 2 * u) % 5] for u in range(5)) for s in range(5)]
+    return _residue(m % 5, n % 5)
+
+
+@cache
+def _residue(a: int, b: int) -> int:
+    """choose_residue for m = a, n = b (mod 5): the s minimising sum_u x_u * y_{(s-2u) mod 5}."""
+    x = [(a + 6 - u) // 5 for u in range(5)]  # extended rows i = u (mod 5), less p
+    y = [(b + 6 - r) // 5 for r in range(5)]  # extended columns j = r (mod 5), less q
+    sizes = [sum(x[u] * y[(s - 2 * u) % 5] for u in range(5)) for s in range(5)]
     return min(range(5), key=lambda s: (sizes[s], s))
+
+
+def _representative(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The small grid whose corner repairs (m, n) repeats, with its (a, b) shift.
+
+    (m, n) is (m' + 5a, n' + 5b) for the representative (m', n'): rows are
+    shifted only from m' = 20 on and columns only from n' = 22 on, where
+    the top and bottom, respectively left and right, corner windows are
+    disjoint.  Every grid with 16 <= m <= n has one of 66 representatives,
+    with m' <= 24 and n' <= 28.
+    """
+    m_rep = m if m < 20 else 20 + (m - 20) % 5
+    if n < 22:
+        return (m_rep, n), ((m - m_rep) // 5, 0)
+    low = max(m_rep, 22)
+    n_rep = low + (n - low) % 5
+    return (m_rep, n_rep), ((m - m_rep) // 5, (n - n_rep) // 5)
 
 
 def _corner_key(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple:
@@ -179,13 +218,15 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     """An independent [1,2]-set of size floor((m+2)(n+2)/5) - 4 for 14 <= m <= n.
 
     Widths 14 and 15 use the width-m dynamic program.  Wider grids start
-    from the `projected_class` rows of `choose_residue(m, n)` and repair
-    the corner blocks of `construction_info(m, n)` in its order, writing
-    each block back before the next corner reads the rows.  The repairs
-    touch only the top and bottom 8 rows; rows 9..m-8 keep the class's
-    5-row period, so the set's bits are that period tiled over the middle
-    band plus the 16 repaired border rows, joined by shifts.  The set is
-    verified before it is returned.
+    from the `projected_class` rows of `choose_residue(m, n)` and replace
+    the four 8x8 corner blocks of `construction_info(m, n)` by repaired
+    ones: the blocks `_REPAIRS` keeps for the grid's `_representative`, or
+    else the corners' `_CORNER_BLOCKS` entries (`_looked_up_blocks`), which
+    are kept there once the set is verified.  The repairs touch only the
+    top and bottom 8 rows; rows 9..m-8 keep the class's 5-row period, so
+    the set's bits are that period tiled over the middle band plus the 16
+    repaired border rows, joined by shifts.  The set is verified before it
+    is returned, whichever way its blocks came.
 
     Raises UnsupportedGridError outside 14 <= m <= n, ConstructionError if
     a corner's window is not in _CORNER_BLOCKS or the result fails
@@ -206,9 +247,37 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
 
     s, k = choose_residue(m, n), CORNER_SIZE
     rows = projected_class(m, n, s)
-    # rows k+1..k+5 are one period of the middle band k+1..m-k, which no repair touches;
-    # taken before the repairs, as the bottom ones rewrite some of them when m <= 20
+    # rows k+1..k+5 are one period of the middle band k+1..m-k, which no repair touches
     band = _tile(_join(rows[k : k + 5], n), 5 * n, (m - 2 * k) * n)
+    rep, _ = _representative(m, n)
+    blocks = _REPAIRS.get(rep) or _looked_up_blocks(rows[:], n, s)
+    # the blocks fill columns 1..k and n-k+1..n of the top and bottom k rows
+    tl, tr, bl, br = blocks
+    keep, shift = (1 << n - k) - (1 << k), n - k
+    top = [row & keep | a | b << shift for row, a, b in zip(rows[:k], tl, tr)]
+    bottom = [row & keep | a | b << shift for row, a, b in zip(rows[-k:], bl, br)]
+    # row m holds the most significant bits
+    bits = _join(top, n) | band << k * n | _join(bottom, n) << (m - k) * n
+    result = GridSet.from_bits(m, n, bits)
+    if len(result) != target or not verify_set(result).ok:
+        raise ConstructionError(
+            f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "
+            f"members; target {target}"
+        )
+    _REPAIRS[rep] = blocks
+    return result
+
+
+def _looked_up_blocks(rows: list[int], n: int, s: int) -> tuple[tuple[int, ...], ...]:
+    """The four corners' _CORNER_BLOCKS blocks, in _corners order.
+
+    Each block is written into `rows` before the next corner's window is
+    read, as the windows of small grids overlap the blocks repaired before
+    them; the caller passes a copy and writes all four blocks at once.
+    Raises ConstructionError naming the first corner whose window is not in
+    the table.
+    """
+    m, k, blocks = len(rows), CORNER_SIZE, []
     for name, r1, c1, net in _corners(m, n, s):
         block = _corner_block(rows, n, r1, c1, net)
         if block is None:
@@ -218,15 +287,13 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
         outside = ~(((1 << k) - 1) << (c1 - 1))
         for r, b in enumerate(block, start=r1 - 1):
             rows[r] = rows[r] & outside | b << (c1 - 1)
-    # row m holds the most significant bits
-    bits = _join(rows[:k], n) | band << k * n | _join(rows[-k:], n) << (m - k) * n
-    result = GridSet.from_bits(m, n, bits)
-    if len(result) != target or not verify_set(result).ok:
-        raise ConstructionError(
-            f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "
-            f"members; target {target}"
-        )
-    return result
+        blocks.append(block)
+    return tuple(blocks)
+
+
+# The four repaired blocks, in _corners order, of each representative (m', n') that a
+# build has verified; every grid of its family repairs its corners with the same blocks.
+_REPAIRS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
 
 
 # The repaired block of every corner window that a grid with m >= 16 reads, keyed by

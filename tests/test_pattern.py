@@ -10,6 +10,7 @@ from quasidom.errors import ConstructionError
 from quasidom.grids import verify_set
 from quasidom.pattern import (
     CORNER_SIZE,
+    _representative,
     build_big_grid_set,
     choose_residue,
     construction_info,
@@ -18,6 +19,27 @@ from quasidom.pattern import (
     projected_class,
 )
 from quasidom.solver import big_grid_value
+
+
+@pytest.fixture(autouse=True)
+def empty_memo(monkeypatch):
+    # every test starts from an empty memo of repaired blocks and leaves the package's alone
+    monkeypatch.setattr(pattern, "_REPAIRS", {})
+
+
+def _build_afresh(m, n):
+    """build_big_grid_set(m, n) from an empty memo; checks that it looked up all four corners."""
+    pattern._REPAIRS.clear()
+    search, lookups = pattern._corner_block, []
+
+    def counted(*args):
+        lookups.append(args)
+        return search(*args)
+
+    with mock.patch.object(pattern, "_corner_block", counted):
+        result = build_big_grid_set(m, n)
+    assert len(lookups) == 4, (m, n)
+    return result
 
 
 def test_partition_small_example():
@@ -174,16 +196,6 @@ WINDOW_ROWS = 10
 WINDOW_COLS = 11
 
 
-def _representative(m, n):
-    """The small grid whose corner repairs (m, n) repeats, with its (a, b) shift."""
-    m_rep = m if m < 20 else 20 + (m - 20) % 5
-    if n < 22:
-        return (m_rep, n), ((m - m_rep) // 5, 0)
-    low = max(m_rep, 22)
-    n_rep = low + (n - low) % 5
-    return (m_rep, n_rep), ((m - m_rep) // 5, (n - n_rep) // 5)
-
-
 def _representatives():
     for m in range(16, 25):
         low = max(m, 22)
@@ -295,9 +307,9 @@ def _representatives_and_copies():
 def _generate_corner_blocks():
     """pattern._CORNER_BLOCKS as the sweep gives it.
 
-    Builds every grid of `_representatives_and_copies` and sweeps each corner
-    window the first time a grid reads it; the table is every window read,
-    with its block.
+    Builds every grid of `_representatives_and_copies` from an empty memo and
+    sweeps each corner window the first time a grid reads it; the table is
+    every window read, with its block.
     """
     table = {}
 
@@ -309,7 +321,7 @@ def _generate_corner_blocks():
 
     with mock.patch.object(pattern, "_corner_block", sweep_once):
         for m, n in _representatives_and_copies():
-            build_big_grid_set(m, n)
+            _build_afresh(m, n)
     return table
 
 
@@ -342,6 +354,35 @@ def test_a_window_missing_from_the_table_names_its_corner(monkeypatch):
     monkeypatch.setattr(pattern, "_CORNER_BLOCKS", {})
     with pytest.raises(ConstructionError, match="top-left corner"):
         build_big_grid_set(16, 16)
+    assert pattern._REPAIRS == {}
+
+
+def test_blocks_are_kept_only_for_a_verified_set(monkeypatch):
+    monkeypatch.setattr(pattern, "verify_set", lambda s: mock.Mock(ok=False))
+    with pytest.raises(ConstructionError, match="invalid set"):
+        build_big_grid_set(23, 31)
+    assert pattern._REPAIRS == {}
+
+
+def test_a_family_reads_no_window_once_its_blocks_are_kept(monkeypatch):
+    rep, shift = _representative(33, 46)
+    assert (rep, shift) == ((23, 26), (2, 4))
+    fresh = {grid: _build_afresh(*grid).bits for grid in (rep, (28, 31), (33, 46))}
+    assert list(pattern._REPAIRS) == [rep]  # kept by the last, farthest copy
+
+    def no_lookup(*args):
+        raise AssertionError("a kept family read a corner window")
+
+    monkeypatch.setattr(pattern, "_corner_block", no_lookup)
+    for grid, bits in fresh.items():
+        assert build_big_grid_set(*grid).bits == bits, grid
+
+
+def test_a_build_from_kept_blocks_is_still_verified(monkeypatch):
+    build_big_grid_set(23, 31)
+    monkeypatch.setattr(pattern, "verify_set", lambda s: mock.Mock(ok=False))
+    with pytest.raises(ConstructionError, match="invalid set"):
+        build_big_grid_set(28, 36)
 
 
 def test_representatives_cover_every_wide_grid():
@@ -366,12 +407,16 @@ def test_corner_repair_is_periodic():
     border.  Top and bottom windows are disjoint once m >= 20; left and
     right windows once n >= 22.  The base pattern (the projected class
     V_s) is invariant under shifts by 5 in either direction, and
-    `choose_residue` and the nets depend only on (m mod 5, n mod 5).  So adding 5 rows (when m >= 20) or 5 columns
-    (when n >= 22) translates every corner window, and with it every
-    repair.  Every grid with m >= 16 is a copy (m' + 5a, n' + 5b) of one
-    of 66 representatives, with m' <= 24 and n' <= 28, where a = 0 when
-    m' < 20 (see `_representative`).  Its set is the representative's
-    corner windows, translated, over the base pattern.
+    `choose_residue` and the nets depend only on (m mod 5, n mod 5).  So
+    adding 5 rows (when m >= 20) or 5 columns (when n >= 22) translates
+    every corner window, and with it every repair.  Every grid with
+    m >= 16 is a copy (m' + 5a, n' + 5b) of one of 66 representatives,
+    with m' <= 24 and n' <= 28, where a = 0 when m' < 20 and b = 0 when
+    n' < 22 (`pattern._representative`, the key the build keeps its blocks
+    under).  Its set is the representative's corner windows, translated,
+    over the base pattern, and its blocks are the representative's: this
+    is what lets the build take them from `pattern._REPAIRS`.  Each grid
+    here is built from an empty memo, so it reads its own windows.
 
     Validity.  A cell's verdict reads three consecutive rows and columns.
     Outside the 8x8 corner regions the set is the base pattern, so rows
@@ -383,7 +428,7 @@ def test_corner_repair_is_periodic():
     The test below searches the far copies afresh with the sweep.
     """
     for m0, n0 in _representatives():
-        rep, rep_info = build_big_grid_set(m0, n0), construction_info(m0, n0)
+        rep, rep_info = _build_afresh(m0, n0), construction_info(m0, n0)
         assert len(rep) == big_grid_value(m0, n0), (m0, n0)
         assert verify_set(rep).ok, (m0, n0)
         row_shifts = (0, 1, 4) if m0 >= 20 else (0,)
@@ -396,16 +441,16 @@ def test_corner_repair_is_periodic():
                         assert verify_set(copy).ok, (copy.m, copy.n)
 
 
-def test_corner_repair_search_reads_only_its_window(monkeypatch):
+def test_corner_repair_search_reads_only_its_window():
     # the table is keyed by the window, so the test above reads the blocks of
-    # the far copies from their representatives' entries; here they are swept afresh
+    # the far copies from their representatives' entries; here they are swept
+    # afresh (`_build_afresh` checks that each copy searches all four corners)
     for m0, n0 in _representatives():
         if n0 < 22:
             continue
-        rep, rep_info = build_big_grid_set(m0, n0), construction_info(m0, n0)
-        monkeypatch.setattr(pattern, "_corner_block", _sweep)
-        _assert_translated_copy(rep, rep_info, 4 if m0 >= 20 else 0, 4)
-        monkeypatch.undo()
+        rep, rep_info = _build_afresh(m0, n0), construction_info(m0, n0)
+        with mock.patch.object(pattern, "_corner_block", _sweep):
+            _assert_translated_copy(rep, rep_info, 4 if m0 >= 20 else 0, 4)
 
 
 # first 16 hex digits of sha256(json.dumps([sorted members, s, nets])) for each
@@ -438,28 +483,41 @@ PINNED_DIGESTS = {
 
 def test_representatives_match_pinned_digests(monkeypatch):
     assert set(PINNED_DIGESTS) == set(_representatives())
-    # the table, then every corner swept afresh
+    # the table, then every corner swept afresh, each grid from an empty memo
     for search in (pattern._corner_block, _sweep):
         monkeypatch.setattr(pattern, "_corner_block", search)
         for (m, n), digest in PINNED_DIGESTS.items():
-            result, info = build_big_grid_set(m, n), construction_info(m, n)
+            result, info = _build_afresh(m, n), construction_info(m, n)
             payload = json.dumps([result.sorted_members(), info["s"], info["nets"]])
             assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest, (m, n, search)
 
 
-def _bits_digest(*grids):
-    """First 16 hex digits of the sha256 of the grids' sets, as little-endian bytes in turn."""
+def _bits_digest(sets):
+    """First 16 hex digits of the sha256 of the sets' bits, as little-endian bytes in turn."""
     h = hashlib.sha256()
-    for m, n in grids:
-        h.update(build_big_grid_set(m, n).bits.to_bytes((m * n + 7) // 8, "little"))
+    for s in sets:
+        h.update(s.bits.to_bytes((s.m * s.n + 7) // 8, "little"))
     return h.hexdigest()[:16]
 
 
+# the 3,655 grids 16 <= m <= n <= 100 and their digest, as the row-by-row build gave them
+WIDE_GRIDS = [(m, n) for m in range(16, 101) for n in range(m, 101)]
+WIDE_GRIDS_DIGEST = "28542aedf9ad0fe1"
+
+
 def test_wide_grid_bits_match_the_pinned_sweep_digest():
-    # the 3,655 grids 16 <= m <= n <= 100, as the row-by-row build gave them
-    grids = [(m, n) for m in range(16, 101) for n in range(m, 101)]
-    assert len(grids) == 3655
-    assert _bits_digest(*grids) == "28542aedf9ad0fe1"
+    # in this order each representative is built before its copies, which read its blocks
+    assert len(WIDE_GRIDS) == 3655
+    assert _bits_digest(build_big_grid_set(m, n) for m, n in WIDE_GRIDS) == WIDE_GRIDS_DIGEST
+    assert set(pattern._REPAIRS) == set(_representatives())
+
+
+def test_wide_grid_bits_match_the_digest_when_far_copies_are_built_first():
+    # in descending order the farthest copy of each family keeps the blocks its nearer
+    # copies and its representative then read
+    built = {(m, n): build_big_grid_set(m, n) for m, n in reversed(WIDE_GRIDS)}
+    assert _bits_digest(built[grid] for grid in WIDE_GRIDS) == WIDE_GRIDS_DIGEST
+    assert set(pattern._REPAIRS) == set(_representatives())
 
 
 # the bits digest of large grids, as the row-by-row build gave them; (16, 250000) has no
@@ -477,7 +535,7 @@ PINNED_BITS_DIGESTS = {
 @pytest.mark.parametrize("m,n", sorted(PINNED_BITS_DIGESTS))
 def test_large_grids_match_pinned_bits_digests(m, n):
     # build_big_grid_set verifies the set before it returns it
-    assert _bits_digest((m, n)) == PINNED_BITS_DIGESTS[m, n]
+    assert _bits_digest([build_big_grid_set(m, n)]) == PINNED_BITS_DIGESTS[m, n]
 
 
 @pytest.mark.parametrize("m,n", [(16, 16), (16, 40), (17, 17), (17, 41), (21, 33)])
@@ -492,7 +550,9 @@ def test_middle_band_edges_match_the_row_reference(m, n):
 
     with mock.patch.object(pattern, "_corner_block", lookup):
         result = build_big_grid_set(m, n)
-    rows = seen[0]  # the list the build repairs in place, after the last repair
+    # the copy of the rows that the lookups repair in place, after the last repair;
+    # the build writes the four blocks into its own rows at once
+    rows = seen[0]
     assert len(seen) == 4 and all(r is rows for r in seen)
     assert result.bits == int("".join(format(r, f"0{n}b") for r in reversed(rows)), 2)
     k = CORNER_SIZE
@@ -501,9 +561,9 @@ def test_middle_band_edges_match_the_row_reference(m, n):
 
 
 def _assert_translated_copy(rep, rep_info, a, b):
-    """Build the copy shifted by (5a, 5b) and compare it with `rep`."""
+    """Build the copy shifted by (5a, 5b) from an empty memo and compare it with `rep`."""
     m, n = rep.m + 5 * a, rep.n + 5 * b
-    copy, info = build_big_grid_set(m, n), construction_info(m, n)
+    copy, info = _build_afresh(m, n), construction_info(m, n)
     assert (info["s"], info["nets"]) == (rep_info["s"], rep_info["nets"]), (m, n)
     rep_windows = _corner_windows(rep.m, rep.n)
     for (r, c), (rows, cols) in _corner_windows(m, n).items():
