@@ -2,40 +2,35 @@
 
 The extended (m+2) x (n+2) grid is partitioned into five diagonal residue
 classes V_s = {(i, j): 2i + j = s (mod 5)}; each is a perfect code of the
-infinite grid.  For m >= 16 the smallest class (`choose_residue`) becomes
-one bitmask per row (`projected_class`), five distinct rows plus the two
-border rows, whose four 8x8 corner blocks are replaced by repaired ones.
-The GridSet's bits are one 5-row period of the class tiled over rows 9..m-8
-plus the 16 repaired border rows: a valid set of exactly
-floor((m+2)(n+2)/5) - 4 vertices, the known lower bound, built without
-numpy.  Widths 14 and 15 take the set from the transfer-matrix
-extractor instead.  The tests' reference is `diagonal_partition`, V_s as
-(i, j) tuples, and `project_inner`.
+infinite grid.  For m >= 16 the set is the smallest class
+(`choose_residue`) projected onto the inner grid, its border lines folded
+one step inward, with its four 8x8 corner blocks replaced by repaired
+ones: a valid set of exactly floor((m+2)(n+2)/5) - 4 vertices, the known
+lower bound, built without numpy.  Rows 2..m-1 of the projected class
+depend only on the row mod 5, so the build makes three 5-row periods as
+one int and cuts three strips from it: the top 8 rows, the middle band
+9..m-8, tiled by doubling, and the bottom 8 rows.  Rows 1 and m also take
+the folded rows 0 and m + 1, and only the two 8-row strips are masked to
+take the corner blocks.  Widths 14 and 15 take the set from the
+transfer-matrix extractor instead.  The tests' reference is
+`diagonal_partition`, V_s as (i, j) tuples, and `project_inner`.
 
 A repair re-chooses one corner block, keeping the cells outside it fixed
 and dropping one member unless the class already misses that extended-grid
-corner.  It depends only on the cells of a small window around the block
-(`_corner_key`), and the grids with m >= 16 read 24 windows in all, so
-`_CORNER_BLOCKS` maps each of them to its repaired block and the build
-only looks blocks up.  An exact column sweep in tests/test_pattern.py
-generates that table; its tests re-search every window, prove that no
-grid with m >= 16 reads any other (`test_corner_repair_is_periodic`), and
-pin the output.
-
-That proof also says that every grid with m >= 16 reads the same four
-windows, so the same four blocks, as one of 66 small representatives
-(`_representative`): s and the nets depend only on (m mod 5, n mod 5)
-(see `choose_residue`), the class repeats every 5 rows and columns, and so
-adding 5 rows (m >= 20) or 5 columns (n >= 22) translates each window
-without changing it.  So the first build of any grid of a representative's
-family keeps the four blocks in `_REPAIRS`, once its set has passed
-verification, and every later build of that family writes them back
-without reading a window.
+corner.  It depends only on the cells of a small window around the block,
+and every grid with m >= 16 reads the same four windows as one of 66
+small representatives (`_representative`): s and the nets depend only on
+(m mod 5, n mod 5) (see `choose_residue`), the class repeats every 5 rows
+and columns, and so adding 5 rows (m >= 20) or 5 columns (n >= 22)
+translates each window without changing it.  So `_CORNER_BLOCKS` maps
+each representative to its four repaired blocks and the build only reads
+its grid's entry.  tests/test_pattern.py generates that table with an
+exact column sweep over each representative's windows, proves that every
+grid with m >= 16 reads its representative's windows
+(`test_corner_repair_is_periodic`), and pins the output.
 """
 
 from __future__ import annotations
-
-from functools import cache
 
 from .errors import ConstructionError, UnsupportedGridError
 from .formulas import big_grid_value
@@ -45,8 +40,8 @@ from .grids import GridSet, _tile, check_cell_cap, extract_min_set, verify_set
 CORNER_SIZE = 8
 
 
-# diagonal_partition and project_inner are the tests' tuple reference for
-# projected_class, and the benchmark's tracer wraps them by name
+# diagonal_partition and project_inner are the tests' tuple reference for the
+# class's bits, and the benchmark's tracer wraps them by name
 # (pattern.residue_s), so they stay here although the build never calls them.
 def diagonal_partition(m: int, n: int, s: int) -> frozenset[tuple[int, int]]:
     """Residue class {(i, j): 2i + j = s (mod 5)} on the extended grid.
@@ -73,32 +68,6 @@ def project_inner(cells: frozenset[tuple[int, int]], m: int, n: int) -> GridSet:
     return GridSet(m, n, [(min(max(i, 1), m), min(max(j, 1), n)) for i, j in sides])
 
 
-def projected_class(m: int, n: int, s: int) -> list[int]:
-    """The cells of `project_inner(diagonal_partition(m, n, s), m, n)` as row bitmasks.
-
-    Entry i - 1 holds row i, with column j at bit j - 1.  Extended row e of
-    V_s is one 5-periodic run of bits shifted by (s - 2e - 1) mod 5.  The
-    border lines are ORed one step inward; the extended corners fall outside
-    every fold, so they drop out.  So row i depends only on i mod 5, except
-    rows 1 and m, which also hold the folded rows 0 and m + 1: five rows are
-    built and the list repeats them.
-    """
-    width = (1 << n) - 1
-    every5 = int("00001" * (n // 5 + 1), 2)  # columns 1, 6, 11, ...
-
-    def inner(e: int) -> int:  # extended row e on columns 1..n
-        return every5 << (s - 2 * e - 1) % 5 & width
-
-    # extended columns 0 and n + 1 fold onto columns 1 and n
-    period = [
-        inner(i) | (2 * i % 5 == s) | ((2 * i + n + 1) % 5 == s) << (n - 1) for i in range(1, 6)
-    ]
-    rows = (period * (m // 5 + 1))[:m]
-    rows[0] |= inner(0)
-    rows[-1] |= inner(m + 1)
-    return rows
-
-
 def choose_residue(m: int, n: int) -> int:
     """Residue whose class is smallest on the extended grid (ties: smallest s).
 
@@ -110,16 +79,18 @@ def choose_residue(m: int, n: int) -> int:
     Only the last sum depends on s, so the choice depends only on
     (m mod 5, n mod 5) and is computed once for each of the 25 pairs.
     """
-    return _residue(m % 5, n % 5)
+    return _RESIDUES[m % 5][n % 5]
 
 
-@cache
 def _residue(a: int, b: int) -> int:
     """choose_residue for m = a, n = b (mod 5): the s minimising sum_u x_u * y_{(s-2u) mod 5}."""
     x = [(a + 6 - u) // 5 for u in range(5)]  # extended rows i = u (mod 5), less p
     y = [(b + 6 - r) // 5 for r in range(5)]  # extended columns j = r (mod 5), less q
     sizes = [sum(x[u] * y[(s - 2 * u) % 5] for u in range(5)) for s in range(5)]
     return min(range(5), key=lambda s: (sizes[s], s))
+
+
+_RESIDUES = tuple(tuple(_residue(a, b) for b in range(5)) for a in range(5))
 
 
 def _representative(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -137,34 +108,6 @@ def _representative(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     low = max(m_rep, 22)
     n_rep = low + (n - low) % 5
     return (m_rep, n_rep), ((m - m_rep) // 5, (n - n_rep) // 5)
-
-
-def _corner_key(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple:
-    """The cells that repairing the corner block with top-left cell (r1, c1) depends on.
-
-    The window is rows r1-2..r2+2 and columns c1-3..c2+2 (r2, c2 the
-    block's last row and column) clipped to the grid, h x w cells with
-    top-left cell (top, left).  The key is (h, w, r1 - top, c1 - left, net,
-    rows), with the window's rows as w-bit slices of the row bitmasks.
-    """
-    top, bottom = max(1, r1 - 2), min(len(rows), r1 + CORNER_SIZE + 1)
-    left, right = max(1, c1 - 3), min(n, c1 + CORNER_SIZE + 1)
-    w = right - left + 1
-    window = tuple(row >> (left - 1) & (1 << w) - 1 for row in rows[top - 1 : bottom])
-    return (bottom - top + 1, w, r1 - top, c1 - left, net, window)
-
-
-def _corner_block(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[int, ...] | None:
-    """The _CORNER_BLOCKS block at (r1, c1), column c1 + k at bit k; None if the window is new."""
-    return _CORNER_BLOCKS.get(_corner_key(rows, n, r1, c1, net))
-
-
-def _join(rows: list[int], n: int) -> int:
-    """The n-bit rows as one int, rows[0] in the lowest n bits."""
-    bits = 0
-    for row in reversed(rows):
-        bits = bits << n | row
-    return bits
 
 
 def _check_wide(m: int, n: int) -> None:
@@ -218,18 +161,17 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     """An independent [1,2]-set of size floor((m+2)(n+2)/5) - 4 for 14 <= m <= n.
 
     Widths 14 and 15 use the width-m dynamic program.  Wider grids start
-    from the `projected_class` rows of `choose_residue(m, n)` and replace
-    the four 8x8 corner blocks of `construction_info(m, n)` by repaired
-    ones: the blocks `_REPAIRS` keeps for the grid's `_representative`, or
-    else the corners' `_CORNER_BLOCKS` entries (`_looked_up_blocks`), which
-    are kept there once the set is verified.  The repairs touch only the
-    top and bottom 8 rows; rows 9..m-8 keep the class's 5-row period, so
-    the set's bits are that period tiled over the middle band plus the 16
-    repaired border rows, joined by shifts.  The set is verified before it
-    is returned, whichever way its blocks came.
+    from the projected class of `choose_residue(m, n)` and replace the four
+    8x8 corner blocks of `construction_info(m, n)` by the `_CORNER_BLOCKS`
+    entry of the grid's `_representative`.  Rows 1..15 of the class, three
+    5-row periods, give the top 8 rows, the middle band 9..m-8 (tiled by
+    doubling) and the bottom 8 rows; the two 8-row strips are masked to
+    take the folded border rows and the blocks, and the three strips are
+    joined by shifts.  No window is read and nothing is kept between
+    calls.  The set is verified before it is returned.
 
     Raises UnsupportedGridError outside 14 <= m <= n, ConstructionError if
-    a corner's window is not in _CORNER_BLOCKS or the result fails
+    the representative is not in _CORNER_BLOCKS or the result fails
     verification, and ResourceCapError above grids.MAX_CELLS cells.
     """
     _check_wide(m, n)
@@ -245,107 +187,124 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
             )
         return result
 
-    s, k = choose_residue(m, n), CORNER_SIZE
-    rows = projected_class(m, n, s)
-    # rows k+1..k+5 are one period of the middle band k+1..m-k, which no repair touches
-    band = _tile(_join(rows[k : k + 5], n), 5 * n, (m - 2 * k) * n)
     rep, _ = _representative(m, n)
-    blocks = _REPAIRS.get(rep) or _looked_up_blocks(rows[:], n, s)
-    # the blocks fill columns 1..k and n-k+1..n of the top and bottom k rows
-    tl, tr, bl, br = blocks
-    keep, shift = (1 << n - k) - (1 << k), n - k
-    top = [row & keep | a | b << shift for row, a, b in zip(rows[:k], tl, tr)]
-    bottom = [row & keep | a | b << shift for row, a, b in zip(rows[-k:], bl, br)]
+    blocks = _CORNER_BLOCKS.get(rep)
+    if blocks is None:
+        raise ConstructionError(
+            f"no repaired corner blocks for ({m}, {n}): its representative {rep} is not "
+            "in the table"
+        )
+    s, k = choose_residue(m, n), CORNER_SIZE
+    width = (1 << n) - 1
+    every5 = ((1 << 5 * (n // 5 + 1)) - 1) // 31  # columns 1, 6, 11, ...
+
+    def inner(e: int) -> int:  # extended row e of V_s on columns 1..n
+        return every5 << (s - 2 * e - 1) % 5 & width
+
+    # rows 1..5 without the folded rows 0 and m + 1, row 1 in the lowest n bits
+    period = 0
+    for i in range(5, 0, -1):
+        period = period << n | inner(i)
+    # extended columns 0 and n + 1 fold onto columns 1 and n of the one row i in 1..5
+    # with 2i = s, respectively 2i + n + 1 = s (mod 5); 3 is the inverse of 2 mod 5
+    period |= 1 << (3 * s - 1) % 5 * n | 1 << ((3 * (s - n - 1) - 1) % 5 + 1) * n - 1
+    period |= period << 5 * n | period << 10 * n  # rows 1..15
+
+    def rows_from(first: int) -> int:  # rows first..first+10 at least
+        return period >> (first - 1) % 5 * n
+
+    # the blocks fill columns 1..k and n-k+1..n of the top and bottom k rows; a block's
+    # big-endian bytes are its rows, the last first
+    shift, top, bottom = n - k, 0, 0
+    for tl, tr, bl, br in zip(*(block.to_bytes(k, "big") for block in blocks)):
+        top = top << n | tl | tr << shift
+        bottom = bottom << n | bl | br << shift
+    keep = _tile((1 << n - k) - (1 << k), n, k * n)  # k rows, off the blocks' columns
+    top |= (rows_from(1) | inner(0)) & keep
+    bottom |= (rows_from(m - k + 1) | inner(m + 1) << (k - 1) * n) & keep
+    # the unit is 5-periodic, so the copies that _tile overlaps agree
+    band = _tile(rows_from(k + 1), 5 * n, (m - 2 * k) * n)
     # row m holds the most significant bits
-    bits = _join(top, n) | band << k * n | _join(bottom, n) << (m - k) * n
+    bits = top | band << k * n | bottom << (m - k) * n
     result = GridSet.from_bits(m, n, bits)
     if len(result) != target or not verify_set(result).ok:
         raise ConstructionError(
             f"corner repair of ({m}, {n}) with s={s} gave an invalid set of {len(result)} "
             f"members; target {target}"
         )
-    _REPAIRS[rep] = blocks
     return result
 
 
-def _looked_up_blocks(rows: list[int], n: int, s: int) -> tuple[tuple[int, ...], ...]:
-    """The four corners' _CORNER_BLOCKS blocks, in _corners order.
-
-    Each block is written into `rows` before the next corner's window is
-    read, as the windows of small grids overlap the blocks repaired before
-    them; the caller passes a copy and writes all four blocks at once.
-    Raises ConstructionError naming the first corner whose window is not in
-    the table.
-    """
-    m, k, blocks = len(rows), CORNER_SIZE, []
-    for name, r1, c1, net in _corners(m, n, s):
-        block = _corner_block(rows, n, r1, c1, net)
-        if block is None:
-            raise ConstructionError(
-                f"no repaired block for the {name} corner window of ({m}, {n}) with s={s}"
-            )
-        outside = ~(((1 << k) - 1) << (c1 - 1))
-        for r, b in enumerate(block, start=r1 - 1):
-            rows[r] = rows[r] & outside | b << (c1 - 1)
-        blocks.append(block)
-    return tuple(blocks)
-
-
-# The four repaired blocks, in _corners order, of each representative (m', n') that a
-# build has verified; every grid of its family repairs its corners with the same blocks.
-_REPAIRS: dict[tuple[int, int], tuple[tuple[int, ...], ...]] = {}
-
-
-# The repaired block of every corner window that a grid with m >= 16 reads, keyed by
-# _corner_key.  The sweep in tests/test_pattern.py generates it (`PYTHONPATH=src python
-# tests/test_pattern.py` prints it), and its tests re-search every key and prove it complete.
-_CORNER_BLOCKS: dict[tuple, tuple[int, ...]] = {
-    (10, 10, 0, 0, 0, (660, 33, 264, 66, 529, 132, 33, 264, 66, 529)):
-        (148, 33, 8, 66, 17, 132, 33, 8),
-    (10, 10, 0, 0, 1, (165, 264, 66, 529, 132, 33, 264, 66, 529, 132)):
-        (68, 17, 68, 17, 132, 33, 8, 66),
-    (10, 10, 0, 0, 1, (297, 66, 529, 132, 33, 264, 66, 529, 132, 33)):
-        (17, 68, 17, 132, 33, 8, 66, 17),
-    (10, 10, 0, 0, 1, (330, 529, 132, 33, 264, 66, 529, 132, 33, 264)):
-        (68, 17, 132, 33, 8, 66, 17, 132),
-    (10, 10, 0, 0, 1, (595, 132, 33, 264, 66, 529, 132, 33, 264, 66)):
-        (81, 132, 33, 8, 66, 17, 132, 33),
-    (10, 10, 2, 0, 0, (529, 132, 33, 264, 66, 529, 132, 33, 264, 594)):
-        (34, 8, 69, 16, 130, 40, 1, 84),
-    (10, 10, 2, 0, 1, (33, 264, 66, 529, 132, 33, 264, 66, 529, 165)):
-        (66, 17, 132, 33, 8, 66, 17, 164),
-    (10, 10, 2, 0, 1, (66, 529, 132, 33, 264, 66, 529, 132, 33, 330)):
-        (132, 33, 8, 66, 16, 133, 32, 74),
-    (10, 10, 2, 0, 1, (132, 33, 264, 66, 529, 132, 33, 264, 66, 661)):
-        (8, 66, 17, 132, 34, 8, 65, 148),
-    (10, 10, 2, 0, 1, (264, 66, 529, 132, 33, 264, 66, 529, 132, 297)):
-        (16, 133, 32, 10, 64, 21, 128, 42),
-    (10, 11, 0, 3, 0, (594, 132, 1057, 264, 1090, 528, 132, 1057, 264, 1090)):
-        (42, 128, 20, 65, 40, 130, 16, 68),
-    (10, 11, 0, 3, 1, (660, 1057, 264, 1090, 528, 132, 1057, 264, 1090, 528)):
-        (82, 4, 161, 8, 66, 16, 132, 33),
-    (10, 11, 0, 3, 1, (1186, 264, 1090, 528, 132, 1057, 264, 1090, 528, 132)):
-        (84, 1, 168, 2, 80, 4, 161, 8),
-    (10, 11, 0, 3, 1, (1189, 264, 1090, 528, 132, 1057, 264, 1090, 528, 132)):
-        (84, 1, 168, 2, 80, 4, 161, 8),
-    (10, 11, 0, 3, 1, (1321, 1090, 528, 132, 1057, 264, 1090, 528, 132, 1057)):
-        (165, 8, 66, 16, 132, 33, 136, 66),
-    (10, 11, 0, 3, 1, (1354, 528, 132, 1057, 264, 1090, 528, 132, 1057, 264)):
-        (169, 2, 80, 4, 161, 8, 66, 16),
-    (10, 11, 2, 3, 0, (66, 528, 132, 1057, 264, 1090, 528, 132, 1057, 330)):
-        (16, 132, 33, 136, 34, 132, 17, 68),
-    (10, 11, 2, 3, 0, (1090, 528, 132, 1057, 264, 1090, 528, 132, 1057, 330)):
-        (16, 132, 33, 136, 34, 132, 17, 68),
-    (10, 11, 2, 3, 1, (132, 545, 264, 1090, 528, 132, 1057, 264, 1090, 660)):
-        (33, 136, 66, 16, 132, 33, 136, 34),
-    (10, 11, 2, 3, 1, (132, 1057, 264, 1090, 528, 132, 1057, 264, 1090, 660)):
-        (33, 136, 66, 16, 132, 33, 136, 34),
-    (10, 11, 2, 3, 1, (264, 1090, 528, 132, 1057, 264, 1090, 528, 132, 1321)):
-        (66, 16, 132, 33, 136, 34, 136, 34),
-    (10, 11, 2, 3, 1, (528, 132, 1057, 264, 1090, 528, 132, 1057, 264, 1618)):
-        (132, 33, 136, 66, 16, 132, 33, 74),
-    (10, 11, 2, 3, 1, (1057, 264, 1090, 528, 132, 1057, 264, 1090, 528, 1189)):
-        (136, 66, 16, 132, 33, 136, 18, 68),
-    (10, 11, 2, 3, 1, (1288, 66, 528, 132, 1057, 264, 1090, 528, 132, 1321)):
-        (66, 16, 132, 33, 136, 34, 136, 34),
+# The four repaired corner blocks of each representative (m', n'), in _corners order.  A
+# block is one int: its row r in bits 8r..8r+7, with column c1 + j at bit 8r + j.  The sweep
+# in tests/test_pattern.py generates the table (`PYTHONPATH=src python tests/test_pattern.py`
+# prints it), and its tests re-search every block and prove that every grid with m >= 16
+# reads its representative's.
+_CORNER_BLOCKS: dict[tuple[int, int], tuple[int, int, int, int]] = {
+    (16, 16): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
+    (16, 17): (0x1142082184114411, 0x2184104208a10452, 0x4a20851042082184, 0x4412882184104288),
+    (16, 18): (0x0821841142082194, 0x08a1045002a80154, 0xa411420821841142, 0x2288228821841042),
+    (16, 19): (0x1142082184114411, 0x08a1045002a80154, 0x4a20851042082184, 0x2288228821841042),
+    (16, 20): (0x1142082184114411, 0x441082284114802a, 0x4a20851042082184, 0x2288218410428821),
+    (16, 21): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
+    (16, 22): (0x1142082184114411, 0x2184104208a10452, 0x4a20851042082184, 0x4412882184104288),
+    (16, 23): (0x0821841142082194, 0x08a1045002a80154, 0xa411420821841142, 0x2288228821841042),
+    (16, 24): (0x1142082184114411, 0x08a1045002a80154, 0x4a20851042082184, 0x2288228821841042),
+    (16, 25): (0x1142082184114411, 0x441082284114802a, 0x4a20851042082184, 0x2288218410428821),
+    (16, 26): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
+    (17, 17): (0x0821841142082194, 0x104208a1045002a9, 0x2a8015400a208510, 0x2288218410428821),
+    (17, 18): (0x0821841142082194, 0x08a1045002a80154, 0x2a8015400a208510, 0x4411842288218410),
+    (17, 19): (0x4208218411441144, 0x2184104208a10452, 0x4a20851042082184, 0x2288228821841042),
+    (17, 20): (0x4208218411441144, 0x104208a1045002a9, 0x4a20851042082184, 0x2288218410428821),
+    (17, 21): (0x0821841142082194, 0x2184104208a10452, 0x2a8015400a208510, 0x2288228821841042),
+    (17, 22): (0x0821841142082194, 0x104208a1045002a9, 0x2a8015400a208510, 0x2288218410428821),
+    (17, 23): (0x0821841142082194, 0x08a1045002a80154, 0x2a8015400a208510, 0x4411842288218410),
+    (17, 24): (0x4208218411441144, 0x2184104208a10452, 0x4a20851042082184, 0x2288228821841042),
+    (17, 25): (0x4208218411441144, 0x104208a1045002a9, 0x4a20851042082184, 0x2288218410428821),
+    (17, 26): (0x0821841142082194, 0x2184104208a10452, 0x2a8015400a208510, 0x2288228821841042),
+    (18, 18): (0x0821841142082194, 0x08a1045002a80154, 0x4a20851042082184, 0x4a21841042882184),
+    (18, 19): (0x0821841142082194, 0x441082284114802a, 0x4a20851042082184, 0x2288228821841042),
+    (18, 20): (0x0821841142082194, 0x42882184104208a5, 0x4a20851042082184, 0x2288218410428821),
+    (18, 21): (0x0821841142082194, 0x2184104208a10452, 0x4a20851042082184, 0x4411842288218410),
+    (18, 22): (0x0821841142082194, 0x104208a1045002a9, 0x4a20851042082184, 0x4412882184104288),
+    (18, 23): (0x0821841142082194, 0x08a1045002a80154, 0x4a20851042082184, 0x4a21841042882184),
+    (18, 24): (0x0821841142082194, 0x441082284114802a, 0x4a20851042082184, 0x2288228821841042),
+    (18, 25): (0x0821841142082194, 0x42882184104208a5, 0x4a20851042082184, 0x2288218410428821),
+    (18, 26): (0x0821841142082194, 0x2184104208a10452, 0x4a20851042082184, 0x4411842288218410),
+    (19, 19): (0x1142082184114411, 0x08a1045002a80154, 0xa411420821841142, 0x2288218410428821),
+    (19, 20): (0x2184114208218451, 0x08a1045002a80154, 0x4a20851042082184, 0x2288218410428821),
+    (19, 21): (0x4208218411441144, 0x08a1045002a80154, 0x9441082284114208, 0x2288218410428821),
+    (19, 22): (0x8411420821841144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288218410428821),
+    (19, 23): (0x0821841142082194, 0x08a1045002a80154, 0x5401288210450822, 0x2288218410428821),
+    (19, 24): (0x1142082184114411, 0x08a1045002a80154, 0xa411420821841142, 0x2288218410428821),
+    (19, 25): (0x2184114208218451, 0x08a1045002a80154, 0x4a20851042082184, 0x2288218410428821),
+    (19, 26): (0x4208218411441144, 0x08a1045002a80154, 0x9441082284114208, 0x2288218410428821),
+    (20, 20): (0x8411420821841144, 0x2184104208a10452, 0x4a20851042082184, 0x2288218410428821),
+    (20, 21): (0x0821841142082194, 0x2184104208a10452, 0x9441082284114208, 0x2288218410428821),
+    (20, 22): (0x1142082184114411, 0x2184104208a10452, 0x2a8015400a208510, 0x2288218410428821),
+    (20, 23): (0x0821841142082194, 0x08a1045002a80154, 0x9441082284114208, 0x4412882184104288),
+    (20, 24): (0x1142082184114411, 0x08a1045002a80154, 0x2a8015400a208510, 0x4412882184104288),
+    (20, 25): (0x8411420821841144, 0x2184104208a10452, 0x4a20851042082184, 0x2288218410428821),
+    (20, 26): (0x0821841142082194, 0x2184104208a10452, 0x9441082284114208, 0x2288218410428821),
+    (21, 21): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
+    (21, 22): (0x1142082184114411, 0x2184104208a10452, 0x4a20851042082184, 0x4412882184104288),
+    (21, 23): (0x0821841142082194, 0x08a1045002a80154, 0xa411420821841142, 0x2288228821841042),
+    (21, 24): (0x1142082184114411, 0x08a1045002a80154, 0x4a20851042082184, 0x2288228821841042),
+    (21, 25): (0x1142082184114411, 0x441082284114802a, 0x4a20851042082184, 0x2288218410428821),
+    (21, 26): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
+    (22, 22): (0x0821841142082194, 0x104208a1045002a9, 0x2a8015400a208510, 0x2288218410428821),
+    (22, 23): (0x0821841142082194, 0x08a1045002a80154, 0x2a8015400a208510, 0x4411842288218410),
+    (22, 24): (0x4208218411441144, 0x2184104208a10452, 0x4a20851042082184, 0x2288228821841042),
+    (22, 25): (0x4208218411441144, 0x104208a1045002a9, 0x4a20851042082184, 0x2288218410428821),
+    (22, 26): (0x0821841142082194, 0x2184104208a10452, 0x2a8015400a208510, 0x2288228821841042),
+    (23, 23): (0x0821841142082194, 0x08a1045002a80154, 0x4a20851042082184, 0x4a21841042882184),
+    (23, 24): (0x0821841142082194, 0x441082284114802a, 0x4a20851042082184, 0x2288228821841042),
+    (23, 25): (0x0821841142082194, 0x42882184104208a5, 0x4a20851042082184, 0x2288218410428821),
+    (23, 26): (0x0821841142082194, 0x2184104208a10452, 0x4a20851042082184, 0x4411842288218410),
+    (23, 27): (0x0821841142082194, 0x104208a1045002a9, 0x4a20851042082184, 0x4412882184104288),
+    (24, 24): (0x1142082184114411, 0x08a1045002a80154, 0xa411420821841142, 0x2288218410428821),
+    (24, 25): (0x2184114208218451, 0x08a1045002a80154, 0x4a20851042082184, 0x2288218410428821),
+    (24, 26): (0x4208218411441144, 0x08a1045002a80154, 0x9441082284114208, 0x2288218410428821),
+    (24, 27): (0x8411420821841144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288218410428821),
+    (24, 28): (0x0821841142082194, 0x08a1045002a80154, 0x5401288210450822, 0x2288218410428821),
 }

@@ -16,30 +16,40 @@ from quasidom.pattern import (
     construction_info,
     diagonal_partition,
     project_inner,
-    projected_class,
 )
 from quasidom.solver import big_grid_value
 
 
-@pytest.fixture(autouse=True)
-def empty_memo(monkeypatch):
-    # every test starts from an empty memo of repaired blocks and leaves the package's alone
-    monkeypatch.setattr(pattern, "_REPAIRS", {})
+def projected_class(m: int, n: int, s: int) -> list[int]:
+    """The cells of `project_inner(diagonal_partition(m, n, s), m, n)` as row bitmasks.
+
+    The row reference for the build's bits: entry i - 1 holds row i, with
+    column j at bit j - 1.  Extended row e of V_s is one 5-periodic run of
+    bits shifted by (s - 2e - 1) mod 5.  The border lines are ORed one step
+    inward; the extended corners fall outside every fold, so they drop out.
+    So row i depends only on i mod 5, except rows 1 and m, which also hold
+    the folded rows 0 and m + 1: five rows are built and the list repeats
+    them.
+    """
+    width = (1 << n) - 1
+    every5 = int("00001" * (n // 5 + 1), 2)  # columns 1, 6, 11, ...
+
+    def inner(e: int) -> int:  # extended row e on columns 1..n
+        return every5 << (s - 2 * e - 1) % 5 & width
+
+    # extended columns 0 and n + 1 fold onto columns 1 and n
+    period = [
+        inner(i) | (2 * i % 5 == s) | ((2 * i + n + 1) % 5 == s) << (n - 1) for i in range(1, 6)
+    ]
+    rows = (period * (m // 5 + 1))[:m]
+    rows[0] |= inner(0)
+    rows[-1] |= inner(m + 1)
+    return rows
 
 
-def _build_afresh(m, n):
-    """build_big_grid_set(m, n) from an empty memo; checks that it looked up all four corners."""
-    pattern._REPAIRS.clear()
-    search, lookups = pattern._corner_block, []
-
-    def counted(*args):
-        lookups.append(args)
-        return search(*args)
-
-    with mock.patch.object(pattern, "_corner_block", counted):
-        result = build_big_grid_set(m, n)
-    assert len(lookups) == 4, (m, n)
-    return result
+def _join(rows: list[int], n: int) -> int:
+    """The n-bit rows as one int, rows[0] in the lowest n bits."""
+    return int("".join(format(r, f"0{n}b") for r in reversed(rows)), 2)
 
 
 def test_partition_small_example():
@@ -188,12 +198,28 @@ def test_wider_grids_beyond_the_default_sweep():
         assert verify_set(s).ok, (m, n)
 
 
-# A corner's repaired block is the pattern._CORNER_BLOCKS entry of its window
-# (pattern._corner_key): rows at most WINDOW_ROWS from its horizontal border
-# and columns at most WINDOW_COLS from its vertical border.  The tests below
-# regenerate that table with the sweep and prove it complete.
+# A corner's repaired block depends only on its window (`_corner_key`): rows
+# at most WINDOW_ROWS from its horizontal border and columns at most
+# WINDOW_COLS from its vertical border.  The tests below regenerate
+# pattern._CORNER_BLOCKS by sweeping each representative's windows and prove
+# that every grid with m >= 16 reads its representative's windows.
 WINDOW_ROWS = 10
 WINDOW_COLS = 11
+
+
+def _corner_key(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple:
+    """The cells that repairing the corner block with top-left cell (r1, c1) depends on.
+
+    The window is rows r1-2..r2+2 and columns c1-3..c2+2 (r2, c2 the
+    block's last row and column) clipped to the grid, h x w cells with
+    top-left cell (top, left).  The key is (h, w, r1 - top, c1 - left, net,
+    rows), with the window's rows as w-bit slices of the row bitmasks.
+    """
+    top, bottom = max(1, r1 - 2), min(len(rows), r1 + CORNER_SIZE + 1)
+    left, right = max(1, c1 - 3), min(n, c1 + CORNER_SIZE + 1)
+    w = right - left + 1
+    window = tuple(row >> (left - 1) & (1 << w) - 1 for row in rows[top - 1 : bottom])
+    return (bottom - top + 1, w, r1 - top, c1 - left, net, window)
 
 
 def _representatives():
@@ -291,98 +317,133 @@ def _sweep(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple[int, ..
     return search()
 
 
-def _representatives_and_copies():
-    """The grids that test_corner_repair_is_periodic builds.
+@functools.cache
+def _sweep_window(key: tuple) -> tuple[int, ...] | None:
+    """`_sweep` of the window alone, as an h x w grid."""
+    h, w, dr, dc, net, window = key
+    return _sweep(list(window), w, dr + 1, dc + 1, net)
 
-    Each representative, and its copies shifted by 5 or 20 rows (m >= 20)
-    and by 5 or 20 columns (n >= 22).
+
+def _window_repairs(m, n, search=None):
+    """Each corner's (window key, repaired block) of (m, n) in _corners order, and the rows.
+
+    Starts from the `projected_class` rows of choose_residue(m, n) and
+    repairs the corners in `pattern._corners` order, each block written into
+    the rows before the next corner's window is read, as the windows of
+    small grids overlap the blocks repaired before them.  A block is the
+    sweep of its window alone, or `search(rows, n, r1, c1, net)` over the
+    whole grid when given.  Returns ([(key, block)] * 4, repaired rows).
     """
-    for m0, n0 in _representatives():
-        for a in (0, 1, 4) if m0 >= 20 else (0,):
-            for b in (0, 1, 4) if n0 >= 22 else (0,):
-                if m0 + 5 * a <= n0 + 5 * b:
-                    yield m0 + 5 * a, n0 + 5 * b
+    s = choose_residue(m, n)
+    rows, repairs = projected_class(m, n, s), []
+    for _, r1, c1, net in pattern._corners(m, n, s):
+        key = _corner_key(rows, n, r1, c1, net)
+        block = _sweep_window(key) if search is None else search(rows, n, r1, c1, net)
+        assert block is not None, (m, n, r1, c1)
+        outside = ~(((1 << CORNER_SIZE) - 1) << (c1 - 1))
+        for r, b in enumerate(block, start=r1 - 1):
+            rows[r] = rows[r] & outside | b << (c1 - 1)
+        repairs.append((key, block))
+    return repairs, rows
+
+
+def _pack(block: tuple[int, ...]) -> int:
+    """An 8x8 block as the table holds it: row r in bits 8r..8r+7."""
+    return sum(row << CORNER_SIZE * r for r, row in enumerate(block))
+
+
+def _unpack(packed: int) -> tuple[int, ...]:
+    return tuple(packed >> CORNER_SIZE * r & 255 for r in range(CORNER_SIZE))
 
 
 def _generate_corner_blocks():
-    """pattern._CORNER_BLOCKS as the sweep gives it.
-
-    Builds every grid of `_representatives_and_copies` from an empty memo and
-    sweeps each corner window the first time a grid reads it; the table is
-    every window read, with its block.
-    """
-    table = {}
-
-    def sweep_once(rows, n, r1, c1, net):
-        key = pattern._corner_key(rows, n, r1, c1, net)
-        if key not in table:
-            table[key] = _sweep(rows, n, r1, c1, net)
-        return table[key]
-
-    with mock.patch.object(pattern, "_corner_block", sweep_once):
-        for m, n in _representatives_and_copies():
-            _build_afresh(m, n)
-    return table
+    """pattern._CORNER_BLOCKS as the sweep gives it: each representative's packed blocks."""
+    return {
+        rep: tuple(_pack(block) for _, block in _window_repairs(*rep)[0])
+        for rep in _representatives()
+    }
 
 
 def test_corner_table_is_the_generated_one():
-    """The table is every window `_representatives_and_copies` reads, with its block.
-
-    With test_corner_repair_is_periodic, no grid with m >= 16 reads a window
-    outside the table.
-    """
     generated = _generate_corner_blocks()
     table = pattern._CORNER_BLOCKS
-    assert sorted(generated.keys() - table.keys()) == [], "windows missing from the table"
-    assert sorted(table.keys() - generated.keys()) == [], "windows no grid reads"
+    assert sorted(generated.keys() - table.keys()) == [], "representatives missing from the table"
+    assert sorted(table.keys() - generated.keys()) == [], "entries of no representative"
     assert generated == table
-    assert len(table) == 24
+    # the 66 representatives read 24 distinct corner windows
+    keys = {key for rep in _representatives() for key, _ in _window_repairs(*rep)[0]}
+    assert len(keys) == 24
+
+
+def test_corner_table_keys_are_the_representatives_of_every_wide_grid():
+    images = {_representative(m, n)[0] for m in range(16, 80) for n in range(m, 90)}
+    assert set(pattern._CORNER_BLOCKS) == images
+    assert len(images) == 66
+    for rep, blocks in pattern._CORNER_BLOCKS.items():
+        assert len(blocks) == 4, rep
+        assert all(isinstance(b, int) and 0 <= b < 1 << 64 for b in blocks), rep
+
+
+def test_each_corner_block_drops_its_net():
+    # a block holds the unrepaired class's members in its 8x8 region less the corner's net
+    k = CORNER_SIZE
+    for (m, n), blocks in pattern._CORNER_BLOCKS.items():
+        s = choose_residue(m, n)
+        rows = projected_class(m, n, s)
+        corners = pattern._corners(m, n, s)
+        assert [net for *_, net in corners] == construction_info(m, n)["nets"]
+        for packed, (name, r1, c1, net) in zip(blocks, corners):
+            region = rows[r1 - 1 : r1 + k - 1]
+            base = sum((row >> (c1 - 1) & (1 << k) - 1).bit_count() for row in region)
+            assert packed.bit_count() == base - net, (m, n, name)
 
 
 def test_corner_blocks_are_the_sweep_of_the_window_alone():
-    # the window on its own, as an h x w grid, reads as the same key and sweeps to the same block
-    for key, block in pattern._CORNER_BLOCKS.items():
-        h, w, dr, dc, net, window = key
-        rows = list(window)
-        assert len(rows) == h
-        assert pattern._corner_key(rows, w, dr + 1, dc + 1, net) == key
-        assert _sweep(rows, w, dr + 1, dc + 1, net) == block, key
-        assert len(block) == CORNER_SIZE and all(0 <= b < 1 << CORNER_SIZE for b in block)
+    # the window on its own, as an h x w grid, reads as the same key, and sweeping
+    # the whole representative gives the block that the window alone gives
+    for m, n in _representatives():
+        (repairs, rows), (whole, _) = _window_repairs(m, n), _window_repairs(m, n, _sweep)
+        assert [block for _, block in whole] == [block for _, block in repairs], (m, n)
+        for key, block in repairs:
+            h, w, dr, dc, net, window = key
+            assert len(window) == h
+            assert _corner_key(list(window), w, dr + 1, dc + 1, net) == key
+            assert len(block) == CORNER_SIZE and all(0 <= b < 1 << CORNER_SIZE for b in block)
 
 
-def test_a_window_missing_from_the_table_names_its_corner(monkeypatch):
+def test_a_representative_missing_from_the_table_names_its_grid(monkeypatch):
+    assert _representative(28, 31)[0] == (23, 26)
+    table = dict(pattern._CORNER_BLOCKS)
+    del table[23, 26]
+    monkeypatch.setattr(pattern, "_CORNER_BLOCKS", table)
+    with pytest.raises(ConstructionError, match=r"\(28, 31\).*\(23, 26\)"):
+        build_big_grid_set(28, 31)
     monkeypatch.setattr(pattern, "_CORNER_BLOCKS", {})
-    with pytest.raises(ConstructionError, match="top-left corner"):
+    with pytest.raises(ConstructionError, match=r"\(16, 16\)"):
         build_big_grid_set(16, 16)
-    assert pattern._REPAIRS == {}
 
 
-def test_blocks_are_kept_only_for_a_verified_set(monkeypatch):
+@pytest.mark.parametrize("m,n", [(16, 16), (28, 31)])
+def test_a_flipped_bit_in_the_table_names_its_grid(m, n, monkeypatch):
+    rep, _ = _representative(m, n)
+    entry = pattern._CORNER_BLOCKS[rep]
+    for corner in range(4):
+        for bit in range(64):
+            flipped = list(entry)
+            flipped[corner] ^= 1 << bit
+            monkeypatch.setitem(pattern._CORNER_BLOCKS, rep, tuple(flipped))
+            with pytest.raises(ConstructionError, match=rf"\({m}, {n}\)"):
+                build_big_grid_set(m, n)
+    monkeypatch.setitem(pattern._CORNER_BLOCKS, rep, entry)
+    assert verify_set(build_big_grid_set(m, n)).ok
+
+
+def test_every_build_is_verified(monkeypatch):
+    # a representative and a far copy of it: each build runs verify_set
     monkeypatch.setattr(pattern, "verify_set", lambda s: mock.Mock(ok=False))
-    with pytest.raises(ConstructionError, match="invalid set"):
-        build_big_grid_set(23, 31)
-    assert pattern._REPAIRS == {}
-
-
-def test_a_family_reads_no_window_once_its_blocks_are_kept(monkeypatch):
-    rep, shift = _representative(33, 46)
-    assert (rep, shift) == ((23, 26), (2, 4))
-    fresh = {grid: _build_afresh(*grid).bits for grid in (rep, (28, 31), (33, 46))}
-    assert list(pattern._REPAIRS) == [rep]  # kept by the last, farthest copy
-
-    def no_lookup(*args):
-        raise AssertionError("a kept family read a corner window")
-
-    monkeypatch.setattr(pattern, "_corner_block", no_lookup)
-    for grid, bits in fresh.items():
-        assert build_big_grid_set(*grid).bits == bits, grid
-
-
-def test_a_build_from_kept_blocks_is_still_verified(monkeypatch):
-    build_big_grid_set(23, 31)
-    monkeypatch.setattr(pattern, "verify_set", lambda s: mock.Mock(ok=False))
-    with pytest.raises(ConstructionError, match="invalid set"):
-        build_big_grid_set(28, 36)
+    for m, n in ((23, 31), (28, 36)):
+        with pytest.raises(ConstructionError, match="invalid set"):
+            build_big_grid_set(m, n)
 
 
 def test_representatives_cover_every_wide_grid():
@@ -401,7 +462,7 @@ def test_representatives_cover_every_wide_grid():
 def test_corner_repair_is_periodic():
     """The corner repair gives a verified set for every grid with m >= 16.
 
-    Locality.  A corner's block is the `_CORNER_BLOCKS` entry of its key,
+    Locality.  A corner's block is the sweep of its key (`_corner_key`),
     which holds only its net and the cells of its window: rows at most 10
     from its horizontal border and columns at most 11 from its vertical
     border.  Top and bottom windows are disjoint once m >= 20; left and
@@ -412,11 +473,10 @@ def test_corner_repair_is_periodic():
     every corner window, and with it every repair.  Every grid with
     m >= 16 is a copy (m' + 5a, n' + 5b) of one of 66 representatives,
     with m' <= 24 and n' <= 28, where a = 0 when m' < 20 and b = 0 when
-    n' < 22 (`pattern._representative`, the key the build keeps its blocks
-    under).  Its set is the representative's corner windows, translated,
-    over the base pattern, and its blocks are the representative's: this
-    is what lets the build take them from `pattern._REPAIRS`.  Each grid
-    here is built from an empty memo, so it reads its own windows.
+    n' < 22 (`pattern._representative`, the key of `_CORNER_BLOCKS`).  Its
+    corner windows are the representative's, so its own repair gives the
+    representative's blocks, which is what lets the build read them from
+    the table; here each copy's keys are computed afresh from its own rows.
 
     Validity.  A cell's verdict reads three consecutive rows and columns.
     Outside the 8x8 corner regions the set is the base pattern, so rows
@@ -428,29 +488,33 @@ def test_corner_repair_is_periodic():
     The test below searches the far copies afresh with the sweep.
     """
     for m0, n0 in _representatives():
-        rep, rep_info = _build_afresh(m0, n0), construction_info(m0, n0)
+        rep, rep_info = build_big_grid_set(m0, n0), construction_info(m0, n0)
         assert len(rep) == big_grid_value(m0, n0), (m0, n0)
         assert verify_set(rep).ok, (m0, n0)
+        rep_keys = [key for key, _ in _window_repairs(m0, n0)[0]]
         row_shifts = (0, 1, 4) if m0 >= 20 else (0,)
         col_shifts = (0, 1, 4) if n0 >= 22 else (0,)
         for a in row_shifts:
             for b in col_shifts:
                 if (a, b) != (0, 0) and m0 + 5 * a <= n0 + 5 * b:
+                    m, n = m0 + 5 * a, n0 + 5 * b
+                    assert [key for key, _ in _window_repairs(m, n)[0]] == rep_keys, (m, n)
                     copy = _assert_translated_copy(rep, rep_info, a, b)
                     if a <= 1 and b <= 1:
                         assert verify_set(copy).ok, (copy.m, copy.n)
 
 
 def test_corner_repair_search_reads_only_its_window():
-    # the table is keyed by the window, so the test above reads the blocks of
-    # the far copies from their representatives' entries; here they are swept
-    # afresh (`_build_afresh` checks that each copy searches all four corners)
+    # the test above compares the far copies' window keys; here their corners are
+    # swept afresh over the whole grid and give their representatives' blocks
     for m0, n0 in _representatives():
         if n0 < 22:
             continue
-        rep, rep_info = _build_afresh(m0, n0), construction_info(m0, n0)
-        with mock.patch.object(pattern, "_corner_block", _sweep):
-            _assert_translated_copy(rep, rep_info, 4 if m0 >= 20 else 0, 4)
+        m, n = m0 + (20 if m0 >= 20 else 0), n0 + 20
+        repairs, rows = _window_repairs(m, n, _sweep)
+        packed = tuple(_pack(block) for _, block in repairs)
+        assert packed == pattern._CORNER_BLOCKS[m0, n0], (m, n)
+        assert build_big_grid_set(m, n).bits == _join(rows, n), (m, n)
 
 
 # first 16 hex digits of sha256(json.dumps([sorted members, s, nets])) for each
@@ -481,15 +545,17 @@ PINNED_DIGESTS = {
 }
 
 
-def test_representatives_match_pinned_digests(monkeypatch):
+def test_representatives_match_pinned_digests():
     assert set(PINNED_DIGESTS) == set(_representatives())
-    # the table, then every corner swept afresh, each grid from an empty memo
-    for search in (pattern._corner_block, _sweep):
-        monkeypatch.setattr(pattern, "_corner_block", search)
-        for (m, n), digest in PINNED_DIGESTS.items():
-            result, info = _build_afresh(m, n), construction_info(m, n)
-            payload = json.dumps([result.sorted_members(), info["s"], info["nets"]])
-            assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest, (m, n, search)
+    # the build from the table, then every corner swept afresh
+    for (m, n), digest in PINNED_DIGESTS.items():
+        info = construction_info(m, n)
+        members = build_big_grid_set(m, n).sorted_members()
+        rows = _window_repairs(m, n)[1]
+        swept = [(i, j) for i, r in enumerate(rows, 1) for j in range(1, n + 1) if r >> j - 1 & 1]
+        for name, source in (("table", members), ("sweep", swept)):
+            payload = json.dumps([source, info["s"], info["nets"]])
+            assert hashlib.sha256(payload.encode()).hexdigest()[:16] == digest, (m, n, name)
 
 
 def _bits_digest(sets):
@@ -506,18 +572,18 @@ WIDE_GRIDS_DIGEST = "28542aedf9ad0fe1"
 
 
 def test_wide_grid_bits_match_the_pinned_sweep_digest():
-    # in this order each representative is built before its copies, which read its blocks
     assert len(WIDE_GRIDS) == 3655
     assert _bits_digest(build_big_grid_set(m, n) for m, n in WIDE_GRIDS) == WIDE_GRIDS_DIGEST
-    assert set(pattern._REPAIRS) == set(_representatives())
 
 
 def test_wide_grid_bits_match_the_digest_when_far_copies_are_built_first():
-    # in descending order the farthest copy of each family keeps the blocks its nearer
-    # copies and its representative then read
+    # the build keeps no state: in descending order, and after it, nothing in the module changes
+    names, table = dict(vars(pattern)), {**pattern._CORNER_BLOCKS}
     built = {(m, n): build_big_grid_set(m, n) for m, n in reversed(WIDE_GRIDS)}
     assert _bits_digest(built[grid] for grid in WIDE_GRIDS) == WIDE_GRIDS_DIGEST
-    assert set(pattern._REPAIRS) == set(_representatives())
+    assert vars(pattern).keys() == names.keys()
+    assert all(vars(pattern)[name] is value for name, value in names.items())
+    assert pattern._CORNER_BLOCKS == table
 
 
 # the bits digest of large grids, as the row-by-row build gave them; (16, 250000) has no
@@ -540,30 +606,24 @@ def test_large_grids_match_pinned_bits_digests(m, n):
 
 @pytest.mark.parametrize("m,n", [(16, 16), (16, 40), (17, 17), (17, 41), (21, 33)])
 def test_middle_band_edges_match_the_row_reference(m, n):
-    # m = 16 has no row between the repaired top and bottom 8, m = 17 one;
-    # the reference joins every repaired row as bit text
-    seen = []
-
-    def lookup(rows, n_, r1, c1, net):
-        seen.append(rows)
-        return pattern._CORNER_BLOCKS.get(pattern._corner_key(rows, n_, r1, c1, net))
-
-    with mock.patch.object(pattern, "_corner_block", lookup):
-        result = build_big_grid_set(m, n)
-    # the copy of the rows that the lookups repair in place, after the last repair;
-    # the build writes the four blocks into its own rows at once
-    rows = seen[0]
-    assert len(seen) == 4 and all(r is rows for r in seen)
-    assert result.bits == int("".join(format(r, f"0{n}b") for r in reversed(rows)), 2)
-    k = CORNER_SIZE
-    assert rows[k : m - k] == projected_class(m, n, choose_residue(m, n))[k : m - k]
+    # m = 16 has no row between the repaired top and bottom 8, m = 17 one; the
+    # reference writes the table's blocks into the `projected_class` rows
+    k, s = CORNER_SIZE, choose_residue(m, n)
+    rows = projected_class(m, n, s)
+    blocks = pattern._CORNER_BLOCKS[_representative(m, n)[0]]
+    for packed, (_, r1, c1, _) in zip(blocks, pattern._corners(m, n, s)):
+        for r, b in enumerate(_unpack(packed), start=r1 - 1):
+            rows[r] = rows[r] & ~(((1 << k) - 1) << (c1 - 1)) | b << (c1 - 1)
+    result = build_big_grid_set(m, n)
+    assert result.bits == _join(rows, n)
+    assert rows[k : m - k] == projected_class(m, n, s)[k : m - k]
     assert len(result) == big_grid_value(m, n)
 
 
 def _assert_translated_copy(rep, rep_info, a, b):
-    """Build the copy shifted by (5a, 5b) from an empty memo and compare it with `rep`."""
+    """Build the copy shifted by (5a, 5b) and compare it with `rep`."""
     m, n = rep.m + 5 * a, rep.n + 5 * b
-    copy, info = _build_afresh(m, n), construction_info(m, n)
+    copy, info = build_big_grid_set(m, n), construction_info(m, n)
     assert (info["s"], info["nets"]) == (rep_info["s"], rep_info["nets"]), (m, n)
     rep_windows = _corner_windows(rep.m, rep.n)
     for (r, c), (rows, cols) in _corner_windows(m, n).items():
@@ -601,7 +661,7 @@ def test_interior_is_a_perfect_code():
 
 if __name__ == "__main__":
     # print the table for src/quasidom/pattern.py
-    print("_CORNER_BLOCKS: dict[tuple, tuple[int, ...]] = {")
-    for key, block in sorted(_generate_corner_blocks().items()):
-        print(f"    {key}:\n        {block},")
+    print("_CORNER_BLOCKS: dict[tuple[int, int], tuple[int, int, int, int]] = {")
+    for rep, blocks in _generate_corner_blocks().items():
+        print(f"    {rep}: ({', '.join(f'0x{b:016x}' for b in blocks)}),")
     print("}")

@@ -1,6 +1,8 @@
 """Checks on the package's source text."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -54,3 +56,22 @@ def test_assert_statements_finds_a_nested_assert():
 def test_no_assert_statements(path):
     # runtime invariants raise exceptions: python -O strips an assert
     assert assert_statements(path.read_text(encoding="utf-8")) == []
+
+
+def _traced_targets() -> tuple:
+    """perfbench/tracing.py's TARGETS, read from the checkout without running the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.TARGETS
+
+
+def test_traced_functions_resolve_on_the_package():
+    # a traced run wraps each target by name (getattr), so a renamed or deleted
+    # function, even one the package no longer calls, would fail there
+    targets = _traced_targets()
+    assert targets
+    for module_name, fn_name, _ in targets:
+        module = importlib.import_module(f"quasidom.{module_name}")
+        assert callable(getattr(module, fn_name, None)), f"quasidom.{module_name}.{fn_name}"
