@@ -438,12 +438,24 @@ def test_a_flipped_bit_in_the_table_names_its_grid(m, n, monkeypatch):
     assert verify_set(build_big_grid_set(m, n)).ok
 
 
-def test_every_build_is_verified(monkeypatch):
-    # a representative and a far copy of it: each build runs verify_set
+def test_blocks_are_kept_only_for_a_verified_set(monkeypatch):
+    # the blocks come from the checked-in table alone: a build whose set fails
+    # verify_set raises and leaves the table as it was
+    table = dict(pattern._CORNER_BLOCKS)
     monkeypatch.setattr(pattern, "verify_set", lambda s: mock.Mock(ok=False))
-    for m, n in ((23, 31), (28, 36)):
-        with pytest.raises(ConstructionError, match="invalid set"):
-            build_big_grid_set(m, n)
+    with pytest.raises(ConstructionError, match="invalid set"):
+        build_big_grid_set(23, 31)
+    assert pattern._CORNER_BLOCKS == table
+    monkeypatch.undo()
+    assert verify_set(build_big_grid_set(23, 31)).ok
+
+
+def test_a_build_from_kept_blocks_is_still_verified(monkeypatch):
+    # a far copy built after its representative still runs verify_set
+    build_big_grid_set(23, 31)
+    monkeypatch.setattr(pattern, "verify_set", lambda s: mock.Mock(ok=False))
+    with pytest.raises(ConstructionError, match="invalid set"):
+        build_big_grid_set(28, 36)
 
 
 def test_representatives_cover_every_wide_grid():
