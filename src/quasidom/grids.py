@@ -276,10 +276,11 @@ def extract_min_set(m: int, n: int) -> GridSet:
 
     The columns come from the width's kept window, so this only backtracks
     (see solver.DPWindow.backtrack): the smallest final word id achieving the
-    minimum, then the smallest predecessor id achieving each step, so the
-    output is deterministic.  The backtrack tiles the chain's cycle past
-    column t - d and reuses the steps the window has already searched, so a
-    warm call costs about t steps plus packing the n columns.  As in
+    minimum, then the smallest predecessor id achieving each step, as the
+    DP step recorded it, so the output is deterministic.  From column t - d
+    on, the backtrack joins the window's memoised tail, tiled cycle and head
+    arrays, so a warm call is a few numpy calls plus packing the n columns.
+    As in
     `solve_width`, a grid with 2 <= n < m is solved over its n rows and
     transposed back.
     """
@@ -290,11 +291,10 @@ def extract_min_set(m: int, n: int) -> GridSet:
     from .solver import run_dp  # at call time: verify and m >= 16 patterns never load the DP
 
     mach, window = run_dp(m, n, keep_trace=True)
-    # after run_dp, so its errors keep their type; before the backtrack lists n ids
+    # after run_dp, so its errors keep their type; before the backtrack builds n ids
     check_cell_cap(m, n)
     ids, best = window.backtrack(n)
-    # column j of the grid is word ids[j - 1] of the live table; its 0s are the members.
-    # take reads the id list about twice as fast as fancy indexing does
+    # column j of the grid is word ids[j - 1] of the live table; its 0s are the members
     columns = mach.matrix.table.digits.take(ids, axis=0)
     packed = np.packbits(columns.T == 0, axis=None, bitorder="little")
     result = GridSet.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))

@@ -11,10 +11,14 @@ period of that sequence, and each column's offsets key a dict that finds
 t with one exact lookup, at any distance.  The columns X^1..X^{t-1} depend
 only on m, so each width keeps them once, in a DPWindow that grows on
 demand: solving or extracting at any n only reads and backtracks once the
-window holds min(n, t - 1) columns.  Backtracking, too, stops growing with
-n: past column t - d the chain repeats as soon as a (stored column, word)
-state recurs, so that cycle is tiled as a list, and the searched steps are
-kept on the window.  A column is its minimum plus uint8 offsets, OFF_INF
+window holds min(n, t - 1) columns.  Each step also records, per word,
+the slot of the predecessor it chose (mat_vec's argmin), and the window
+keeps those slots, so backtracking reads its chain off them and searches
+nothing.  It stops growing with n as well: past column t - d the chain
+repeats as soon as a (stored column, word) state recurs, so the window
+memoises that walk's head and cycle, and the chain below column t - d,
+as intp arrays, and a warm extract joins them with one np.concatenate and
+np.tile.  A column is its minimum plus uint8 offsets, OFF_INF
 where infinite, from X^1 on: mat_vec steps that form to that form, and
 column() rebuilds an int64 array with the _INF sentinel on request.  The
 first repeat is also the period certificate: the grid values repeat with
@@ -82,13 +86,18 @@ class DPWindow:
     """The columns X^1..X^len of one width's DP, kept up to its first repeat.
 
     Column r is stored as mins[r-1] plus offsets[r-1], a uint8 array holding
-    OFF_INF where X^r is infinite; values[r-1] is the grid value at n = r.
+    OFF_INF where X^r is infinite; values[r-1] is the grid value at n = r,
+    and ends[r-1] the smallest final word id that reaches it.
     Once repeat = (t, d, c) is set the window is complete: X^r for r >= t is
     the stored column s + (r - s) mod d plus c * ((r - s) // d), s = t - d.
-    steps is backtrack's memo, (column, previous column, word) -> predecessor.
+    slots[r-1] is the step from X^r to X^{r+1} as mat_vec recorded it,
+    each row's chosen predecessor slot (the argmin backtrack follows), as
+    a memoryview: for r < len and, once the window is complete, for
+    r = t - 1 as well, the repeat step into X^t, which is X^s shifted.
     While the window grows it maps each stored column's offset bytes to its
     index (index); each offsets entry is a read-only view of its key, so a
-    column is held once, and mat_vec steps from the last one.
+    column is held once, and mat_vec steps from the last one.  heads and
+    tails are backtrack's memos (see there).
     """
 
     mach: Machinery
@@ -96,8 +105,11 @@ class DPWindow:
     offsets: list[np.ndarray] = field(default_factory=list)
     values: list[int | float] = field(default_factory=list)
     repeat: tuple[int, int, int] | None = None
-    steps: dict[tuple[int, int, int], int] = field(default_factory=dict)
+    ends: list[int] = field(default_factory=list)
+    slots: list[memoryview] = field(default_factory=list)
     index: dict[bytes, int] = field(default_factory=dict, init=False, repr=False)
+    heads: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, init=False)
+    tails: dict[int, np.ndarray] = field(default_factory=dict, init=False)
 
     def __len__(self) -> int:
         return len(self.mins)
@@ -122,7 +134,8 @@ class DPWindow:
                 low = int(x.min())
                 off = np.minimum(x - low, OFF_INF).astype(np.uint8)
             else:
-                low, off = mat_vec(self.mach.matrix, self.mins[-1], self.offsets[-1])
+                low, off, slots = mat_vec(self.mach.matrix, self.mins[-1], self.offsets[-1])
+                self.slots.append(memoryview(slots))
             key = off.tobytes()
             # keep the column once, as a read-only view of its key, and free the
             # uint8 array now: held until the next column, it cost about 2,000
@@ -134,8 +147,10 @@ class DPWindow:
                 return
             self.mins.append(low)
             self.offsets.append(off)
-            best = int(off.take(finals).min(initial=OFF_INF))
+            end = int(finals[off.take(finals).argmin()])  # the first, so smallest, minimal id
+            best = off.item(end)
             self.values.append(INFINITY if best == OFF_INF else low + best)
+            self.ends.append(end)
 
     def locate(self, r: int) -> tuple[int, int]:
         """Index of the stored column that X^r reads, and the constant it lacks."""
@@ -158,66 +173,81 @@ class DPWindow:
         i, shift = self.locate(r)
         return self.values[i] + shift
 
-    def backtrack(self, n: int) -> tuple[list[int], int]:
-        """Ids in the live table of a minimum chain of columns 1..n, and its cost.
+    def backtrack(self, n: int) -> tuple[np.ndarray, int]:
+        """Ids in the live table of a minimum chain of columns 1..n, as an intp array, and its cost.
 
-        Picks the smallest final word id achieving the minimum, then the
-        smallest predecessor id achieving each step, so the chain is
-        deterministic.  Steps compare the stored uint8 offsets with a scalar
-        target built from the column minima and the fold's shift; each
-        (column, previous column, word) step is searched once per window and
-        kept in `steps`, which stays valid because stored columns never
-        change.  Every column r > s = t - d reads stored column
-        s - 1 + (r - s) mod d, so a step down from there depends only on the
-        (stored column, word) state.  The walk from column n records where
-        each such state first occurs; once one recurs, the ids in between
-        repeat down to column s, so they are tiled as a list and the walk
-        goes on from column s.  A warm call thus costs about t steps plus
-        the tile, whatever n is.
+        Picks the smallest final word id achieving the minimum, then at each
+        column the predecessor mat_vec recorded, the smallest id achieving
+        the step.  Below s = t - d (or in a window with no repeat yet) the
+        chain is walked straight down.  From s on, a chain depends on n only
+        through two things, each memoised on the window as arrays:
+        - the stored column i that X^n reads (locate) gives the final word
+          and the periodic walk down from it, which recurs (heads[i], see
+          _periodic_walk);
+        - the word w that the walk reaches at column s gives the chain over
+          columns 1..s (tails[w]).
+        A warm call is then one np.concatenate of tails[w], np.tile of the
+        walk's cycle cut to length, and its head, whatever n is.
         """
-        m, matrix, finals = self.mach.matrix.table.m, self.mach.matrix, self.mach.finals
-        mins, offsets, steps = self.mins, self.offsets, self.steps
-        row_zeros = memoryview(matrix.row_zeros)
-        i, shift = self.locate(n)
+        i, _ = self.locate(n)
         if self.values[i] == INFINITY:
+            m = self.mach.matrix.table.m
             raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
-        low = self.values[i] - mins[i]  # the final minimum, as an offset of the stored column
-        p = int(np.flatnonzero(finals & (offsets[i] == low))[0])
-        ids = [p]
-        s = n if self.repeat is None else self.repeat[0] - self.repeat[1]
-        seen: dict[tuple[int, int], int] = {}  # (column, p) -> index in ids, for columns past s
-        r = n
-        while r > 1:
-            if r > s:
-                first = seen.setdefault((i, p), len(ids) - 1)
-                if first < len(ids) - 1:  # a repeat: ids[first:-1] recurs down to column s
-                    cycle, more = ids[first:-1], n - s + 1 - first
-                    ids[first:] = cycle * (more // len(cycle)) + cycle[: more % len(cycle)]
-                    r, p, i, shift = s, ids[-1], s - 1, 0
-                    continue
-            j, prev_shift = self.locate(r - 1)
-            q = steps.get((i, j, p))
-            if q is None:
-                # X^r[p] = row_zeros[p] + X^{r-1}[q] for the chosen q, as an offset of X^{r-1}
-                target = (
-                    mins[i] + shift + offsets[i].item(p) - row_zeros[p] - mins[j] - prev_shift
-                )
-                # memoryviews read ints without numpy scalars or copies; sorted ids,
-                # so the first hit is the smallest
-                row = matrix.predecessors(p) if 0 <= target < OFF_INF else ()
-                col = memoryview(offsets[j])
-                for q in row:
-                    if col[q] == target:
-                        break
-                else:
-                    raise RuntimeError(
-                        f"DP window inconsistent at column {r} for ({m}, {n}); this is a bug"
-                    )
-                steps[i, j, p] = q
-            ids.append(q)
-            p, i, shift, r = q, j, prev_shift, r - 1
-        ids.reverse()
-        return ids, self.value(n)
+        s = n + 1 if self.repeat is None else self.repeat[0] - self.repeat[1]
+        if n < s:
+            return self._walk(n, self.ends[i]), self.value(n)
+        head = self.heads.get(i)
+        if head is None:
+            head = self.heads[i] = self._periodic_walk(i)
+        rhead, rcycle = head
+        # word j of the walk is column n - j's, so column s's is word n - s, and
+        # columns s + 1..n hold words n - s - 1 down to 0: the head reversed
+        # last, the cycle reversed (started where word n - s - 1 falls) before it
+        a, period, depth = len(rhead), len(rcycle), n - s
+        if depth < a:
+            w, parts = int(rhead[a - 1 - depth]), [rhead[a - depth :]]
+        else:
+            more = depth - a
+            start = -more % period
+            w = int(rcycle[period - 1 - more % period])
+            parts = [np.tile(rcycle, -(-(start + more) // period))[start : start + more], rhead]
+        tail = self.tails.get(w)
+        if tail is None:
+            tail = self.tails[w] = self._walk(s, w)
+        return np.concatenate([tail, *parts]), self.value(n)
+
+    def _walk(self, r: int, p: int) -> np.ndarray:
+        """The chain over columns 1..r (all stored) ending with word p, read down the slots."""
+        return np.array(self.mach.matrix.follow(p, self.slots[: r - 1][::-1])[::-1], np.intp)
+
+    def _periodic_walk(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The backtrack down the periodic columns from the final word of stored column i.
+
+        Word j of the walk is column n - j's, for any n >= s whose column
+        reads stored column i, down to column s.  A column r > s reads stored
+        column s - 1 + (r - s) mod d and is stepped into from the one before,
+        by the repeat step where it reads stored column s - 1 (X^t = X^s
+        shifted), so every d words the walk reads the same d steps again and
+        is back at stored column i, and its words there recur.  Returns the
+        words before the first recurring one (the head) and those of one
+        cycle, each reversed, so in column order.  Both are whole periods
+        long: the cycle may start up to d - 1 words later than it must.
+        """
+        t, d, _ = self.repeat
+        s = t - d
+        # slots[j - 1] steps into stored column j; a periodic column that reads
+        # stored column s - 1 is stepped into by the repeat step, slots[t - 2],
+        # as if it were stored column t - 1
+        steps = [self.slots[j - 1] for j in (*range(i, s - 1, -1), *range(t - 1, i, -1))]
+        p = self.ends[i]
+        seen: dict[int, int] = {}
+        words: list[int] = []
+        while p not in seen:
+            seen[p] = len(words)
+            words += self.mach.matrix.follow(p, steps)
+            p = words.pop()
+        a = seen[p]
+        return np.array(words[:a][::-1], np.intp), np.array(words[a:][::-1], np.intp)
 
 
 # each width's window, next to its machinery; filled by run_dp, never by machinery()

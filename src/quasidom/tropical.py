@@ -22,9 +22,23 @@ down one column and its unused slots repeating its first entry, so a pad
 never changes the row's minimum (width 13: 7 blocks, 32,078 slots for
 27,920 entries; widths 2 to 6 need one block).  One gather and one
 minimum down the slots then step a whole block, where a reduction over one
-segment per row cost about 28 ns a row.  A block costs two numpy calls
+segment per row cost about 28 ns a row.  A block costs a few numpy calls
 whatever its size, so _merge_buckets pads a small bucket into its
 neighbour's block when that costs fewer slots than the calls.
+
+The step also records its argmin.  It gathers each offset as one key,
+offset << 8 | slot (uint16), so the minimum down a block column is the
+least offset in its high byte and, in its low byte, the first slot that
+reaches it.  Slots go up with the predecessor id and a pad repeats slot
+0's id, so that slot names the smallest predecessor id achieving the
+row's minimum: the chain backtracking follows.  A matrix whose tallest
+block has more than 256 slots keys on uint32 with a uint16 slot instead
+(no grid width needs it: width 19's longest list has 244 entries).
+follow(p, slots) reads the ids back down the rows' block columns.  The
+keys cost a step one more pass over the gathered slots: growing the
+width-13 window to its repeat takes about 7.5 ms against 5.6 ms for the
+plain uint8 minimum (in process, 2 shared x86-64 CPUs), and saves every
+search for a predecessor when backtracking.
 
 Rows, cost vectors and predecessor ids index the rows of a matrix's table.
 The solver builds its matrix on the live words alone (those with a
@@ -38,8 +52,13 @@ tracemalloc to keep 0.5 MB of predecessor lists.  The join's lists and
 the CSR pred_idx they form are int32 and live only until the blocks are
 built, each block filled over its own index array, so at width 19 the
 build peaks near 106 MB of RSS, where one int64 pred_idx kept beside the
-blocks peaked at 145 MB (Python 3.11, numpy 2.4).  predecessors(p) reads
-a row's list down its block column.  The blocks stay int64 (intp),
+blocks peaked at 145 MB (Python 3.11, numpy 2.4).  pred_ptr is int32 and
+row_zeros int8 (a zero count is at most the width): with both int64, the
+width-19 build and window, slots included, peaked at 134 MB instead of
+128-129 MB.  predecessors(p) reads
+a row's list down its block column, and follow(p, slots) reads the chosen
+entries of a backtracked chain, both through one record of each row's
+block and place in block order.  The blocks stay int64 (intp),
 although int32 would halve them: numpy casts any other index dtype on
 every fancy index, so at width 13 one gather through the 32,078 slots
 takes about twice as long with an int32 index (110 against 35-55 us).
@@ -48,7 +67,7 @@ takes about twice as long with an int32 index (110 against 35-55 us).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections.abc import Iterable
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -70,9 +89,10 @@ OFF_INF = 255
 # ones raise it (34.4 MB at 8,192 rows, 41.0 MB in one block, 32.3 MB here).
 _BLOCK_ROWS = 4096
 
-# What one more index block costs mat_vec, in slots: its gather and its
-# minimum are two numpy calls of about 1-1.5 us each, where a slot costs
-# about 2 ns (width 13; Python 3.11, numpy 2.4, 2 shared x86-64 CPUs).
+# What one more index block costs mat_vec, in slots: its gather, its slot
+# numbers and its minimum are numpy calls of about 1-1.5 us each, where a
+# slot costs about 2 ns (width 13; Python 3.11, numpy 2.4, 2 shared x86-64
+# CPUs; set for the step before it recorded slots, and not re-tuned since).
 _BLOCK_COST = 1024
 
 
@@ -86,9 +106,12 @@ class TropicalMatrix:
     (pred_ptr, pred_idx) and are kept only as blocks, one 2^j x rows intp
     array per run of buckets from _merge_buckets (see the module
     docstring), each row's ascending list down one column, padded with its
-    first entry.  block_zeros is the zero-count of each column of the
-    blocks, in turn, then one more entry for the rows without a
-    predecessor; block_pos[p] is row p's place in that order.
+    first entry.  placed rows have a predecessor, each one block column;
+    block_pos[p] is row p's place in the order of those columns, block by
+    block, and placed for a row without one.  keys is
+    mat_vec's (key dtype, slot bits, slot dtype, and each block's slot
+    numbers as a column of the key dtype): uint16 keys with 8 slot bits
+    and uint8 slots, unless the tallest block has more than 256 slots.
     """
 
     table: WordTable
@@ -96,10 +119,12 @@ class TropicalMatrix:
     pred_ptr: np.ndarray
     pred_idx: InitVar[np.ndarray]
     blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    block_zeros: np.ndarray = field(init=False, repr=False)
+    placed: int = field(init=False, repr=False)
     block_pos: np.ndarray = field(init=False, repr=False)
-    # for predecessors(): each block's first place in block order, its width and
-    # its slots as a flat memoryview; then block_pos and pred_ptr as memoryviews
+    keys: tuple = field(init=False, repr=False)
+    # where each row's list sits, read by predecessors() and follow(): each
+    # block's slots as a flat memoryview, its width and its first place in
+    # block order, then each row's block, block_pos and pred_ptr as memoryviews
     _views: tuple = field(init=False, repr=False)
 
     def __post_init__(self, pred_idx: np.ndarray) -> None:
@@ -108,10 +133,11 @@ class TropicalMatrix:
         rows = np.flatnonzero(counts)
         # row p goes to bucket j, the least j with counts[p] <= 2^j
         j = np.searchsorted(1 << np.arange(63), counts[rows]).astype(np.uint8)
-        blocks, zeros, starts = [], [], []
+        blocks, starts = [], []
         block_pos = np.full(k, len(rows), dtype=np.intp)
+        block_of = np.zeros(k, np.uint8)
         start = 0
-        for lo, hi in _merge_buckets(np.bincount(j).tolist()):
+        for b, (lo, hi) in enumerate(_merge_buckets(np.bincount(j).tolist())):
             ids = rows[(lo <= j) & (j <= hi)]  # in table order
             slot = np.arange(1 << hi)[:, None]
             # each slot's place in pred_idx; a pad reads the row's first entry,
@@ -120,17 +146,22 @@ class TropicalMatrix:
             block += ptr[ids]
             block[:] = pred_idx.take(block)
             blocks.append(block)
-            zeros.append(self.row_zeros[ids])
             block_pos[ids] = np.arange(start, start + len(ids))
+            block_of[ids] = b
             starts.append(start)
             start += len(ids)
         set_ = object.__setattr__
         set_(self, "blocks", tuple(blocks))
-        set_(self, "block_zeros", np.concatenate([*zeros, [0]]).astype(np.int16))
+        set_(self, "placed", len(rows))
         set_(self, "block_pos", block_pos)
+        wide = max((b.shape[0] for b in blocks), default=1) > 256
+        key, bits, slot = (np.uint32, 16, np.uint16) if wide else (np.uint16, 8, np.uint8)
+        columns = tuple(np.arange(b.shape[0], dtype=key)[:, None] for b in blocks)
+        set_(self, "keys", (key, bits, slot, columns))
         flats = [memoryview(b.reshape(-1)) for b in blocks]
         widths = [b.shape[1] for b in blocks]
-        set_(self, "_views", (starts, widths, flats, memoryview(block_pos), memoryview(ptr)))
+        rows_at = (memoryview(block_of), memoryview(block_pos), memoryview(ptr))
+        set_(self, "_views", (flats, widths, starts, *rows_at))
 
     @property
     def k(self) -> int:
@@ -142,14 +173,29 @@ class TropicalMatrix:
 
     def predecessors(self, p: int) -> memoryview:
         """Row p's predecessor ids, ascending, read down its block column without a copy."""
-        starts, widths, flats, pos, ptr = self._views
-        lo, hi = ptr[p], ptr[p + 1]
-        if lo == hi:
+        flats, widths, starts, block_of, pos, ptr = self._views
+        count = ptr[p + 1] - ptr[p]
+        if not count:
             return memoryview(np.empty(0, np.intp))
-        b = bisect_right(starts, pos[p]) - 1
-        n = widths[b]
+        b = block_of[p]
         col = pos[p] - starts[b]
-        return flats[b][col : col + (hi - lo) * n : n]
+        return flats[b][col : col + count * widths[b] : widths[b]]
+
+    def follow(self, p: int, slots: Iterable[memoryview]) -> list[int]:
+        """The chain from row p down the given steps' recorded slots, as ids.
+
+        p, then the predecessor that the first step's slots (a third result
+        of mat_vec, as a memoryview) name for p, then the one the second
+        step's name for that, and so on.  Every row on the chain must have a
+        predecessor.  Memoryviews read ints without numpy scalars.
+        """
+        flats, widths, starts, block_of, pos, _ = self._views
+        ids = [p]
+        for slot in slots:
+            b = block_of[p]
+            p = flats[b][pos[p] - starts[b] + slot[p] * widths[b]]
+            ids.append(p)
+        return ids
 
 
 def _merge_buckets(sizes: list[int]) -> list[tuple[int, int]]:
@@ -199,7 +245,7 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
     predecessor lists are appended in p order, so the result does not
     depend on the block size.
     """
-    ptr = np.zeros(table.k + 1, dtype=np.int64)
+    ptr = np.zeros(table.k + 1, dtype=np.int32)
     lists = []
     for lo, q, p in follow_blocks(table.digits, table.digits, _BLOCK_ROWS):
         # int32 until the blocks are built from them, then dropped: the blocks are intp
@@ -207,22 +253,28 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
         counts = np.bincount(p)
         ptr[lo + 1 : lo + 1 + counts.size] = counts
     np.cumsum(ptr, out=ptr)
-    row_zeros = np.count_nonzero(table.digits == 0, axis=1).astype(np.int64)
+    row_zeros = np.count_nonzero(table.digits == 0, axis=1).astype(np.int8)
     pred_idx = np.concatenate([np.empty(0, np.int32), *lists])
     lists.clear()  # free the pieces before the matrix builds its index blocks
     return TropicalMatrix(table, row_zeros, ptr, pred_idx)
 
 
-def mat_vec(matrix: TropicalMatrix, low: int, off: np.ndarray) -> tuple[int, np.ndarray]:
-    """One min-plus step: out[p] = min over q of A[p][q] + x[q], for x = low + off.
+def mat_vec(
+    matrix: TropicalMatrix, low: int, off: np.ndarray
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """One min-plus step: out[p] = min over q of A[p][q] + x[q], for x = low + off, and its argmin.
 
     A column is its minimum `low` plus uint8 offsets above it, OFF_INF where
     infinite; out comes back the same way, its offsets in table order and
     its minimum _INF when it is infinite everywhere.  Exploits the
     row-constant structure: out[p] = zeros(p) + low + the least offset over
-    p's predecessors.  Each block of matrix.blocks is one gather and one
-    minimum down its slots into a buffer in block order; the zeros are
-    added there in int16, and block_pos puts the new offsets in table order.
+    p's predecessors.  Each block of matrix.blocks is one gather of the keys
+    offset << 8 | slot (see the module docstring) and one minimum down its
+    slots into a buffer in block order; block_pos puts the least keys in
+    table order, and the zeros are added to their offsets in int16.  The
+    third result holds, in table order, the slot of each row's chosen
+    predecessor: the first slot, so the smallest id, that reaches the row's
+    minimum (matrix.follow reads its id; 0 for a row with none).
     Raises ValueError unless off is a uint8 array of length k, and
     RuntimeError when a finite offset of out would not fit a uint8.
     """
@@ -231,20 +283,28 @@ def mat_vec(matrix: TropicalMatrix, low: int, off: np.ndarray) -> tuple[int, np.
         raise ValueError("matrix and vector sizes disagree")
     if off.dtype != np.uint8:
         raise ValueError(f"offsets must be uint8, got {off.dtype}")
-    least = np.empty(len(matrix.block_zeros), dtype=np.uint8)
-    least[-1] = OFF_INF  # the rows without a predecessor
+    key, bits, slot, columns = matrix.keys
+    keys = off.astype(key) << bits
+    least = np.empty(matrix.placed + 1, dtype=key)
+    least[-1] = OFF_INF << bits  # the rows without a predecessor
     lo = 0
-    for block in matrix.blocks:
+    for block, column in zip(matrix.blocks, columns):
         hi = lo + block.shape[1]
-        np.minimum.reduce(off[block], axis=0, out=least[lo:hi])
+        gathered = keys[block]
+        gathered |= column
+        np.minimum.reduce(gathered, axis=0, out=least[lo:hi])
         lo = hi
+    least = least.take(matrix.block_pos)  # in table order
+    slots = least.astype(slot)  # the low bits
+    least >>= bits
     inf = least == OFF_INF
-    step = least + matrix.block_zeros  # int16; at least OFF_INF where inf
-    rise = int(step.min())
+    step = least.astype(np.int16)
+    step += matrix.row_zeros  # at least OFF_INF where inf
+    rise = int(step.min(initial=OFF_INF))  # initial: a table may have no rows
     if rise >= OFF_INF:  # the least entry may be an infinite one
         finite = step[~inf]
         if not finite.size:
-            return int(_INF), np.full(k, OFF_INF, dtype=np.uint8)
+            return int(_INF), np.full(k, OFF_INF, dtype=np.uint8), slots
         rise = int(finite.min())
     step -= rise
     step[inf] = -1  # wraps to OFF_INF in the uint8 cast, below every finite offset here
@@ -254,4 +314,4 @@ def mat_vec(matrix: TropicalMatrix, low: int, off: np.ndarray) -> tuple[int, np.
             f"a DP column spreads {top} above its minimum, "
             f"more than the {OFF_INF - 1} a uint8 offset holds"
         )
-    return low + rise, step.astype(np.uint8).take(matrix.block_pos)
+    return low + rise, step.astype(np.uint8), slots

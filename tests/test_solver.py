@@ -31,7 +31,11 @@ from quasidom.tropical import (
     mat_vec,
 )
 from quasidom.words import WordTable, enumerate_suitable
-from test_tropical import reference_compact, reference_mat_vec
+from test_tropical import (
+    assert_slots_pick_the_smallest_predecessor,
+    reference_compact,
+    reference_mat_vec,
+)
 
 # boundary values of the finite-difference recurrences, per published table
 TABLE2 = {
@@ -496,7 +500,8 @@ def test_a_ring_with_period_20_folds_at_its_first_repeat():
         assert np.array_equal(window.column(r), x), r
         x = reference_mat_vec(window.mach.matrix, x)
     assert window.value(57) == 56
-    assert window.backtrack(57) == ([r % 20 for r in range(57)], 56)
+    ids, best = window.backtrack(57)
+    assert np.array_equal(ids, [r % 20 for r in range(57)]) and best == 56
 
 
 def test_a_zero_cost_ring_folds_with_no_increment():
@@ -505,7 +510,30 @@ def test_a_zero_cost_ring_folds_with_no_increment():
     assert window.repeat == (6, 5, 0)
     assert len(window) == 5
     assert window.value(100) == 0
-    assert window.backtrack(100) == ([r % 5 for r in range(100)], 0)
+    ids, best = window.backtrack(100)
+    assert np.array_equal(ids, [r % 5 for r in range(100)]) and best == 0
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_recorded_slots_pick_the_smallest_predecessor(m):
+    _, window = run_dp(m, 10**6, keep_trace=True)
+    # slots[j] is the step from stored column j + 1; the last is the repeat step into column t
+    assert len(window.slots) == len(window) == window.repeat[0] - 1
+    for j, slots in enumerate(window.slots):
+        x = window.column(j + 1)
+        assert_slots_pick_the_smallest_predecessor(window.mach.matrix, x, np.asarray(slots))
+
+
+@pytest.mark.parametrize("k,cost", [(20, 1), (5, 0)])
+def test_ring_slots_name_the_one_predecessor(k, cost):
+    window = ring_window(k, cost)
+    window.grow(100)
+    matrix = window.mach.matrix
+    assert len(window.slots) == k
+    for j, slots in enumerate(window.slots):
+        assert_slots_pick_the_smallest_predecessor(matrix, window.column(j + 1), np.asarray(slots))
+        # column j + 2 is finite at word (j + 1) mod k alone, stepped from word j
+        assert matrix.follow((j + 1) % k, [slots]) == [(j + 1) % k, j], j
 
 
 def test_warm_solve_width_is_a_lookup():
@@ -524,7 +552,7 @@ def test_offsets_that_do_not_fit_a_uint8_raise():
     matrix = TropicalMatrix(
         WordTable(1, np.zeros((3, 1), np.uint8)), np.array([0, 254, 0]), np.arange(4), ids
     )
-    low, off = mat_vec(matrix, 7, np.array([0, 0, OFF_INF], np.uint8))
+    low, off, _ = mat_vec(matrix, 7, np.array([0, 0, OFF_INF], np.uint8))
     assert low == 7 and off.tolist() == [0, 254, OFF_INF]
     text = "a DP column spreads 255 above its minimum, more than the 254 a uint8 offset holds"
     with pytest.raises(RuntimeError, match=f"^{text}$"):
@@ -597,15 +625,23 @@ def walk_backtrack(window, n):
 def cold_window(window, n):
     """The window a cold run_dp(m, n) leaves, cut from a complete one.
 
-    It holds min(n, t - 1) columns, the repeat only when n >= t, and an
-    empty memo; building it this way skips re-running the DP at every n.
+    It holds min(n, t - 1) columns, the steps between them (and the repeat
+    step) and the repeat only when n >= t, and empty memos; building it
+    this way skips re-running the DP at every n.
     """
     t = window.repeat[0]
     kept = min(n, t - 1)
     return DPWindow(
         window.mach, window.mins[:kept], window.offsets[:kept], window.values[:kept],
-        window.repeat if n >= t else None,
+        window.repeat if n >= t else None, window.ends[:kept],
+        window.slots if n >= t else window.slots[: kept - 1],
     )
+
+
+def same_chain(got, want):
+    """backtrack's (intp array, value) against walk_backtrack's (list, value)."""
+    ids, best = got
+    return ids.dtype == np.intp and np.array_equal(ids, want[0]) and best == want[1]
 
 
 @pytest.mark.parametrize("m", range(2, 14))
@@ -618,26 +654,33 @@ def test_tiled_backtrack_matches_the_column_walk(m):
         _window_cache.pop(m, None)
         _, window = run_dp(m, n, keep_trace=True)
         cut = cold_window(full, n)
-        assert (window.mins, window.repeat) == (cut.mins, cut.repeat), n
-        assert window.backtrack(n) == expected[n], ("popped", n)
+        assert (window.mins, window.repeat, window.ends) == (cut.mins, cut.repeat, cut.ends), n
+        assert [bytes(v) for v in window.slots] == [bytes(v) for v in cut.slots], n
+        assert same_chain(window.backtrack(n), expected[n]), ("popped", n)
     _, warm = run_dp(m, 10**6, keep_trace=True)
     for n, chain in expected.items():
-        assert cold_window(full, n).backtrack(n) == chain, ("cold", n)
-        assert warm.backtrack(n) == chain, ("warm", n)
+        assert same_chain(cold_window(full, n).backtrack(n), chain), ("cold", n)
+        assert same_chain(warm.backtrack(n), chain), ("warm", n)
 
 
 def test_backtrack_memo_lives_on_the_window():
     _window_cache.pop(13, None)
     extract_min_set(13, 10**5)
     window = _window_cache[13]
-    t = window.repeat[0]
-    # one walk down to column t - d, plus the steps before the cycle closes
-    assert 0 < len(window.steps) < 2 * t
-    for n in (10**5, 1000, 80, 30):
+    t, d, _ = window.repeat
+    # one periodic walk from n's stored column, one tail below column t - d
+    assert (len(window.heads), len(window.tails)) == (1, 1)
+    head, cycle = window.heads[window.locate(10**5)[0]]
+    assert len(cycle) % d == 0 and len(head) % d == 0 and len(head) + len(cycle) < 2 * t
+    assert all(len(tail) == t - d for tail in window.tails.values())
+    for n in (10**5, 1000, 80, 30):  # 30 < t - d = 73 walks straight down
         extract_min_set(13, n)
-        before = dict(window.steps)
+        heads, tails = dict(window.heads), dict(window.tails)
         extract_min_set(13, n)
-        assert window.steps == before, n
+        assert window.heads.keys() == heads.keys() and window.tails.keys() == tails.keys(), n
+        assert all(window.heads[i] is heads[i] for i in heads), n
+        assert all(window.tails[w] is tails[w] for w in tails), n
+    assert len(window.heads) <= d
 
 
 def test_warm_backtrack_does_not_grow_with_n():

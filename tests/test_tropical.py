@@ -12,6 +12,7 @@ from quasidom.tropical import (
     INFINITY,
     OFF_INF,
     _INF,
+    TropicalMatrix,
     build_initial_vector,
     build_transition_matrix,
     final_mask,
@@ -93,6 +94,29 @@ def reference_compact(data):
     return low, np.where(finite, spread, OFF_INF).astype(np.uint8)
 
 
+def assert_slots_pick_the_smallest_predecessor(matrix, x, slots):
+    """slots against the reference step on the int64 column x.
+
+    A row whose step is finite must name, by its slot, the smallest
+    predecessor id q with row_zeros[p] + x[q] equal to reference_mat_vec's
+    entry, and follow must read that id back (on up to about 500 rows);
+    any other row reads slot 0.
+    """
+    y = reference_mat_vec(matrix, x)
+    idx, ptr, counts = pred_idx(matrix), matrix.pred_ptr, np.diff(matrix.pred_ptr)
+    rows = np.repeat(np.arange(matrix.k), counts)
+    reach = (x[idx] < _INF) & (matrix.row_zeros[rows] + x[idx] == y[rows])
+    slot = np.arange(len(idx)) - ptr[rows]
+    first, rows_with = np.zeros(matrix.k, np.int64), counts > 0
+    if idx.size:
+        first[rows_with] = np.minimum.reduceat(np.where(reach, slot, len(idx)), ptr[:-1][rows_with])
+    assert slots.shape == (matrix.k,)
+    assert np.array_equal(slots, np.where(y < _INF, first, 0))
+    finite = np.flatnonzero(y < _INF)
+    for p in finite[:: max(1, len(finite) // 500)].tolist():
+        assert matrix.follow(p, [memoryview(slots)]) == [p, int(idx[ptr[p] + slots[p]])], p
+
+
 def expand(low, off):
     """The int64 column, _INF where infinite, of a column kept as low plus offsets."""
     return np.where(off == OFF_INF, _INF, off + np.int64(low))
@@ -100,7 +124,8 @@ def expand(low, off):
 
 def step(matrix, x):
     """mat_vec on an int64 column, as an int64 column."""
-    return expand(*mat_vec(matrix, *reference_compact(x)))
+    low, off, _ = mat_vec(matrix, *reference_compact(x))
+    return expand(low, off)
 
 
 @pytest.fixture(scope="module")
@@ -240,14 +265,14 @@ def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
         for p in range(kept.k):
             assert (np.diff(predecessors(kept, p)) > 0).all()
         x = np.arange(kept.k, dtype=np.int64) % 7
-        low, off = mat_vec(kept, 0, x.astype(np.uint8))
+        low, off, _ = mat_vec(kept, 0, x.astype(np.uint8))
         assert off.shape == (kept.k,)
         assert np.array_equal(expand(low, off), reference_mat_vec(kept, x))
 
 
 def test_mat_vec_absorbs_infinity(t2):
     table, matrix, _ = t2
-    low, off = mat_vec(matrix, int(_INF), np.full(table.k, OFF_INF, dtype=np.uint8))
+    low, off, _ = mat_vec(matrix, int(_INF), np.full(table.k, OFF_INF, dtype=np.uint8))
     assert low == _INF and (off == OFF_INF).all()
 
 
@@ -275,14 +300,14 @@ MATRIX3 = build_transition_matrix(TABLE3)
 @given(_columns(TABLE3), _columns(TABLE3))
 def test_mat_vec_monotone(x, y):
     lo = reference_compact(np.minimum(expand(*x), expand(*y)))
-    assert (expand(*mat_vec(MATRIX3, *lo)) <= expand(*mat_vec(MATRIX3, *x))).all()
+    assert (expand(*mat_vec(MATRIX3, *lo)[:2]) <= expand(*mat_vec(MATRIX3, *x)[:2])).all()
 
 
 @given(_columns(TABLE3), st.integers(min_value=0, max_value=10))
 def test_mat_vec_translation_equivariance(x, c):
     low, off = x
-    out_low, out = mat_vec(MATRIX3, low, off)
-    shifted_low, shifted = mat_vec(MATRIX3, low + c, off)
+    out_low, out, _ = mat_vec(MATRIX3, low, off)
+    shifted_low, shifted, _ = mat_vec(MATRIX3, low + c, off)
     assert np.array_equal(shifted, out)
     assert shifted_low == (_INF if out_low == _INF else out_low + c)
 
@@ -292,7 +317,7 @@ def test_mat_vec_infinite_only_through_infinite_predecessors(x):
     # out[p] is infinite exactly when every predecessor of p is: rows with
     # none, and the all-infinite column, included
     for low, off in (x, (x[0], np.full(TABLE3.k, OFF_INF, np.uint8))):
-        _, out = mat_vec(MATRIX3, low, off)
+        _, out, _ = mat_vec(MATRIX3, low, off)
         for p in range(MATRIX3.k):
             assert (out[p] == OFF_INF) == bool((off[predecessors(MATRIX3, p)] == OFF_INF).all())
 
@@ -314,7 +339,7 @@ def test_single_predecessor_row_is_translation():
 def test_rows_without_predecessors_stay_infinite():
     table = enumerate_suitable(4)
     matrix = build_transition_matrix(table)
-    low, out = mat_vec(matrix, 0, np.zeros(table.k, dtype=np.uint8))
+    low, out, _ = mat_vec(matrix, 0, np.zeros(table.k, dtype=np.uint8))
     assert low == 0
     for p in range(table.k):
         if len(predecessors(matrix, p)) == 0:
@@ -366,7 +391,7 @@ def _reference_step(matrix, low, off):
 def _step_or_error(matrix, low, off):
     """mat_vec as (low, offsets as a list), or the RuntimeError text."""
     try:
-        low, out = mat_vec(matrix, low, off)
+        low, out, _ = mat_vec(matrix, low, off)
     except RuntimeError as err:
         return str(err)
     assert out.dtype == np.uint8 and out.shape == (matrix.k,)
@@ -419,7 +444,6 @@ def test_blocks_hold_each_predecessor_list_once_padded_with_its_first_entry(m):
         col = columns[matrix.block_pos[p]]
         assert c <= len(col)
         assert np.array_equal(col[:c], predecessors(matrix, p)) and (col[c:] == col[0]).all()
-        assert matrix.block_zeros[matrix.block_pos[p]] == matrix.row_zeros[p]
     assert all(b.dtype == np.intp for b in matrix.blocks)
     assert not hasattr(matrix, "pred_idx")  # the lists are kept once, in the blocks
 
@@ -455,3 +479,42 @@ def test_mat_vec_rejects_offsets_that_are_not_uint8(t2):
         mat_vec(matrix, 0, x1)
     with pytest.raises(ValueError, match="sizes disagree"):
         mat_vec(matrix, 0, np.zeros(matrix.k + 1, np.uint8))
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_mat_vec_slots_pick_the_smallest_predecessor_on_ties(m):
+    # few distinct offsets, so most rows tie between predecessors
+    from quasidom.solver import machinery
+
+    matrix = machinery(m).matrix
+    rng = np.random.default_rng(m)
+    for top, inf_share in [(0, 0.0), (2, 0.3), (5, 0.0), (20, 0.8)]:
+        off = rng.integers(0, top + 1, matrix.k).astype(np.uint8)
+        off[rng.random(matrix.k) < inf_share] = OFF_INF
+        low, out, slots = mat_vec(matrix, 4, off)
+        assert slots.dtype == np.uint8
+        assert_slots_pick_the_smallest_predecessor(matrix, expand(4, off), slots)
+
+
+def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
+    # row 0 follows every other row; row p > 0 follows row p - 1 only
+    k = 301
+    ptr = np.concatenate([[0], 300 + np.arange(k)])
+    idx = np.concatenate([np.arange(1, k), np.arange(k - 1)])
+    table = WordTable(1, np.zeros((k, 1), np.uint8))
+    matrix = TropicalMatrix(table, np.ones(k, np.int64), ptr, idx)
+    assert [b.shape[0] for b in matrix.blocks] == [1, 512]
+    assert matrix.keys[:3] == (np.uint32, 16, np.uint16)
+    off = np.full(k, 9, np.uint8)
+    off[[270, 280, 290]] = 2  # ties past slot 255: the smallest id, 270, is slot 269
+    off[5] = OFF_INF
+    low, out, slots = mat_vec(matrix, 0, off)
+    assert slots.dtype == np.uint16 and slots[0] == 269
+    assert matrix.follow(0, [memoryview(slots)]) == [0, 270]
+    assert (low, out[0]) == (3, 0)
+    assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
+    rng = np.random.default_rng(300)
+    for _ in range(5):
+        off = rng.integers(0, 4, k).astype(np.uint8)
+        slots = mat_vec(matrix, 0, off)[2]
+        assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
