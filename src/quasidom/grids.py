@@ -5,7 +5,9 @@ GridSet is one Python int, row-major with stride n: (i, j) is bit
 (i - 1) * n + (j - 1), the layout in which the oracle enumerates subsets.
 `rule_faults`, a few shifts of that int, is the package's one test of
 independence and [1,2]-domination.  Only `extract_min_set` needs numpy, and
-imports it when called.
+imports it when called: it packs the DP backtrack's member mask into the
+int with one np.packbits, transposed when the DP ran over the grid's
+columns.
 """
 
 from __future__ import annotations
@@ -277,30 +279,27 @@ def extract_min_set(m: int, n: int) -> GridSet:
     The columns come from the width's kept window, so this only backtracks
     (see solver.DPWindow.backtrack): the smallest final word id achieving the
     minimum, then the smallest predecessor id achieving each step, as the
-    DP step recorded it, so the output is deterministic.  From column t - d
-    on, the backtrack joins the window's memoised tail, tiled cycle and head
-    arrays, so a warm call is a few numpy calls plus packing the n columns.
-    As in
-    `solve_width`, a grid with 2 <= n < m is solved over its n rows and
-    transposed back.
+    DP step recorded it, so the output is deterministic.  The backtrack
+    returns the grid's member mask; from column t - d on it writes it from
+    the zero masks the window filled when it found its repeat, so a warm
+    call is a few slice assignments plus one np.packbits, whatever n is.
+    As in `solve_width`, a grid with 2 <= n < m is solved over its n rows,
+    and the transpose of that mask is packed.
     """
-    if 2 <= n < m:
-        return extract_min_set(n, m).transpose()
     import numpy as np
 
     from .solver import run_dp  # at call time: verify and m >= 16 patterns never load the DP
 
-    mach, window = run_dp(m, n, keep_trace=True)
-    # after run_dp, so its errors keep their type; before the backtrack builds n ids
-    check_cell_cap(m, n)
-    ids, best = window.backtrack(n)
-    # column j of the grid is word ids[j - 1] of the live table; its 0s are the members
-    columns = mach.matrix.table.digits.take(ids, axis=0)
-    packed = np.packbits(columns.T == 0, axis=None, bitorder="little")
+    rows, cols = (n, m) if 2 <= n < m else (m, n)
+    _, window = run_dp(rows, cols, keep_trace=True)
+    # after run_dp, so its errors keep their type; before the backtrack writes the mask
+    check_cell_cap(rows, cols)
+    zeros, best = window.backtrack(cols)
+    packed = np.packbits(zeros if rows == m else zeros.T, axis=None, bitorder="little")
     result = GridSet.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))
     if len(result) != best:
         raise RuntimeError(
-            f"extracted set of {len(result)} disagrees with the DP value {best} for ({m}, {n}); "
+            f"extracted set of {len(result)} disagrees with the DP value {best} for ({rows}, {cols}); "
             "this is a bug"
         )
     return result

@@ -15,21 +15,22 @@ window holds min(n, t - 1) columns.  Each step also records, per word,
 the slot of the predecessor it chose (mat_vec's argmin), and the window
 keeps those slots, so backtracking reads its chain off them and searches
 nothing.  It stops growing with n as well: past column t - d the chain
-repeats as soon as a (stored column, word) state recurs, so the window
-memoises that walk's head and cycle, and the chain below column t - d,
-as intp arrays, and a warm extract joins them with one np.concatenate and
-np.tile.  A column is its minimum plus uint8 offsets, OFF_INF
-where infinite, from X^1 on: mat_vec steps that form to that form, and
-column() rebuilds an int64 array with the _INF sentinel on request.  The
-first repeat is also the period certificate: the grid values repeat with
-period d and increment c from n0 = t - d on, which extends them to every
-larger n.
+repeats as soon as a (stored column, word) state recurs.  So when grow
+finds the repeat it walks, once, each stored column's periodic head and
+cycle and the chain below column t - d for every word those walks reach
+there, and keeps them as (m, len) zero masks; an extract at any n >= t - d
+then writes its member mask from them with a few slice assignments.  A
+column is its minimum plus uint8 offsets, OFF_INF where infinite, from
+X^1 on: mat_vec steps that form to that form, and column() rebuilds an
+int64 array with the _INF sentinel on request.  The first repeat is also
+the period certificate: the grid values repeat with period d and
+increment c from n0 = t - d on, which extends them to every larger n.
 
 The DP runs over the live words only: those with a predecessor, and the
 initial ones.  Any other word is infinite in every column, so dropping it
 is exact.  machinery() enumerates the live words directly, in table order,
 and builds the matrix, .initial and .finals on that one table: every window
-column and the ids backtrack returns index its rows, so tie-breaks on the
+column and every backtracked word id index its rows, so tie-breaks on the
 smallest id pick the same words as over the whole table.
 """
 
@@ -81,6 +82,14 @@ def machinery(m: int) -> Machinery:
     return built
 
 
+# least columns of a window's cycle mask, held as whole cycles: backtrack
+# copies it into the member mask once per row and copy, and a copy of one
+# short cycle is about a numpy inner loop, so at 13 x 1500 a 24-column cycle
+# took 10 us where 256 columns take 4 us (2 shared x86-64 CPUs); the memos
+# of widths 2..13 then hold about 0.27 MB of masks in all
+_CYCLE_SPAN = 256
+
+
 @dataclass(eq=False)
 class DPWindow:
     """The columns X^1..X^len of one width's DP, kept up to its first repeat.
@@ -97,7 +106,15 @@ class DPWindow:
     While the window grows it maps each stored column's offset bytes to its
     index (index); each offsets entry is a read-only view of its key, so a
     column is held once, and mat_vec steps from the last one.  heads and
-    tails are backtrack's memos (see there).
+    tails are backtrack's memos, filled complete when grow finds the repeat
+    (see _fill): heads[i], for each stored column i with a finite value at
+    or past column t - d, is the periodic walk down from its final word as
+    (head ids, cycle ids, head zero mask, cycle zero mask), the last over
+    as many whole cycles as reach _CYCLE_SPAN columns, and tails[w], for
+    each word w that one of those walks reaches at column t - d, is the
+    zero mask of the chain over columns 1..t - d that ends in w.  A zero
+    mask is an (m, len) bool array, True at each label 0; a head's and its
+    cycle's are the two sides of one C-contiguous array.
     """
 
     mach: Machinery
@@ -108,7 +125,9 @@ class DPWindow:
     ends: list[int] = field(default_factory=list)
     slots: list[memoryview] = field(default_factory=list)
     index: dict[bytes, int] = field(default_factory=dict, init=False, repr=False)
-    heads: dict[int, tuple[np.ndarray, np.ndarray]] = field(default_factory=dict, init=False)
+    heads: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False
+    )
     tails: dict[int, np.ndarray] = field(default_factory=dict, init=False)
 
     def __len__(self) -> int:
@@ -144,6 +163,7 @@ class DPWindow:
             i = self.index.setdefault(key, r - 1)
             if i < r - 1:
                 self.repeat = (r, r - 1 - i, low - self.mins[i])
+                self._fill()
                 return
             self.mins.append(low)
             self.offsets.append(off)
@@ -173,21 +193,19 @@ class DPWindow:
         i, shift = self.locate(r)
         return self.values[i] + shift
 
-    def backtrack(self, n: int) -> tuple[np.ndarray, int]:
-        """Ids in the live table of a minimum chain of columns 1..n, as an intp array, and its cost.
+    def backtrack(self, n: int) -> tuple[np.ndarray, int | float]:
+        """The zero mask of a minimum chain of columns 1..n, as an (m, n) bool array, and its cost.
 
-        Picks the smallest final word id achieving the minimum, then at each
-        column the predecessor mat_vec recorded, the smallest id achieving
-        the step.  Below s = t - d (or in a window with no repeat yet) the
-        chain is walked straight down.  From s on, a chain depends on n only
-        through two things, each memoised on the window as arrays:
-        - the stored column i that X^n reads (locate) gives the final word
-          and the periodic walk down from it, which recurs (heads[i], see
-          _periodic_walk);
-        - the word w that the walk reaches at column s gives the chain over
-          columns 1..s (tails[w]).
-        A warm call is then one np.concatenate of tails[w], np.tile of the
-        walk's cycle cut to length, and its head, whatever n is.
+        Column j of the mask is True at the 0s of the chain's word at column
+        j: the members of the grid's column j.  The chain picks the smallest
+        final word id achieving the minimum, then at each column the
+        predecessor mat_vec recorded, the smallest id achieving the step.
+        Below s = t - d (or in a window with no repeat yet) it is walked
+        straight down.  From s on it is written from the memos _fill left
+        at the repeat: the stored column i that X^n reads (locate) picks
+        heads[i], whose ids give the word w at column s, so the mask is
+        tails[w] over columns 1..s, then the cycle mask repeated up to the
+        head, then the head mask, whatever n is.
         """
         i, _ = self.locate(n)
         if self.values[i] == INFINITY:
@@ -195,26 +213,52 @@ class DPWindow:
             raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
         s = n + 1 if self.repeat is None else self.repeat[0] - self.repeat[1]
         if n < s:
-            return self._walk(n, self.ends[i]), self.value(n)
-        head = self.heads.get(i)
-        if head is None:
-            head = self.heads[i] = self._periodic_walk(i)
-        rhead, rcycle = head
+            return self._zeros(self._walk(n, self.ends[i])), self.value(n)
+        head, cycle, head_zeros, cycle_zeros = self.heads[i]
         # word j of the walk is column n - j's, so column s's is word n - s, and
-        # columns s + 1..n hold words n - s - 1 down to 0: the head reversed
-        # last, the cycle reversed (started where word n - s - 1 falls) before it
-        a, period, depth = len(rhead), len(rcycle), n - s
+        # columns s + 1..n hold words n - s - 1 down to 0: the head last, and
+        # before it the cycle, repeated back to column s + 1
+        a, depth = len(head), n - s
+        out = np.empty((len(head_zeros), n), bool)
         if depth < a:
-            w, parts = int(rhead[a - 1 - depth]), [rhead[a - depth :]]
+            w = head[a - 1 - depth]
+            out[:, s:] = head_zeros[:, a - depth :]
         else:
-            more = depth - a
-            start = -more % period
-            w = int(rcycle[period - 1 - more % period])
-            parts = [np.tile(rcycle, -(-(start + more) // period))[start : start + more], rhead]
-        tail = self.tails.get(w)
-        if tail is None:
-            tail = self.tails[w] = self._walk(s, w)
-        return np.concatenate([tail, *parts]), self.value(n)
+            w = cycle[-1 - (depth - a) % len(cycle)]
+            # cycle_zeros is whole cycles, so the stretch before the head is its
+            # last r columns, then q copies of all of it
+            span = cycle_zeros.shape[1]
+            q, r = divmod(depth - a, span)
+            out[:, s : s + r] = cycle_zeros[:, span - r :]
+            # splitting the columns' unit-stride axis keeps the reshape a view
+            out[:, s + r : n - a].reshape(len(out), q, span)[...] = cycle_zeros[:, None]
+            out[:, n - a :] = head_zeros
+        out[:, :s] = self.tails[w]
+        return out, self.value(n)
+
+    def _fill(self) -> None:
+        """Fill heads and tails for every n >= t - d; grow calls it when it finds the repeat.
+
+        Widths 2..13 need at most 13 heads and 24 tails.
+        """
+        t, d, _ = self.repeat
+        s = t - d
+        for i in range(s - 1, t - 1):  # the stored columns X^n reads for n >= s
+            if self.values[i] == INFINITY:
+                continue
+            head, cycle = self._periodic_walk(i)
+            # one mask for the head and the cycle's copies, cut in two
+            zeros = self._zeros(np.concatenate([head, *[cycle] * -(-_CYCLE_SPAN // len(cycle))]))
+            self.heads[i] = head, cycle, zeros[:, : len(head)], zeros[:, len(head) :]
+            # column s is word n - s of the walk for each n that reads column i,
+            # n = i + 1 mod d, so these are the words it can be
+            for w in np.concatenate([head, cycle])[t - 2 - i :: d].tolist():
+                if w not in self.tails:
+                    self.tails[w] = self._zeros(self._walk(s, w))
+
+    def _zeros(self, ids: np.ndarray) -> np.ndarray:
+        """The words' zero mask: column j is True at the 0s of word ids[j]."""
+        return (self.mach.matrix.table.digits.take(ids, axis=0) == 0).T.copy()
 
     def _walk(self, r: int, p: int) -> np.ndarray:
         """The chain over columns 1..r (all stored) ending with word p, read down the slots."""

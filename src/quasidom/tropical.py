@@ -55,9 +55,8 @@ build peaks near 106 MB of RSS, where one int64 pred_idx kept beside the
 blocks peaked at 145 MB (Python 3.11, numpy 2.4).  pred_ptr is int32 and
 row_zeros int8 (a zero count is at most the width): with both int64, the
 width-19 build and window, slots included, peaked at 134 MB instead of
-128-129 MB.  predecessors(p) reads
-a row's list down its block column, and follow(p, slots) reads the chosen
-entries of a backtracked chain, both through one record of each row's
+128-129 MB.  follow(p, slots) reads the chosen entries of a backtracked
+chain down the rows' block columns, through one record of each row's
 block and place in block order.  The blocks stay int64 (intp),
 although int32 would halve them: numpy casts any other index dtype on
 every fancy index, so at width 13 one gather through the 32,078 slots
@@ -122,9 +121,9 @@ class TropicalMatrix:
     placed: int = field(init=False, repr=False)
     block_pos: np.ndarray = field(init=False, repr=False)
     keys: tuple = field(init=False, repr=False)
-    # where each row's list sits, read by predecessors() and follow(): each
-    # block's slots as a flat memoryview, its width and its first place in
-    # block order, then each row's block, block_pos and pred_ptr as memoryviews
+    # where each row's list sits, read by follow(): each block's slots as a
+    # flat memoryview, its width and its first place in block order, then
+    # each row's block and block_pos as memoryviews
     _views: tuple = field(init=False, repr=False)
 
     def __post_init__(self, pred_idx: np.ndarray) -> None:
@@ -160,8 +159,7 @@ class TropicalMatrix:
         set_(self, "keys", (key, bits, slot, columns))
         flats = [memoryview(b.reshape(-1)) for b in blocks]
         widths = [b.shape[1] for b in blocks]
-        rows_at = (memoryview(block_of), memoryview(block_pos), memoryview(ptr))
-        set_(self, "_views", (flats, widths, starts, *rows_at))
+        set_(self, "_views", (flats, widths, starts, memoryview(block_of), memoryview(block_pos)))
 
     @property
     def k(self) -> int:
@@ -171,16 +169,6 @@ class TropicalMatrix:
     def finite_entries(self) -> int:
         return int(self.pred_ptr[-1])
 
-    def predecessors(self, p: int) -> memoryview:
-        """Row p's predecessor ids, ascending, read down its block column without a copy."""
-        flats, widths, starts, block_of, pos, ptr = self._views
-        count = ptr[p + 1] - ptr[p]
-        if not count:
-            return memoryview(np.empty(0, np.intp))
-        b = block_of[p]
-        col = pos[p] - starts[b]
-        return flats[b][col : col + count * widths[b] : widths[b]]
-
     def follow(self, p: int, slots: Iterable[memoryview]) -> list[int]:
         """The chain from row p down the given steps' recorded slots, as ids.
 
@@ -189,7 +177,7 @@ class TropicalMatrix:
         step's name for that, and so on.  Every row on the chain must have a
         predecessor.  Memoryviews read ints without numpy scalars.
         """
-        flats, widths, starts, block_of, pos, _ = self._views
+        flats, widths, starts, block_of, pos = self._views
         ids = [p]
         for slot in slots:
             b = block_of[p]

@@ -334,6 +334,13 @@ def test_extraction_normalizes_orientation():
     assert verify_set(s).ok
 
 
+@pytest.mark.parametrize("n", range(2, 14))
+def test_transposed_extraction_packs_the_transposed_mask(n):
+    # the n-row backtrack's mask is packed transposed, with no n x m set built
+    for m in sorted({n + 1, 2 * n, 60}):
+        assert extract_min_set(m, n) == extract_min_set(n, m).transpose(), m
+
+
 def test_extraction_deterministic():
     assert extract_min_set(4, 7) == extract_min_set(4, 7)
 

@@ -33,6 +33,7 @@ from quasidom.tropical import (
 from quasidom.words import WordTable, enumerate_suitable
 from test_tropical import (
     assert_slots_pick_the_smallest_predecessor,
+    predecessors,
     reference_compact,
     reference_mat_vec,
 )
@@ -317,11 +318,6 @@ def test_folded_trace_matches_plain_iteration(m):
         assert np.array_equal(window.column(300), x)
 
 
-def predecessors(matrix, p):
-    """The ids q with a finite entry A[p][q], ascending, as an int64 array."""
-    return np.asarray(matrix.predecessors(p), dtype=np.int64)
-
-
 @pytest.mark.parametrize("m", range(2, 14))
 def test_dp_over_live_words_is_lossless(m):
     # the full-table DP, iterated past the first repeat: dropped words stay
@@ -500,8 +496,10 @@ def test_a_ring_with_period_20_folds_at_its_first_repeat():
         assert np.array_equal(window.column(r), x), r
         x = reference_mat_vec(window.mach.matrix, x)
     assert window.value(57) == 56
-    ids, best = window.backtrack(57)
-    assert np.array_equal(ids, [r % 20 for r in range(57)]) and best == 56
+    # t - d = 1, so the fill's id arrays give the whole chain
+    assert np.array_equal(periodic_ids(window, 57), [r % 20 for r in range(57)])
+    zeros, best = window.backtrack(57)
+    assert zeros.shape == (1, 57) and zeros.all() and best == 56  # the ring's one label is 0
 
 
 def test_a_zero_cost_ring_folds_with_no_increment():
@@ -510,8 +508,9 @@ def test_a_zero_cost_ring_folds_with_no_increment():
     assert window.repeat == (6, 5, 0)
     assert len(window) == 5
     assert window.value(100) == 0
-    ids, best = window.backtrack(100)
-    assert np.array_equal(ids, [r % 5 for r in range(100)]) and best == 0
+    assert np.array_equal(periodic_ids(window, 100), [r % 5 for r in range(100)])
+    zeros, best = window.backtrack(100)
+    assert zeros.shape == (1, 100) and zeros.all() and best == 0
 
 
 @pytest.mark.parametrize("m", range(2, 14))
@@ -626,61 +625,114 @@ def cold_window(window, n):
     """The window a cold run_dp(m, n) leaves, cut from a complete one.
 
     It holds min(n, t - 1) columns, the steps between them (and the repeat
-    step) and the repeat only when n >= t, and empty memos; building it
-    this way skips re-running the DP at every n.
+    step) and the repeat only when n >= t, and then memos filled as grow
+    fills them, else empty ones; building it this way skips re-running the
+    DP at every n.
     """
     t = window.repeat[0]
     kept = min(n, t - 1)
-    return DPWindow(
+    cut = DPWindow(
         window.mach, window.mins[:kept], window.offsets[:kept], window.values[:kept],
         window.repeat if n >= t else None, window.ends[:kept],
         window.slots if n >= t else window.slots[: kept - 1],
     )
+    if n >= t:
+        cut._fill()
+    return cut
 
 
-def same_chain(got, want):
-    """backtrack's (intp array, value) against walk_backtrack's (list, value)."""
-    ids, best = got
-    return ids.dtype == np.intp and np.array_equal(ids, want[0]) and best == want[1]
+def periodic_ids(window, n):
+    """The ids over columns t - d..n of backtrack(n)'s chain, from the head and cycle ids of the fill.
+
+    The head ends at column n and whole cycles run down before it.
+    """
+    t, d, _ = window.repeat
+    head, cycle = window.heads[window.locate(n)[0]][:2]
+    depth = n - (t - d)
+    chain = np.concatenate([np.tile(cycle, depth // len(cycle) + 2), head])
+    return chain[len(chain) - depth - 1 :]
+
+
+def same_set(window, got, want):
+    """backtrack's (mask, value) against walk_backtrack's (ids, value): the mask is the ids' 0s."""
+    zeros, best = got
+    ids, value = want
+    expected = window.mach.matrix.table.digits[ids] == 0
+    return zeros.dtype == bool and np.array_equal(zeros, expected.T) and best == value
 
 
 @pytest.mark.parametrize("m", range(2, 14))
 def test_tiled_backtrack_matches_the_column_walk(m):
     _, full = run_dp(m, 10**6, keep_trace=True)
     t, d, _ = full.repeat
+    s = t - d
     expected = {n: walk_backtrack(full, n) for n in [*range(1, 3 * t + 1), 1500, 10**5]}
     # really cold windows, re-grown from nothing, at the edges of the periodic stretch
-    for n in (1, 2, t - d - 1, t - d, t - d + 1, t - 1, t, t + 1, t + d, 3 * t, 1500, 10**5):
+    for n in (1, 2, s - 1, s, s + 1, t - 1, t, t + 1, t + d, 3 * t, 1500, 10**5):
         _window_cache.pop(m, None)
         _, window = run_dp(m, n, keep_trace=True)
         cut = cold_window(full, n)
         assert (window.mins, window.repeat, window.ends) == (cut.mins, cut.repeat, cut.ends), n
         assert [bytes(v) for v in window.slots] == [bytes(v) for v in cut.slots], n
-        assert same_chain(window.backtrack(n), expected[n]), ("popped", n)
+        assert same_set(window, window.backtrack(n), expected[n]), ("popped", n)
     _, warm = run_dp(m, 10**6, keep_trace=True)
-    for n, chain in expected.items():
-        assert same_chain(cold_window(full, n).backtrack(n), chain), ("cold", n)
-        assert same_chain(warm.backtrack(n), chain), ("warm", n)
+    for n, (ids, _) in expected.items():
+        assert same_set(warm, cold_window(full, n).backtrack(n), expected[n]), ("cold", n)
+        assert same_set(warm, warm.backtrack(n), expected[n]), ("warm", n)
+        if n >= s:
+            # the fill's ids reach column s, and its tail there is the walk's
+            assert np.array_equal(periodic_ids(warm, n), ids[s - 1 :]), n
+            tail = warm.tails[ids[s - 1]]
+            assert np.array_equal(tail, (warm.mach.matrix.table.digits[ids[:s]] == 0).T), n
 
 
 def test_backtrack_memo_lives_on_the_window():
     _window_cache.pop(13, None)
-    extract_min_set(13, 10**5)
-    window = _window_cache[13]
+    _, window = run_dp(13, 80, keep_trace=True)
+    assert window.repeat is None and not window.heads and not window.tails
+    _, window = run_dp(13, 10**5, keep_trace=True)
     t, d, _ = window.repeat
-    # one periodic walk from n's stored column, one tail below column t - d
-    assert (len(window.heads), len(window.tails)) == (1, 1)
-    head, cycle = window.heads[window.locate(10**5)[0]]
-    assert len(cycle) % d == 0 and len(head) % d == 0 and len(head) + len(cycle) < 2 * t
-    assert all(len(tail) == t - d for tail in window.tails.values())
+    s = t - d
+    digits = window.mach.matrix.table.digits
+    # complete at the repeat: a head and cycle for every stored column X^n
+    # reads from column s on, and a tail for every word they reach at s
+    assert sorted(window.heads) == list(range(s - 1, t - 1))
+    reached = set()
+    for i, (head, cycle, head_zeros, cycle_zeros) in window.heads.items():
+        assert len(cycle) % d == 0 and len(head) % d == 0 and len(head) + len(cycle) < 2 * t
+        # the cycle mask holds whole cycles, at least 256 columns
+        span = cycle_zeros.shape[1]
+        assert span % len(cycle) == 0 and 256 <= span < 256 + len(cycle)
+        for ids, zeros in ((head, head_zeros), (np.resize(cycle, span), cycle_zeros)):
+            assert ids.dtype == np.intp and zeros.dtype == bool
+            assert np.array_equal(zeros, (digits[ids] == 0).T)
+        reached |= {int(periodic_ids(window, n)[0]) for n in range(i + 1, i + 1 + 4 * t, d)}
+    assert window.tails.keys() == reached
+    assert all(z.shape == (13, s) and z.flags.c_contiguous for z in window.tails.values())
+    heads, tails = dict(window.heads), dict(window.tails)
     for n in (10**5, 1000, 80, 30):  # 30 < t - d = 73 walks straight down
-        extract_min_set(13, n)
-        heads, tails = dict(window.heads), dict(window.tails)
         extract_min_set(13, n)
         assert window.heads.keys() == heads.keys() and window.tails.keys() == tails.keys(), n
         assert all(window.heads[i] is heads[i] for i in heads), n
         assert all(window.tails[w] is tails[w] for w in tails), n
-    assert len(window.heads) <= d
+
+
+def test_a_complete_window_extracts_without_walking(monkeypatch):
+    calls = []
+    for m in range(2, 14):
+        _, window = run_dp(m, 10**6, keep_trace=True)
+        t, d, _ = window.repeat
+        heads, tails = set(window.heads), set(window.tails)
+        walk = DPWindow._walk
+        monkeypatch.setattr(DPWindow, "_periodic_walk", lambda self, i: calls.append((m, "periodic", i)))
+        monkeypatch.setattr(
+            DPWindow, "_walk", lambda self, r, p: calls.append((m, r, p)) if r == t - d else walk(self, r, p)
+        )
+        for n in (*range(t - d, 3 * t + 1), 1500, 10**5):
+            assert verify_set(extract_min_set(m, n)).ok, (m, n)
+        monkeypatch.undo()
+        assert (window.heads.keys(), window.tails.keys()) == (heads, tails), m
+    assert calls == []
 
 
 def test_warm_backtrack_does_not_grow_with_n():
@@ -688,9 +740,9 @@ def test_warm_backtrack_does_not_grow_with_n():
     window = _window_cache[13]
     window.backtrack(300000)
     start = time.perf_counter()
-    ids, best = window.backtrack(300000)
+    zeros, best = window.backtrack(300000)
     assert time.perf_counter() - start < 0.1
-    assert len(ids) == 300000 and best == value(13, 300000)
+    assert zeros.shape == (13, 300000) and zeros.sum() == best == value(13, 300000)
 
 
 @pytest.mark.slow
