@@ -135,10 +135,12 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_extract(args) -> int:
-    from .grids import extract_min_set
+    from .grids import extract_min_set, verify_set
 
     t = time.perf_counter()
     gs = extract_min_set(args.m, args.n)
+    if not verify_set(gs).ok:
+        raise ConstructionError(f"extract({args.m},{args.n}) produced an invalid set")
     env = _envelope(
         "extract", {"m": args.m, "n": args.n}, t, value=len(gs), set=gs
     )

@@ -185,6 +185,8 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
             raise ConstructionError(
                 f"DP extraction for ({m}, {n}) produced {len(result)} members, expected {target}"
             )
+        if not verify_set(result).ok:
+            raise ConstructionError(f"DP extraction for ({m}, {n}) produced an invalid set")
         return result
 
     rep, _ = _representative(m, n)

@@ -31,14 +31,23 @@ offset << 8 | slot (uint16), so the minimum down a block column is the
 least offset in its high byte and, in its low byte, the first slot that
 reaches it.  Slots go up with the predecessor id and a pad repeats slot
 0's id, so that slot names the smallest predecessor id achieving the
-row's minimum: the chain backtracking follows.  A matrix whose tallest
-block has more than 256 slots keys on uint32 with a uint16 slot instead
-(no grid width needs it: width 19's longest list has 244 entries).
-follow(p, slots) reads the ids back down the rows' block columns.  The
-keys cost a step one more pass over the gathered slots: growing the
-width-13 window to its repeat takes about 7.5 ms against 5.6 ms for the
-plain uint8 minimum (in process, 2 shared x86-64 CPUs), and saves every
-search for a predecessor when backtracking.
+row's minimum: the chain backtracking follows.  Each block picks its own
+key: one more than 256 slots high gathers offset << 16 | slot (uint32),
+and only that block moves 4-byte keys (width 21 has one, 512 high, for
+six rows; width 19's longest list has 244 entries).  A row of a 1-high
+block has one predecessor, slot 0, so that block's step is one take of
+the keys, with no slot to add, reduce or record.  A step keeps its slots
+in one uint8 buffer at the width of their block, class by class in block
+order (slot_classes): 4 bits a row for blocks 2..16 high, a byte up to
+256 high, two bytes above.  That is 3,270 bytes a step for the 8,385 live
+words of width 13, and 10.1 MB for the width-19 window where a byte a
+word took 22.7 MB.  follow(p, slots) reads each row's slot from its
+class at its place in block order, and the ids back down the rows' block
+columns.  The keys and the packing cost a step a few numpy calls and
+save every search for a predecessor when backtracking: growing the
+width-13 window to its repeat takes about 10 ms, and widths 2 to 13
+about 25 ms, 5% more than with a byte a word (in process, 2 shared
+x86-64 CPUs).
 
 Rows, cost vectors and predecessor ids index the rows of a matrix's table.
 The solver builds its matrix on the live words alone (those with a
@@ -54,10 +63,11 @@ built, each block filled over its own index array, so at width 19 the
 build peaks near 106 MB of RSS, where one int64 pred_idx kept beside the
 blocks peaked at 145 MB (Python 3.11, numpy 2.4).  pred_ptr is int32 and
 row_zeros int8 (a zero count is at most the width): with both int64, the
-width-19 build and window, slots included, peaked at 134 MB instead of
-128-129 MB.  follow(p, slots) reads the chosen entries of a backtracked
-chain down the rows' block columns, through one record of each row's
-block and place in block order.  The blocks stay int64 (intp),
+width-19 build and window, when it kept a byte of slots a word, peaked at
+134 MB instead of 127-129 MB; with the slots at the width of their
+block it peaks at 114 MB.  follow(p, slots) reads the chosen entries of
+a backtracked chain down the rows' block columns, through one record of
+each row's block and place in block order.  The blocks stay int64 (intp),
 although int32 would halve them: numpy casts any other index dtype on
 every fancy index, so at width 13 one gather through the 32,078 slots
 takes about twice as long with an int32 index (110 against 35-55 us).
@@ -107,10 +117,15 @@ class TropicalMatrix:
     docstring), each row's ascending list down one column, padded with its
     first entry.  placed rows have a predecessor, each one block column;
     block_pos[p] is row p's place in the order of those columns, block by
-    block, and placed for a row without one.  keys is
-    mat_vec's (key dtype, slot bits, slot dtype, and each block's slot
-    numbers as a column of the key dtype): uint16 keys with 8 slot bits
-    and uint8 slots, unless the tallest block has more than 256 slots.
+    block, and placed for a row without one.  columns[b] is block b's slot
+    numbers as a column of its key dtype: uint16, or uint32 above 256
+    slots.  The blocks go up in height, so the rows of each class of
+    blocks that a step records slots for take one run of places:
+    slot_classes is (first place, end place, first byte in the step's slot
+    buffer) for the 4-bit (2..16 high), 8-bit (17..256) and 16-bit classes,
+    and slot_bytes is the buffer's length.  Of a 4-bit class's n rows, the
+    first ceil(n / 2) take the low 4 bits of its bytes and the others the
+    high 4 bits, in order; 16-bit slots are little-endian.
     """
 
     table: WordTable
@@ -120,10 +135,13 @@ class TropicalMatrix:
     blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
     placed: int = field(init=False, repr=False)
     block_pos: np.ndarray = field(init=False, repr=False)
-    keys: tuple = field(init=False, repr=False)
-    # where each row's list sits, read by follow(): each block's slots as a
-    # flat memoryview, its width and its first place in block order, then
-    # each row's block and block_pos as memoryviews
+    columns: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    slot_classes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
+    slot_bytes: int = field(init=False, repr=False)
+    # what follow() reads: for each block, its slots as a flat memoryview, its
+    # first place in block order, its width, and where its rows' recorded
+    # slots sit in a step's slot buffer (see _slot_read); then each row's
+    # block and block_pos as memoryviews
     _views: tuple = field(init=False, repr=False)
 
     def __post_init__(self, pred_idx: np.ndarray) -> None:
@@ -153,13 +171,25 @@ class TropicalMatrix:
         set_(self, "blocks", tuple(blocks))
         set_(self, "placed", len(rows))
         set_(self, "block_pos", block_pos)
-        wide = max((b.shape[0] for b in blocks), default=1) > 256
-        key, bits, slot = (np.uint32, 16, np.uint16) if wide else (np.uint16, 8, np.uint8)
-        columns = tuple(np.arange(b.shape[0], dtype=key)[:, None] for b in blocks)
-        set_(self, "keys", (key, bits, slot, columns))
-        flats = [memoryview(b.reshape(-1)) for b in blocks]
-        widths = [b.shape[1] for b in blocks]
-        set_(self, "_views", (flats, widths, starts, memoryview(block_of), memoryview(block_pos)))
+        heights = [b.shape[0] for b in blocks]
+        set_(self, "columns", tuple(
+            np.arange(h, dtype=np.uint32 if h > 256 else np.uint16)[:, None] for h in heights
+        ))
+        # the blocks go up in height, so each class of them is one run of places
+        bits = [0 if h == 1 else 4 if h <= 16 else 8 if h <= 256 else 16 for h in heights]
+        classes, at = {}, 0
+        for size in (4, 8, 16):
+            first = sum(b.shape[1] for b, w in zip(blocks, bits) if w < size)
+            end = sum(b.shape[1] for b, w in zip(blocks, bits) if w <= size)
+            classes[size] = first, end, at
+            at += ((end - first) * size + 7) >> 3
+        set_(self, "slot_classes", tuple(classes.values()))
+        set_(self, "slot_bytes", at)
+        views = [
+            (memoryview(block.reshape(-1)), start, block.shape[1], *_slot_read(w, *classes.get(w, (0, 0, 0))))
+            for block, start, w in zip(blocks, starts, bits)
+        ]
+        set_(self, "_views", (views, memoryview(block_of), memoryview(block_pos)))
 
     @property
     def k(self) -> int:
@@ -177,13 +207,36 @@ class TropicalMatrix:
         step's name for that, and so on.  Every row on the chain must have a
         predecessor.  Memoryviews read ints without numpy scalars.
         """
-        flats, widths, starts, block_of, pos = self._views
+        views, block_of, pos = self._views
         ids = [p]
-        for slot in slots:
-            b = block_of[p]
-            p = flats[b][pos[p] - starts[b] + slot[p] * widths[b]]
+        for buf in slots:
+            q = pos[p]
+            flat, start, width, bits, lo, split, hi = views[block_of[p]]
+            if bits == 4:
+                slot = buf[lo + q] & 15 if q < split else buf[hi + q] >> 4
+            elif bits == 8:
+                slot = buf[lo + q]
+            elif bits:  # little-endian
+                slot = buf[lo + 2 * q] | buf[lo + 2 * q + 1] << 8
+            else:  # a 1-high block: the row's one predecessor
+                slot = 0
+            p = flat[q - start + slot * width]
             ids.append(p)
         return ids
+
+
+def _slot_read(bits: int, first: int, end: int, at: int) -> tuple[int, int, int, int]:
+    """Where a step's slot buffer holds the slot of the row at place q of a class.
+
+    bits per slot, then lo, split and hi, for the class's places first..end
+    and its first byte at: a byte row's slot is byte lo + q and a 16-bit
+    row's bytes lo + 2q and lo + 2q + 1; a 4-bit row's is the low 4 bits of
+    byte lo + q for q < split, else the high 4 bits of byte hi + q.
+    """
+    if bits == 4:
+        fold = (end - first + 1) >> 1
+        return bits, at - first, first + fold, at - first - fold
+    return bits, at - (bits >> 3) * first, 0, 0
 
 
 def _merge_buckets(sizes: list[int]) -> list[tuple[int, int]]:
@@ -260,9 +313,11 @@ def mat_vec(
     offset << 8 | slot (see the module docstring) and one minimum down its
     slots into a buffer in block order; block_pos puts the least keys in
     table order, and the zeros are added to their offsets in int16.  The
-    third result holds, in table order, the slot of each row's chosen
-    predecessor: the first slot, so the smallest id, that reaches the row's
-    minimum (matrix.follow reads its id; 0 for a row with none).
+    third result is the step's uint8 slot buffer, matrix.slot_bytes long:
+    for each row in a block 2 or more high, in the layout of
+    matrix.slot_classes, the slot of its chosen predecessor, the first
+    slot, so the smallest id, that reaches the row's minimum (0 when that
+    minimum is infinite).  matrix.follow reads its id.
     Raises ValueError unless off is a uint8 array of length k, and
     RuntimeError when a finite offset of out would not fit a uint8.
     """
@@ -271,20 +326,42 @@ def mat_vec(
         raise ValueError("matrix and vector sizes disagree")
     if off.dtype != np.uint8:
         raise ValueError(f"offsets must be uint8, got {off.dtype}")
-    key, bits, slot, columns = matrix.keys
-    keys = off.astype(key) << bits
-    least = np.empty(matrix.placed + 1, dtype=key)
-    least[-1] = OFF_INF << bits  # the rows without a predecessor
+    keys = off.astype(np.uint16) << 8
+    least = np.empty(matrix.placed + 1, dtype=np.uint16)
+    least[-1] = OFF_INF << 8  # the rows without a predecessor
+    slots = np.empty(matrix.slot_bytes, np.uint8)
+    (a, b, at4), (_, c, at8), (_, _, at16) = matrix.slot_classes
     lo = 0
-    for block, column in zip(matrix.blocks, columns):
-        hi = lo + block.shape[1]
-        gathered = keys[block]
-        gathered |= column
-        np.minimum.reduce(gathered, axis=0, out=least[lo:hi])
+    for block, column in zip(matrix.blocks, matrix.columns):
+        height, width = block.shape
+        hi = lo + width
+        if height == 1:  # a row's one predecessor is its slot 0: nothing to reduce or record
+            keys.take(block[0], out=least[lo:hi], mode="clip")
+        elif height <= 256:
+            gathered = keys[block]
+            gathered |= column
+            np.minimum.reduce(gathered, axis=0, out=least[lo:hi])
+        else:  # keys offset << 16 | slot, the slot kept in two bytes, little-endian
+            gathered = off[block].astype(np.uint32)
+            gathered <<= 16
+            gathered |= column
+            best = np.minimum.reduce(gathered, axis=0)
+            at = at16 + 2 * (lo - c)
+            slots[at : at + 2 * width].view("<u2")[:] = best  # the low 16 bits
+            least[lo:hi] = best >> 16 << 8
         lo = hi
+    half = (b - a) >> 1
+    fold = b - a - half
+    if half:  # slots below 16: row a + i's in the low 4 bits of byte i, row a + fold + i's above
+        folded = least[a + fold : b] << 4
+        folded |= least[a : a + half]
+        slots[at4 : at4 + half] = folded  # the low bytes
+    if fold > half:
+        slots[at4 + half] = least.item(a + half) & 15
+    if c > b:
+        slots[at8 : at8 + c - b] = least[b:c]  # the low bytes
     least = least.take(matrix.block_pos)  # in table order
-    slots = least.astype(slot)  # the low bits
-    least >>= bits
+    least >>= 8
     inf = least == OFF_INF
     step = least.astype(np.int16)
     step += matrix.row_zeros  # at least OFF_INF where inf

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import quasidom
 import quasidom.cli
 import quasidom.errors
+import quasidom.grids
 from quasidom.cli import main
 from quasidom.grids import GridSet
 
@@ -40,6 +41,15 @@ def test_value_json(capsys):
     assert env["inputs"] == {"m": 2, "n": 4}
     assert "elapsed_ms" in env
 
+
+
+def test_extract_refuses_a_set_that_fails_verification(capsys, monkeypatch):
+    size = len(quasidom.grids.extract_min_set(5, 7))
+    bad = GridSet.from_bits(5, 7, (1 << size) - 1)  # the right size, but members side by side
+    monkeypatch.setattr(quasidom.grids, "extract_min_set", lambda m, n: bad)
+    code, env = run_json(capsys, "extract", "5", "7")
+    assert code == 1
+    assert env == {"error": {"type": "ConstructionError", "message": "extract(5,7) produced an invalid set"}}
 
 def test_value_human(capsys):
     code, out = run(capsys, "value", "5", "5")

@@ -7,7 +7,8 @@ import pytest
 
 from quasidom import pattern
 from quasidom.errors import ConstructionError
-from quasidom.grids import verify_set
+from quasidom.cli import main
+from quasidom.grids import GridSet, verify_set
 from quasidom.pattern import (
     CORNER_SIZE,
     _representative,
@@ -457,6 +458,21 @@ def test_a_build_from_kept_blocks_is_still_verified(monkeypatch):
     with pytest.raises(ConstructionError, match="invalid set"):
         build_big_grid_set(28, 36)
 
+
+
+def test_a_dp_set_that_fails_verification_is_refused(monkeypatch, capsys):
+    # widths 14 and 15 take the DP's set; one of the right size that is not
+    # independent must raise, and the CLI must answer with an error envelope
+    target = big_grid_value(14, 20)
+    bad = GridSet.from_bits(14, 20, (1 << target) - 1)  # the first cells, side by side
+    monkeypatch.setattr(pattern, "extract_min_set", lambda m, n: bad)
+    with pytest.raises(ConstructionError, match=r"\(14, 20\) produced an invalid set"):
+        build_big_grid_set(14, 20)
+    assert main(["pattern", "14", "20", "--json"]) == 1
+    env = json.loads(capsys.readouterr().out)
+    assert env == {
+        "error": {"type": "ConstructionError", "message": "DP extraction for (14, 20) produced an invalid set"}
+    }
 
 def test_representatives_cover_every_wide_grid():
     reps = set(_representatives())

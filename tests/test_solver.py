@@ -469,6 +469,30 @@ def test_width13_window_holds_84_uint8_columns():
     assert all(isinstance(off.base, bytes) and not off.flags.writeable for off in window.offsets)
 
 
+
+# bytes of one step's recorded slots, widths 2..13: 4 bits a row in blocks 2..16
+# high, a byte in taller ones, none in a 1-high block
+SLOT_BYTES = dict(zip(range(2, 14), [3, 5, 10, 20, 38, 75, 146, 284, 563, 1110, 2106, 3270]))
+
+
+@pytest.mark.parametrize("m", sorted(SLOT_BYTES))
+def test_each_step_records_its_slots_in_at_most_half_a_byte_a_word(m):
+    _, window = run_dp(m, 10**6, keep_trace=True)
+    live = window.mach.matrix.k
+    assert window.mach.matrix.slot_bytes == SLOT_BYTES[m] <= (live + 1) // 2
+    assert all(v.nbytes == SLOT_BYTES[m] for v in window.slots)
+
+
+def test_width13_window_records_3270_bytes_of_slots_a_step():
+    _window_cache.pop(13, None)
+    solve_width(13, 1000)
+    window = _window_cache[13]
+    # a step into each of the 83 stored columns after the first, then the repeat step
+    assert len(window.slots) == 84
+    assert all(isinstance(v, memoryview) and v.nbytes == 3270 for v in window.slots)
+    # 0.27 MB, where a byte for each of the 8,385 live words took 0.70 MB
+    assert sum(v.nbytes for v in window.slots) == 84 * 3270
+
 def ring_window(k, cost):
     """A DPWindow over a k-word ring, not a grid DP: word p's only predecessor is p - 1 mod k.
 

@@ -34,13 +34,13 @@ def predecessors(matrix, p):
 
     Read down row p's block column through the record that follow() reads.
     """
-    flats, widths, starts, block_of, pos = matrix._views
+    views, block_of, pos = matrix._views
     count = int(matrix.pred_ptr[p + 1] - matrix.pred_ptr[p])
     if not count:
         return np.empty(0, np.int64)
-    b = block_of[p]
-    col = pos[p] - starts[b]
-    return np.asarray(flats[b][col : col + count * widths[b] : widths[b]], np.int64)
+    flat, start, width = views[block_of[p]][:3]
+    col = pos[p] - start
+    return np.asarray(flat[col : col + count * width : width], np.int64)
 
 
 def pred_idx(matrix):
@@ -103,13 +103,39 @@ def reference_compact(data):
     return low, np.where(finite, spread, OFF_INF).astype(np.uint8)
 
 
-def assert_slots_pick_the_smallest_predecessor(matrix, x, slots):
-    """slots against the reference step on the int64 column x.
+def decode_slots(matrix, slots):
+    """Each row's recorded slot in a step's slot buffer, in table order, as int64.
 
-    A row whose step is finite must name, by its slot, the smallest
-    predecessor id q with row_zeros[p] + x[q] equal to reference_mat_vec's
-    entry, and follow must read that id back (on up to about 500 rows);
-    any other row reads slot 0.
+    The buffer holds the slots of each class of blocks (slot_classes: first
+    place, end place, first byte) in block order.  Blocks 2..16 high take
+    4 bits a row: of the class's n rows, the first ceil(n / 2) fill the low
+    4 bits of its bytes and the others the high 4 bits, which an odd n
+    leaves 0 in the last byte.  Blocks up to 256 high take a byte a row, and
+    taller ones two bytes, little-endian.  A row in a 1-high block or with
+    no predecessor reads 0.
+    """
+    slots = np.asarray(slots)
+    assert slots.dtype == np.uint8 and slots.shape == (matrix.slot_bytes,)
+    (a, b, at4), (_, c, at8), (_, e, at16) = matrix.slot_classes
+    assert at8 == at4 + (b - a + 1) // 2 and at16 == at8 + c - b
+    assert matrix.slot_bytes == at16 + 2 * (e - c) and e == matrix.placed
+    placed = np.zeros(matrix.placed + 1, np.int64)  # the last place: the rows without a predecessor
+    packed = slots[at4:at8]
+    nibbles = np.concatenate([packed & 15, packed >> 4])
+    assert not nibbles[b - a :].any()
+    placed[a:b] = nibbles[: b - a]
+    placed[b:c] = slots[at8:at16]
+    placed[c:e] = slots[at16:].view("<u2")
+    return placed[matrix.block_pos]
+
+
+def assert_slots_pick_the_smallest_predecessor(matrix, x, slots):
+    """A step's slot buffer against the reference step on the int64 column x.
+
+    A row whose step is finite must name, by its slot (decode_slots), the
+    smallest predecessor id q with row_zeros[p] + x[q] equal to
+    reference_mat_vec's entry, and follow must read that id back (on up to
+    about 500 rows); any other row reads slot 0.
     """
     y = reference_mat_vec(matrix, x)
     idx, ptr, counts = pred_idx(matrix), matrix.pred_ptr, np.diff(matrix.pred_ptr)
@@ -119,11 +145,12 @@ def assert_slots_pick_the_smallest_predecessor(matrix, x, slots):
     first, rows_with = np.zeros(matrix.k, np.int64), counts > 0
     if idx.size:
         first[rows_with] = np.minimum.reduceat(np.where(reach, slot, len(idx)), ptr[:-1][rows_with])
-    assert slots.shape == (matrix.k,)
-    assert np.array_equal(slots, np.where(y < _INF, first, 0))
+    decoded = decode_slots(matrix, slots)
+    assert np.array_equal(decoded, np.where(y < _INF, first, 0))
     finite = np.flatnonzero(y < _INF)
+    view = memoryview(np.asarray(slots))
     for p in finite[:: max(1, len(finite) // 500)].tolist():
-        assert matrix.follow(p, [memoryview(slots)]) == [p, int(idx[ptr[p] + slots[p]])], p
+        assert matrix.follow(p, [view]) == [p, int(idx[ptr[p] + decoded[p]])], p
 
 
 def expand(low, off):
@@ -512,13 +539,15 @@ def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
     idx = np.concatenate([np.arange(1, k), np.arange(k - 1)])
     table = WordTable(1, np.zeros((k, 1), np.uint8))
     matrix = TropicalMatrix(table, np.ones(k, np.int64), ptr, idx)
-    assert [b.shape[0] for b in matrix.blocks] == [1, 512]
-    assert matrix.keys[:3] == (np.uint32, 16, np.uint16)
+    assert [b.shape for b in matrix.blocks] == [(1, 300), (512, 1)]
+    # only the tall block gathers uint32 keys; the 1-high one records no slot
+    assert [c.dtype for c in matrix.columns] == [np.uint16, np.uint32]
+    assert (matrix.slot_classes, matrix.slot_bytes) == (((300, 300, 0), (300, 300, 0), (300, 301, 0)), 2)
     off = np.full(k, 9, np.uint8)
     off[[270, 280, 290]] = 2  # ties past slot 255: the smallest id, 270, is slot 269
     off[5] = OFF_INF
     low, out, slots = mat_vec(matrix, 0, off)
-    assert slots.dtype == np.uint16 and slots[0] == 269
+    assert slots.dtype == np.uint8 and decode_slots(matrix, slots)[0] == 269
     assert matrix.follow(0, [memoryview(slots)]) == [0, 270]
     assert (low, out[0]) == (3, 0)
     assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
@@ -526,4 +555,32 @@ def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
     for _ in range(5):
         off = rng.integers(0, 4, k).astype(np.uint8)
         slots = mat_vec(matrix, 0, off)[2]
+        assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
+
+
+def test_slots_of_every_class_pick_the_smallest_predecessor():
+    # rows with 1, 2..16, 17..256 and 257..700 predecessors, so every class of
+    # blocks holds rows, an odd count of 4-bit ones, and some rows have none
+    rng = np.random.default_rng(7)
+    counts = np.concatenate([
+        np.ones(1500, np.int64), rng.integers(2, 17, 701), rng.integers(17, 257, 40),
+        [300, 301, 700], np.zeros(20, np.int64),
+    ])
+    rng.shuffle(counts)
+    k = len(counts)
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    idx = np.concatenate([np.sort(rng.choice(k, c, replace=False)) for c in counts])
+    table = WordTable(1, np.zeros((k, 1), np.uint8))
+    matrix = TropicalMatrix(table, rng.integers(0, 3, k).astype(np.int8), ptr, idx)
+    (a, b, _), (_, c, _), (_, e, _) = matrix.slot_classes
+    assert 0 < a < b < c < e == matrix.placed and (b - a) % 2 == 1
+    assert [col.dtype for col in matrix.columns] == [
+        np.uint32 if blk.shape[0] > 256 else np.uint16 for blk in matrix.blocks
+    ]
+    assert matrix.slot_bytes == (b - a + 1) // 2 + (c - b) + 2 * (e - c)
+    for top, inf_share in [(0, 0.0), (2, 0.2), (9, 0.5), (200, 0.0)]:
+        off = rng.integers(0, top + 1, k).astype(np.uint8)
+        off[rng.random(k) < inf_share] = OFF_INF
+        low, out, slots = mat_vec(matrix, 0, off)
+        assert np.array_equal(expand(low, out), reference_mat_vec(matrix, expand(0, off)))
         assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
