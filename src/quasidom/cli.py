@@ -9,8 +9,12 @@ Each command imports its engine when it runs, so the interpreter loads
 only what the command needs: `--version`, `value` and `formula` (results
 and error envelopes alike) run on the numpy-free formulas module.  `verify`
 loads grids alone and `pattern` for m >= 16 adds pattern; neither loads
-numpy, the DP modules (solver, tropical, words) or the oracle.  A set's
-JSON form is built only when the envelope is written.
+numpy, the DP modules (solver, tropical, words) or the oracle, and
+`oracle` loads grids and the oracle alone.  No module of the package
+imports dataclasses: its records are NamedTuples or plain classes.  So no
+command loads dataclasses, and the numpy-free ones never load inspect,
+which with ast, dis and tokenize costs a start more than verifying a set.
+A set's JSON form is built only when the envelope is written.
 """
 
 from __future__ import annotations
@@ -159,8 +163,7 @@ def _read_grid_set(path: str | None) -> GridSet:
                 text = fh.read()
     except UnicodeDecodeError as exc:
         raise MalformedSetError(str(exc)) from exc
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith(("{", "[")):  # JSON: an object, or another value to refuse
         try:
             data = json.loads(text)
         except RecursionError as exc:

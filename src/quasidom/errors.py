@@ -22,7 +22,12 @@ class InvalidSetError(ValueError):
 
 
 class ConstructionError(RuntimeError):
-    """The diagonal-pattern repair search could not reach its target size."""
+    """An engine broke one of its own invariants: a bug, not bad input.
+
+    The pattern's corner repair or the DP gave a set of the wrong size or
+    an invalid one, an extracted set disagrees with the DP value, or a DP
+    column spreads past its uint8 offsets.
+    """
 
 
 class UnsupportedGridError(ValueError):

@@ -13,11 +13,11 @@ columns.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, compress
+from typing import NamedTuple
 
-from .errors import InvalidSetError, MalformedSetError, ResourceCapError
+from .errors import ConstructionError, InvalidSetError, MalformedSetError, ResourceCapError
 
 # largest m * n a vertex set may span; a set is an int of m * n bits, and its
 # member lists and text forms go through one byte per cell, so larger grids
@@ -48,16 +48,16 @@ def _flags(bits: int, cells: int) -> bytes:
     return _bit_text(bits, cells).translate(_FLAGS)
 
 
-@dataclass(frozen=True)
 class GridSet:
     """A subset of the m x n grid's vertices, one bit per cell: (i, j) is bit (i - 1) * n + (j - 1).
 
     GridSet(m, n, members) takes (i, j) pairs, GridSet.from_bits the int.
+    A set is immutable, and equal sets (same m, n and bits) hash alike.
     """
 
     m: int
     n: int
-    bits: int = field(repr=False)
+    bits: int
 
     def __init__(self, m: int, n: int, members: Iterable[tuple[int, int]] = ()):
         check_cell_cap(m, n)
@@ -81,6 +81,23 @@ class GridSet:
         s = cls.__new__(cls)
         s.__dict__.update(m=m, n=n, bits=bits)
         return s
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.bits) == (other.m, other.n, other.bits)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.bits))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(m={self.m}, n={self.n})"
 
     def _rows(self) -> Iterator[tuple[int, Iterator[int]]]:
         """(i, the member columns of row i in increasing order) for each row i."""
@@ -177,15 +194,13 @@ def _int_pairs(members) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     vertex: tuple[int, int]
     kind: str  # adjacent-pair | undominated | over-dominated
     detail: str
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     independent: bool
     dominated_ok: bool
     violations: tuple[Violation, ...]
@@ -302,7 +317,7 @@ def extract_min_set(m: int, n: int) -> GridSet:
     packed = np.packbits(zeros if rows == m else zeros.T, axis=None, bitorder="little")
     result = GridSet.from_bits(m, n, int.from_bytes(packed.tobytes(), "little"))
     if len(result) != best:
-        raise RuntimeError(
+        raise ConstructionError(
             f"extracted set of {len(result)} disagrees with the DP value {best} for ({rows}, {cols}); "
             "this is a bug"
         )

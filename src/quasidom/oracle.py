@@ -11,7 +11,7 @@ independent [1,2]-sets, mode "i" for plain independent dominating sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import UnsupportedGridError
 from .grids import GridSet, rule_faults
@@ -23,8 +23,7 @@ PROFILE_ROW_LIMIT = 5
 PROFILE_COL_LIMIT = 50
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: int | float
     witness: GridSet | None
     mode: str

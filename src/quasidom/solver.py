@@ -37,8 +37,7 @@ smallest id pick the same words as over the whole table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -57,17 +56,19 @@ from .tropical import (
 )
 from .words import enumerate_suitable
 
-@dataclass(frozen=True, eq=False)
+
 class Machinery:
     """Everything solve-time code needs for one width, built once.
 
     matrix.table holds the width's live words; matrix, initial and finals
-    index its rows.
+    index its rows.  Equal only to itself.
     """
 
-    matrix: TropicalMatrix
-    initial: np.ndarray
-    finals: np.ndarray
+    def __init__(self, matrix: TropicalMatrix, initial: np.ndarray, finals: np.ndarray) -> None:
+        self.matrix, self.initial, self.finals = matrix, initial, finals
+
+    def __repr__(self) -> str:
+        return f"Machinery(matrix={self.matrix!r}, initial={self.initial!r}, finals={self.finals!r})"
 
 
 _machinery_cache: dict[int, Machinery] = {}
@@ -91,7 +92,6 @@ def machinery(m: int) -> Machinery:
 _CYCLE_SPAN = 256
 
 
-@dataclass(eq=False)
 class DPWindow:
     """The columns X^1..X^len of one width's DP, kept up to its first repeat.
 
@@ -118,20 +118,39 @@ class DPWindow:
     zero mask of the chain over columns 1..t - d that ends in w.  A zero
     mask is an (m, len) bool array, True at each label 0; a head's and its
     cycle's are the two sides of one C-contiguous array.
+    DPWindow(mach) starts empty.  The constructor also takes mins, offsets,
+    values, repeat, ends and slots, in that order, each list left out
+    starting as a new empty one; index, heads and tails always start
+    empty.  A window is a plain mutable object, equal only to itself.
     """
 
-    mach: Machinery
-    mins: list[int] = field(default_factory=list)
-    offsets: list[np.ndarray] = field(default_factory=list)
-    values: list[int | float] = field(default_factory=list)
-    repeat: tuple[int, int, int] | None = None
-    ends: list[int] = field(default_factory=list)
-    slots: list[memoryview] = field(default_factory=list)
-    index: dict[bytes, int] = field(default_factory=dict, init=False, repr=False)
-    heads: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False
-    )
-    tails: dict[int, np.ndarray] = field(default_factory=dict, init=False)
+    def __init__(
+        self,
+        mach: Machinery,
+        mins: list[int] | None = None,
+        offsets: list[np.ndarray] | None = None,
+        values: list[int | float] | None = None,
+        repeat: tuple[int, int, int] | None = None,
+        ends: list[int] | None = None,
+        slots: list[memoryview] | None = None,
+    ) -> None:
+        self.mach = mach
+        self.mins = [] if mins is None else mins
+        self.offsets = [] if offsets is None else offsets
+        self.values = [] if values is None else values
+        self.repeat = repeat
+        self.ends = [] if ends is None else ends
+        self.slots = [] if slots is None else slots
+        self.index: dict[bytes, int] = {}
+        self.heads: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.tails: dict[int, np.ndarray] = {}
+
+    def __repr__(self) -> str:
+        return (
+            f"DPWindow(mach={self.mach!r}, mins={self.mins!r}, offsets={self.offsets!r}, "
+            f"values={self.values!r}, repeat={self.repeat!r}, ends={self.ends!r}, "
+            f"slots={self.slots!r}, heads={self.heads!r}, tails={self.tails!r})"
+        )
 
     def __len__(self) -> int:
         return len(self.mins)
@@ -338,8 +357,7 @@ def solve_width(m: int, n: int) -> int | float:
     return window.value(n)
 
 
-@dataclass(frozen=True)
-class PeriodCertificate:
+class PeriodCertificate(NamedTuple):
     """Witness that X^{n0+d} = X^{n0} + c entrywise, with boundary values.
 
     boundary maps r to the grid value for n0 <= r <= n0+d-1; together with

@@ -77,10 +77,10 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from .errors import ConstructionError
 from .words import WordTable, follow_blocks, follow_pairs
 
 INFINITY = math.inf
@@ -105,19 +105,20 @@ _BLOCK_ROWS = 4096
 _BLOCK_COST = 1024
 
 
-@dataclass(frozen=True, eq=False)
 class TropicalMatrix:
     """Sparse k x k transition matrix in predecessor form.
 
     Row p is word p of table; row_zeros[p] is its zero-count, the value of
     every finite entry A[p][q], and the q with one are its
     pred_ptr[p+1] - pred_ptr[p] predecessors.  The lists come in as CSR
-    (pred_ptr, pred_idx) and are kept only as blocks, one 2^j x rows intp
-    array per run of buckets from _merge_buckets (see the module
-    docstring), each row's ascending list down one column, padded with its
-    first entry.  placed rows have a predecessor, each one block column;
-    block_pos[p] is row p's place in the order of those columns, block by
-    block, and placed for a row without one.  columns[b] is block b's slot
+    (pred_ptr, pred_idx): TropicalMatrix(table, row_zeros, pred_ptr,
+    pred_idx) keeps the first three and builds every other attribute in
+    __init__, so pred_idx is kept only as blocks, one 2^j x rows intp array
+    per run of buckets from _merge_buckets (see the module docstring), each
+    row's ascending list down one column, padded with its first entry.
+    placed rows have a predecessor, each one block column; block_pos[p] is
+    row p's place in the order of those columns, block by block, and
+    placed for a row without one.  columns[b] is block b's slot
     numbers as a column of its key dtype: uint16, or uint32 above 256
     slots.  The blocks go up in height, so the rows of each class of
     blocks that a step records slots for take one run of places:
@@ -125,27 +126,15 @@ class TropicalMatrix:
     buffer) for the 4-bit (2..16 high), 8-bit (17..256) and 16-bit classes,
     and slot_bytes is the buffer's length.  Of a 4-bit class's n rows, the
     first ceil(n / 2) take the low 4 bits of its bytes and the others the
-    high 4 bits, in order; 16-bit slots are little-endian.
+    high 4 bits, in order; 16-bit slots are little-endian.  A matrix is
+    equal only to itself.
     """
 
-    table: WordTable
-    row_zeros: np.ndarray
-    pred_ptr: np.ndarray
-    pred_idx: InitVar[np.ndarray]
-    blocks: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    placed: int = field(init=False, repr=False)
-    block_pos: np.ndarray = field(init=False, repr=False)
-    columns: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    slot_classes: tuple[tuple[int, int, int], ...] = field(init=False, repr=False)
-    slot_bytes: int = field(init=False, repr=False)
-    # what follow() reads: for each block, its slots as a flat memoryview, its
-    # first place in block order, its width, and where its rows' recorded
-    # slots sit in a step's slot buffer (see _slot_read); then each row's
-    # block and block_pos as memoryviews
-    _views: tuple = field(init=False, repr=False)
-
-    def __post_init__(self, pred_idx: np.ndarray) -> None:
-        ptr, k = self.pred_ptr, self.k
+    def __init__(
+        self, table: WordTable, row_zeros: np.ndarray, pred_ptr: np.ndarray, pred_idx: np.ndarray
+    ) -> None:
+        self.table, self.row_zeros, self.pred_ptr = table, row_zeros, pred_ptr
+        ptr, k = pred_ptr, self.k
         counts = np.diff(ptr)
         rows = np.flatnonzero(counts)
         # row p goes to bucket j, the least j with counts[p] <= 2^j
@@ -167,14 +156,13 @@ class TropicalMatrix:
             block_of[ids] = b
             starts.append(start)
             start += len(ids)
-        set_ = object.__setattr__
-        set_(self, "blocks", tuple(blocks))
-        set_(self, "placed", len(rows))
-        set_(self, "block_pos", block_pos)
+        self.blocks = tuple(blocks)
+        self.placed = len(rows)
+        self.block_pos = block_pos
         heights = [b.shape[0] for b in blocks]
-        set_(self, "columns", tuple(
+        self.columns = tuple(
             np.arange(h, dtype=np.uint32 if h > 256 else np.uint16)[:, None] for h in heights
-        ))
+        )
         # the blocks go up in height, so each class of them is one run of places
         bits = [0 if h == 1 else 4 if h <= 16 else 8 if h <= 256 else 16 for h in heights]
         classes, at = {}, 0
@@ -183,13 +171,23 @@ class TropicalMatrix:
             end = sum(b.shape[1] for b, w in zip(blocks, bits) if w <= size)
             classes[size] = first, end, at
             at += ((end - first) * size + 7) >> 3
-        set_(self, "slot_classes", tuple(classes.values()))
-        set_(self, "slot_bytes", at)
+        self.slot_classes = tuple(classes.values())
+        self.slot_bytes = at
+        # what follow() reads: for each block, its slots as a flat memoryview, its
+        # first place in block order, its width, and where its rows' recorded
+        # slots sit in a step's slot buffer (see _slot_read); then each row's
+        # block and block_pos as memoryviews
         views = [
             (memoryview(block.reshape(-1)), start, block.shape[1], *_slot_read(w, *classes.get(w, (0, 0, 0))))
             for block, start, w in zip(blocks, starts, bits)
         ]
-        set_(self, "_views", (views, memoryview(block_of), memoryview(block_pos)))
+        self._views = views, memoryview(block_of), memoryview(block_pos)
+
+    def __repr__(self) -> str:
+        return (
+            f"TropicalMatrix(table={self.table!r}, row_zeros={self.row_zeros!r}, "
+            f"pred_ptr={self.pred_ptr!r})"
+        )
 
     @property
     def k(self) -> int:
@@ -319,7 +317,7 @@ def mat_vec(
     slot, so the smallest id, that reaches the row's minimum (0 when that
     minimum is infinite).  matrix.follow reads its id.
     Raises ValueError unless off is a uint8 array of length k, and
-    RuntimeError when a finite offset of out would not fit a uint8.
+    ConstructionError when a finite offset of out would not fit a uint8.
     """
     k = matrix.k
     if k != len(off):
@@ -375,7 +373,7 @@ def mat_vec(
     step[inf] = -1  # wraps to OFF_INF in the uint8 cast, below every finite offset here
     top = int(step.max())
     if top >= OFF_INF:
-        raise RuntimeError(
+        raise ConstructionError(
             f"a DP column spreads {top} above its minimum, "
             f"more than the {OFF_INF - 1} a uint8 offset holds"
         )

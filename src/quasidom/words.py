@@ -35,7 +35,6 @@ rule is stated once.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
 
@@ -99,15 +98,18 @@ def can_follow(p: str, q: str) -> bool:
     return all(_follow_ok(int(q[i]), d[i + 1], d[i], d[i + 2]) for i in range(len(p)))
 
 
-@dataclass(frozen=True, eq=False)
 class WordTable:
     """Suitable words of one length (all, or the live ones), lexicographically ordered.
 
     digits holds them as a read-only k x m uint8 array; words, as strings, on first use.
+    A table is equal only to itself.
     """
 
-    m: int
-    digits: np.ndarray
+    def __init__(self, m: int, digits: np.ndarray) -> None:
+        self.m, self.digits = m, digits
+
+    def __repr__(self) -> str:
+        return f"WordTable(m={self.m!r}, digits={self.digits!r})"
 
     @property
     def k(self) -> int:

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import gc
 import importlib
 import io
@@ -20,6 +21,7 @@ import quasidom.errors
 import quasidom.grids
 from quasidom.cli import main
 from quasidom.grids import GridSet
+from quasidom.solver import DPWindow
 
 
 def run(capsys, *argv):
@@ -50,6 +52,30 @@ def test_extract_refuses_a_set_that_fails_verification(capsys, monkeypatch):
     code, env = run_json(capsys, "extract", "5", "7")
     assert code == 1
     assert env == {"error": {"type": "ConstructionError", "message": "extract(5,7) produced an invalid set"}}
+
+def test_an_extracted_set_short_of_the_dp_value_is_an_error_envelope(capsys, monkeypatch):
+    backtrack = DPWindow.backtrack
+
+    def one_member_short(self, n):
+        zeros, best = backtrack(self, n)
+        zeros = zeros.copy()
+        zeros.flat[zeros.argmax()] = False  # drop the first member
+        return zeros, best
+
+    monkeypatch.setattr(DPWindow, "backtrack", one_member_short)
+    code, env = run_json(capsys, "extract", "4", "9")
+    assert code == 1
+    assert env == {"error": {"type": "ConstructionError", "message": (
+        "extracted set of 9 disagrees with the DP value 10 for (4, 9); this is a bug"
+    )}}
+
+
+def test_verify_reads_input_opening_with_a_bracket_as_json(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(" [[1, 1]]\n"))
+    code, env = run_json(capsys, "verify")
+    assert code == 1
+    assert env == {"error": {"type": "MalformedSetError", "message": "a set must be an object, got list"}}
+
 
 def test_value_human(capsys):
     code, out = run(capsys, "value", "5", "5")
@@ -416,6 +442,20 @@ def _modules_loaded_by(argv, stdin=""):
     return code, proc.stdout, set(modules)
 
 
+# what dataclasses costs a start: it loads inspect, which loads ast, dis and tokenize
+_HEAVY_MODULES = frozenset({"dataclasses", "inspect"})
+
+
+@functools.lru_cache(maxsize=None)
+def _loaded_at_start():
+    """The modules a bare interpreter in this environment has loaded before any code runs."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; print(' '.join(sys.modules))"],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=60, check=True,
+    )
+    return frozenset(proc.stdout.split())
+
+
 def _subprocess_env(**extra):
     """This environment with the imported quasidom first on PYTHONPATH, plus extra."""
     src = str(Path(quasidom.__file__).resolve().parent.parent)
@@ -466,6 +506,7 @@ def test_closed_form_commands_start_without_numpy(argv, code):
     assert got == code
     assert out.strip()
     assert "numpy" not in modules
+    assert not modules & (_HEAVY_MODULES - _loaded_at_start())
 
 
 @pytest.mark.parametrize("argv", [["oracle", "3", "5", "--json"], ["oracle", "4", "20", "--json"]])
@@ -475,6 +516,7 @@ def test_the_oracle_never_loads_numpy_or_the_dp(argv):
     assert "quasidom.oracle" in modules
     assert "numpy" not in modules
     assert not modules & {"quasidom.solver", "quasidom.tropical", "quasidom.words"}
+    assert not modules & (_HEAVY_MODULES - _loaded_at_start())
 
 
 @pytest.mark.parametrize(
@@ -495,6 +537,7 @@ def test_verify_and_wide_patterns_never_load_the_dp_or_the_oracle(argv, stdin, k
     assert "quasidom.grids" in modules
     assert "numpy" not in modules
     assert not modules & {"quasidom.solver", "quasidom.oracle", "quasidom.tropical", "quasidom.words"}
+    assert not modules & (_HEAVY_MODULES - _loaded_at_start())
 
 
 @pytest.mark.parametrize(

@@ -218,6 +218,36 @@ def test_report_consistency():
     assert report.independent and report.dominated_ok and not report.violations
 
 
+def test_grid_sets_are_equal_and_hash_alike_by_m_n_and_bits():
+    a = gs(2, 3, (1, 1), (2, 3))
+    b = GridSet.from_bits(2, 3, 0b100001)
+    assert a == b and hash(a) == hash(b) == hash((2, 3, 0b100001))
+    assert len({a, b}) == 1
+    assert a != GridSet.from_bits(3, 2, 0b100001) and a != GridSet.from_bits(2, 3, 1)
+    assert a != (2, 3, 0b100001)
+
+
+def test_grid_sets_are_immutable_and_repr_their_shape():
+    s = gs(2, 3, (1, 1))
+    for name in ("m", "bits", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+    assert (s.m, s.n, s.bits) == (2, 3, 1)
+    assert repr(s) == "GridSet(m=2, n=3)"
+
+
+def test_report_reprs():
+    assert repr(verify_set(gs(1, 3, (1, 2)))) == (
+        "VerificationReport(independent=True, dominated_ok=True, violations=())"
+    )
+    assert repr(verify_set(gs(1, 3, (1, 1), (1, 2)))) == (
+        "VerificationReport(independent=False, dominated_ok=True, violations=(Violation("
+        "vertex=(1, 1), kind='adjacent-pair', detail='members (1,1) and (1, 2) are adjacent'),))"
+    )
+
+
 def test_coordinates_validated():
     with pytest.raises(ValueError):
         gs(2, 2, (3, 1))

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from quasidom.errors import PeriodNotFoundError, UnsupportedGridError
+from quasidom.errors import ConstructionError, PeriodNotFoundError, UnsupportedGridError
 from quasidom.grids import extract_min_set, verify_set
 from quasidom.oracle import profile_dp_min
 from quasidom.solver import (
@@ -580,6 +580,33 @@ def test_offsets_that_do_not_fit_a_uint8_raise():
     text = "a DP column spreads 255 above its minimum, more than the 254 a uint8 offset holds"
     with pytest.raises(RuntimeError, match=f"^{text}$"):
         mat_vec(matrix, 7, np.array([0, 1, OFF_INF], np.uint8))
+
+
+def test_a_column_spread_past_the_uint8_offsets_is_a_construction_error():
+    # the CLI turns a ConstructionError into an error envelope, not a traceback
+    matrix = TropicalMatrix(
+        WordTable(1, np.zeros((3, 1), np.uint8)), np.array([0, 254, 0]), np.arange(4),
+        np.arange(3, dtype=np.int64),
+    )
+    with pytest.raises(ConstructionError):
+        mat_vec(matrix, 7, np.array([0, 1, OFF_INF], np.uint8))
+
+
+def test_engine_objects_are_equal_only_to_themselves():
+    mach = machinery(4)
+    table = mach.matrix.table
+    _, window = run_dp(4, 10, keep_trace=True)
+    twins = [
+        (mach, Machinery(mach.matrix, mach.initial, mach.finals)),
+        (window, DPWindow(
+            mach, window.mins, window.offsets, window.values, window.repeat, window.ends, window.slots
+        )),
+        (mach.matrix, build_transition_matrix(table)),
+        (table, WordTable(table.m, table.digits)),
+    ]
+    for obj, twin in twins:
+        assert obj == obj and obj != twin
+        assert len({obj, twin}) == 2
 
 
 def reference_grow(mach):

@@ -58,6 +58,29 @@ def test_no_assert_statements(path):
     assert assert_statements(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source imports absolutely, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.partition(".")[0])
+    return names
+
+
+def test_imported_modules_finds_a_nested_import():
+    source = '"""Doc."""\n\nimport os.path\nfrom . import errors\n\n\ndef f():\n    from dataclasses import field\n    return field\n'
+    assert imported_modules(source) == {"os", "dataclasses"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_imports_dataclasses(path):
+    # dataclasses loads inspect, which loads ast, dis and tokenize: a cost
+    # every CLI start would pay, where the records need none of it
+    assert "dataclasses" not in imported_modules(path.read_text(encoding="utf-8"))
+
+
 def _traced_targets() -> tuple:
     """perfbench/tracing.py's TARGETS, read from the checkout without running the benchmark."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
