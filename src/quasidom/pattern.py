@@ -17,17 +17,19 @@ transfer-matrix extractor instead.  The tests' reference is
 
 A repair re-chooses one corner block, keeping the cells outside it fixed
 and dropping one member unless the class already misses that extended-grid
-corner.  It depends only on the cells of a small window around the block,
-and every grid with m >= 16 reads the same four windows as one of 66
-small representatives (`_representative`): s and the nets depend only on
-(m mod 5, n mod 5) (see `choose_residue`), the class repeats every 5 rows
-and columns, and so adding 5 rows (m >= 20) or 5 columns (n >= 22)
-translates each window without changing it.  So `_CORNER_BLOCKS` maps
-each representative to its four repaired blocks and the build only reads
-its grid's entry.  tests/test_pattern.py generates that table with an
-exact column sweep over each representative's windows, proves that every
-grid with m >= 16 reads its representative's windows
-(`test_corner_repair_is_periodic`), and pins the output.
+corner.  It depends only on the cells of a small window around the block.
+The residue s and the nets depend only on (m mod 5, n mod 5) (see
+`choose_residue`), the class repeats every 5 rows and columns, and so
+adding 5 rows (m >= 20) or 5 columns (n >= 22) translates each window
+without changing it: every grid with m >= 16 reads the same four windows
+as one of 66 small representative grids.  The representatives of one class all sweep
+to the same four blocks, so `_CORNER_BLOCKS` maps each class
+(m mod 5, n mod 5) to its blocks and the build reads one entry.
+tests/test_pattern.py generates that table with an exact column sweep
+over each representative's windows, checks that each representative
+sweeps to its class's entry, proves that every grid with m >= 16 reads
+its representative's windows (`test_corner_repair_is_periodic`), and
+pins the output.
 """
 
 from __future__ import annotations
@@ -93,23 +95,6 @@ def _residue(a: int, b: int) -> int:
 _RESIDUES = tuple(tuple(_residue(a, b) for b in range(5)) for a in range(5))
 
 
-def _representative(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The small grid whose corner repairs (m, n) repeats, with its (a, b) shift.
-
-    (m, n) is (m' + 5a, n' + 5b) for the representative (m', n'): rows are
-    shifted only from m' = 20 on and columns only from n' = 22 on, where
-    the top and bottom, respectively left and right, corner windows are
-    disjoint.  Every grid with 16 <= m <= n has one of 66 representatives,
-    with m' <= 24 and n' <= 28.
-    """
-    m_rep = m if m < 20 else 20 + (m - 20) % 5
-    if n < 22:
-        return (m_rep, n), ((m - m_rep) // 5, 0)
-    low = max(m_rep, 22)
-    n_rep = low + (n - low) % 5
-    return (m_rep, n_rep), ((m - m_rep) // 5, (n - n_rep) // 5)
-
-
 def _check_wide(m: int, n: int) -> None:
     if not 14 <= m <= n:
         raise UnsupportedGridError(f"diagonal construction needs 14 <= m <= n, got ({m}, {n})")
@@ -163,7 +148,7 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     Widths 14 and 15 use the width-m dynamic program.  Wider grids start
     from the projected class of `choose_residue(m, n)` and replace the four
     8x8 corner blocks of `construction_info(m, n)` by the `_CORNER_BLOCKS`
-    entry of the grid's `_representative`.  Rows 1..15 of the class, three
+    entry of its class (m mod 5, n mod 5).  Rows 1..15 of the class, three
     5-row periods, give the top 8 rows, the middle band 9..m-8 (tiled by
     doubling) and the bottom 8 rows; the two 8-row strips are masked to
     take the folded border rows and the blocks, and the three strips are
@@ -171,8 +156,8 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     calls.  The set is verified before it is returned.
 
     Raises UnsupportedGridError outside 14 <= m <= n, ConstructionError if
-    the representative is not in _CORNER_BLOCKS or the result fails
-    verification, and ResourceCapError above grids.MAX_CELLS cells.
+    the result fails verification, and ResourceCapError above
+    grids.MAX_CELLS cells.
     """
     _check_wide(m, n)
     check_cell_cap(m, n)
@@ -189,13 +174,7 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
             raise ConstructionError(f"DP extraction for ({m}, {n}) produced an invalid set")
         return result
 
-    rep, _ = _representative(m, n)
-    blocks = _CORNER_BLOCKS.get(rep)
-    if blocks is None:
-        raise ConstructionError(
-            f"no repaired corner blocks for ({m}, {n}): its representative {rep} is not "
-            "in the table"
-        )
+    blocks = _CORNER_BLOCKS[m % 5, n % 5]
     s, k = choose_residue(m, n), CORNER_SIZE
     width = (1 << n) - 1
     every5 = ((1 << 5 * (n // 5 + 1)) - 1) // 31  # columns 1, 6, 11, ...
@@ -237,76 +216,36 @@ def build_big_grid_set(m: int, n: int) -> GridSet:
     return result
 
 
-# The four repaired corner blocks of each representative (m', n'), in _corners order.  A
+# The four repaired corner blocks of each class (m mod 5, n mod 5), in _corners order.  A
 # block is one int: its row r in bits 8r..8r+7, with column c1 + j at bit 8r + j.  The sweep
 # in tests/test_pattern.py generates the table (`PYTHONPATH=src python tests/test_pattern.py`
-# prints it), and its tests re-search every block and prove that every grid with m >= 16
-# reads its representative's.
+# prints it); its tests re-search every block, check that each of the 66 representative
+# grids sweeps to its class's entry, and prove that every grid with m >= 16 reads the
+# windows of its representative.
 _CORNER_BLOCKS: dict[tuple[int, int], tuple[int, int, int, int]] = {
-    (16, 16): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
-    (16, 17): (0x1142082184114411, 0x2184104208a10452, 0x4a20851042082184, 0x4412882184104288),
-    (16, 18): (0x0821841142082194, 0x08a1045002a80154, 0xa411420821841142, 0x2288228821841042),
-    (16, 19): (0x1142082184114411, 0x08a1045002a80154, 0x4a20851042082184, 0x2288228821841042),
-    (16, 20): (0x1142082184114411, 0x441082284114802a, 0x4a20851042082184, 0x2288218410428821),
-    (16, 21): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
-    (16, 22): (0x1142082184114411, 0x2184104208a10452, 0x4a20851042082184, 0x4412882184104288),
-    (16, 23): (0x0821841142082194, 0x08a1045002a80154, 0xa411420821841142, 0x2288228821841042),
-    (16, 24): (0x1142082184114411, 0x08a1045002a80154, 0x4a20851042082184, 0x2288228821841042),
-    (16, 25): (0x1142082184114411, 0x441082284114802a, 0x4a20851042082184, 0x2288218410428821),
-    (16, 26): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
-    (17, 17): (0x0821841142082194, 0x104208a1045002a9, 0x2a8015400a208510, 0x2288218410428821),
-    (17, 18): (0x0821841142082194, 0x08a1045002a80154, 0x2a8015400a208510, 0x4411842288218410),
-    (17, 19): (0x4208218411441144, 0x2184104208a10452, 0x4a20851042082184, 0x2288228821841042),
-    (17, 20): (0x4208218411441144, 0x104208a1045002a9, 0x4a20851042082184, 0x2288218410428821),
-    (17, 21): (0x0821841142082194, 0x2184104208a10452, 0x2a8015400a208510, 0x2288228821841042),
-    (17, 22): (0x0821841142082194, 0x104208a1045002a9, 0x2a8015400a208510, 0x2288218410428821),
-    (17, 23): (0x0821841142082194, 0x08a1045002a80154, 0x2a8015400a208510, 0x4411842288218410),
-    (17, 24): (0x4208218411441144, 0x2184104208a10452, 0x4a20851042082184, 0x2288228821841042),
-    (17, 25): (0x4208218411441144, 0x104208a1045002a9, 0x4a20851042082184, 0x2288218410428821),
-    (17, 26): (0x0821841142082194, 0x2184104208a10452, 0x2a8015400a208510, 0x2288228821841042),
-    (18, 18): (0x0821841142082194, 0x08a1045002a80154, 0x4a20851042082184, 0x4a21841042882184),
-    (18, 19): (0x0821841142082194, 0x441082284114802a, 0x4a20851042082184, 0x2288228821841042),
-    (18, 20): (0x0821841142082194, 0x42882184104208a5, 0x4a20851042082184, 0x2288218410428821),
-    (18, 21): (0x0821841142082194, 0x2184104208a10452, 0x4a20851042082184, 0x4411842288218410),
-    (18, 22): (0x0821841142082194, 0x104208a1045002a9, 0x4a20851042082184, 0x4412882184104288),
-    (18, 23): (0x0821841142082194, 0x08a1045002a80154, 0x4a20851042082184, 0x4a21841042882184),
-    (18, 24): (0x0821841142082194, 0x441082284114802a, 0x4a20851042082184, 0x2288228821841042),
-    (18, 25): (0x0821841142082194, 0x42882184104208a5, 0x4a20851042082184, 0x2288218410428821),
-    (18, 26): (0x0821841142082194, 0x2184104208a10452, 0x4a20851042082184, 0x4411842288218410),
-    (19, 19): (0x1142082184114411, 0x08a1045002a80154, 0xa411420821841142, 0x2288218410428821),
-    (19, 20): (0x2184114208218451, 0x08a1045002a80154, 0x4a20851042082184, 0x2288218410428821),
-    (19, 21): (0x4208218411441144, 0x08a1045002a80154, 0x9441082284114208, 0x2288218410428821),
-    (19, 22): (0x8411420821841144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288218410428821),
-    (19, 23): (0x0821841142082194, 0x08a1045002a80154, 0x5401288210450822, 0x2288218410428821),
-    (19, 24): (0x1142082184114411, 0x08a1045002a80154, 0xa411420821841142, 0x2288218410428821),
-    (19, 25): (0x2184114208218451, 0x08a1045002a80154, 0x4a20851042082184, 0x2288218410428821),
-    (19, 26): (0x4208218411441144, 0x08a1045002a80154, 0x9441082284114208, 0x2288218410428821),
-    (20, 20): (0x8411420821841144, 0x2184104208a10452, 0x4a20851042082184, 0x2288218410428821),
-    (20, 21): (0x0821841142082194, 0x2184104208a10452, 0x9441082284114208, 0x2288218410428821),
-    (20, 22): (0x1142082184114411, 0x2184104208a10452, 0x2a8015400a208510, 0x2288218410428821),
-    (20, 23): (0x0821841142082194, 0x08a1045002a80154, 0x9441082284114208, 0x4412882184104288),
-    (20, 24): (0x1142082184114411, 0x08a1045002a80154, 0x2a8015400a208510, 0x4412882184104288),
-    (20, 25): (0x8411420821841144, 0x2184104208a10452, 0x4a20851042082184, 0x2288218410428821),
-    (20, 26): (0x0821841142082194, 0x2184104208a10452, 0x9441082284114208, 0x2288218410428821),
-    (21, 21): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
-    (21, 22): (0x1142082184114411, 0x2184104208a10452, 0x4a20851042082184, 0x4412882184104288),
-    (21, 23): (0x0821841142082194, 0x08a1045002a80154, 0xa411420821841142, 0x2288228821841042),
-    (21, 24): (0x1142082184114411, 0x08a1045002a80154, 0x4a20851042082184, 0x2288228821841042),
-    (21, 25): (0x1142082184114411, 0x441082284114802a, 0x4a20851042082184, 0x2288218410428821),
-    (21, 26): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
-    (22, 22): (0x0821841142082194, 0x104208a1045002a9, 0x2a8015400a208510, 0x2288218410428821),
-    (22, 23): (0x0821841142082194, 0x08a1045002a80154, 0x2a8015400a208510, 0x4411842288218410),
-    (22, 24): (0x4208218411441144, 0x2184104208a10452, 0x4a20851042082184, 0x2288228821841042),
-    (22, 25): (0x4208218411441144, 0x104208a1045002a9, 0x4a20851042082184, 0x2288218410428821),
-    (22, 26): (0x0821841142082194, 0x2184104208a10452, 0x2a8015400a208510, 0x2288228821841042),
-    (23, 23): (0x0821841142082194, 0x08a1045002a80154, 0x4a20851042082184, 0x4a21841042882184),
-    (23, 24): (0x0821841142082194, 0x441082284114802a, 0x4a20851042082184, 0x2288228821841042),
-    (23, 25): (0x0821841142082194, 0x42882184104208a5, 0x4a20851042082184, 0x2288218410428821),
-    (23, 26): (0x0821841142082194, 0x2184104208a10452, 0x4a20851042082184, 0x4411842288218410),
-    (23, 27): (0x0821841142082194, 0x104208a1045002a9, 0x4a20851042082184, 0x4412882184104288),
-    (24, 24): (0x1142082184114411, 0x08a1045002a80154, 0xa411420821841142, 0x2288218410428821),
-    (24, 25): (0x2184114208218451, 0x08a1045002a80154, 0x4a20851042082184, 0x2288218410428821),
-    (24, 26): (0x4208218411441144, 0x08a1045002a80154, 0x9441082284114208, 0x2288218410428821),
-    (24, 27): (0x8411420821841144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288218410428821),
-    (24, 28): (0x0821841142082194, 0x08a1045002a80154, 0x5401288210450822, 0x2288218410428821),
+    (0, 0): (0x8411420821841144, 0x2184104208a10452, 0x4a20851042082184, 0x2288218410428821),
+    (0, 1): (0x0821841142082194, 0x2184104208a10452, 0x9441082284114208, 0x2288218410428821),
+    (0, 2): (0x1142082184114411, 0x2184104208a10452, 0x2a8015400a208510, 0x2288218410428821),
+    (0, 3): (0x0821841142082194, 0x08a1045002a80154, 0x9441082284114208, 0x4412882184104288),
+    (0, 4): (0x1142082184114411, 0x08a1045002a80154, 0x2a8015400a208510, 0x4412882184104288),
+    (1, 0): (0x1142082184114411, 0x441082284114802a, 0x4a20851042082184, 0x2288218410428821),
+    (1, 1): (0x4208218411441144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288228821841042),
+    (1, 2): (0x1142082184114411, 0x2184104208a10452, 0x4a20851042082184, 0x4412882184104288),
+    (1, 3): (0x0821841142082194, 0x08a1045002a80154, 0xa411420821841142, 0x2288228821841042),
+    (1, 4): (0x1142082184114411, 0x08a1045002a80154, 0x4a20851042082184, 0x2288228821841042),
+    (2, 0): (0x4208218411441144, 0x104208a1045002a9, 0x4a20851042082184, 0x2288218410428821),
+    (2, 1): (0x0821841142082194, 0x2184104208a10452, 0x2a8015400a208510, 0x2288228821841042),
+    (2, 2): (0x0821841142082194, 0x104208a1045002a9, 0x2a8015400a208510, 0x2288218410428821),
+    (2, 3): (0x0821841142082194, 0x08a1045002a80154, 0x2a8015400a208510, 0x4411842288218410),
+    (2, 4): (0x4208218411441144, 0x2184104208a10452, 0x4a20851042082184, 0x2288228821841042),
+    (3, 0): (0x0821841142082194, 0x42882184104208a5, 0x4a20851042082184, 0x2288218410428821),
+    (3, 1): (0x0821841142082194, 0x2184104208a10452, 0x4a20851042082184, 0x4411842288218410),
+    (3, 2): (0x0821841142082194, 0x104208a1045002a9, 0x4a20851042082184, 0x4412882184104288),
+    (3, 3): (0x0821841142082194, 0x08a1045002a80154, 0x4a20851042082184, 0x4a21841042882184),
+    (3, 4): (0x0821841142082194, 0x441082284114802a, 0x4a20851042082184, 0x2288228821841042),
+    (4, 0): (0x2184114208218451, 0x08a1045002a80154, 0x4a20851042082184, 0x2288218410428821),
+    (4, 1): (0x4208218411441144, 0x08a1045002a80154, 0x9441082284114208, 0x2288218410428821),
+    (4, 2): (0x8411420821841144, 0x08a1045002a80154, 0x2a8015400a208510, 0x2288218410428821),
+    (4, 3): (0x0821841142082194, 0x08a1045002a80154, 0x5401288210450822, 0x2288218410428821),
+    (4, 4): (0x1142082184114411, 0x08a1045002a80154, 0xa411420821841142, 0x2288218410428821),
 }

@@ -330,10 +330,10 @@ def run_dp(
     window itself when keep_trace (window.column(r) is X^r for every
     r <= n), else [X^n] as an int64 array.
     """
+    if m < 1 or n < 1:
+        raise UnsupportedGridError(f"grid dimensions must be positive, got ({m}, {n})")
     if m < 2:
         raise UnsupportedGridError("the word machinery needs at least 2 rows; use the oracle for paths")
-    if n < 1:
-        raise UnsupportedGridError(f"column count must be positive, got {n}")
     mach = machinery(m)
     window = _window_cache.get(m)
     if window is None:
@@ -387,10 +387,14 @@ def detect_period(
     repeat before column t, or one at t with a smaller d.  max_d and max_n
     are refusal bounds: raises PeriodNotFoundError when d > max_d or
     t > max_n, which signals caps that are too small rather than a
-    mathematical failure.
+    mathematical failure, and UnsupportedGridError, before any work, when
+    m < 2 or a bound is below 1.
     """
     if m < 2:
         raise UnsupportedGridError("period detection needs at least 2 rows")
+    for name, bound in (("max_d", max_d), ("max_n", max_n)):
+        if bound < 1:
+            raise UnsupportedGridError(f"period bound {name} must be positive, got {bound}")
     _, window = run_dp(m, max_n, keep_trace=True)
     repeat = window.repeat
     if repeat is None or repeat[0] > max_n or repeat[1] > max_d:

@@ -185,6 +185,29 @@ def test_pattern_outside_its_domain_is_a_typed_error(capsys):
         assert env["error"]["type"] == "UnsupportedGridError"
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["solve", "0", "5"], "grid dimensions must be positive, got (0, 5)"),
+        (["solve", "5", "0"], "grid dimensions must be positive, got (5, 0)"),
+        (["extract", "0", "5"], "grid dimensions must be positive, got (0, 5)"),
+        (["extract", "-1", "-1"], "grid dimensions must be positive, got (-1, -1)"),
+        (["solve", "1", "5"], "the word machinery needs at least 2 rows; use the oracle for paths"),
+        (["period", "5", "--max-n", "0"], "period bound max_n must be positive, got 0"),
+        (["period", "5", "--max-d", "0"], "period bound max_d must be positive, got 0"),
+    ],
+)
+def test_non_positive_sides_and_bounds_are_refused_before_any_work(capsys, monkeypatch, argv, message):
+    # the refusal comes before the width's machinery is looked up, let alone a window grown
+    def no_work(m):
+        raise AssertionError(f"machinery({m}) was reached")
+
+    monkeypatch.setattr("quasidom.solver.machinery", no_work)
+    code, env = run_json(capsys, *argv)
+    assert code == 1
+    assert env == {"error": {"type": "UnsupportedGridError", "message": message}}
+
+
 def _error_types():
     return [
         obj

@@ -1,6 +1,11 @@
+import ast
 import functools
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -11,7 +16,6 @@ from quasidom.cli import main
 from quasidom.grids import GridSet, verify_set
 from quasidom.pattern import (
     CORNER_SIZE,
-    _representative,
     build_big_grid_set,
     choose_residue,
     construction_info,
@@ -201,9 +205,10 @@ def test_wider_grids_beyond_the_default_sweep():
 
 # A corner's repaired block depends only on its window (`_corner_key`): rows
 # at most WINDOW_ROWS from its horizontal border and columns at most
-# WINDOW_COLS from its vertical border.  The tests below regenerate
-# pattern._CORNER_BLOCKS by sweeping each representative's windows and prove
-# that every grid with m >= 16 reads its representative's windows.
+# WINDOW_COLS from its vertical border.  The tests below sweep each
+# representative's windows, regenerate pattern._CORNER_BLOCKS, one entry per
+# class (m mod 5, n mod 5), from them, and prove that every grid with m >= 16
+# reads its representative's windows.
 WINDOW_ROWS = 10
 WINDOW_COLS = 11
 
@@ -221,6 +226,24 @@ def _corner_key(rows: list[int], n: int, r1: int, c1: int, net: int) -> tuple:
     w = right - left + 1
     window = tuple(row >> (left - 1) & (1 << w) - 1 for row in rows[top - 1 : bottom])
     return (bottom - top + 1, w, r1 - top, c1 - left, net, window)
+
+
+def _representative(m: int, n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The small grid whose corner repairs (m, n) repeats, with its (a, b) shift.
+
+    (m, n) is (m' + 5a, n' + 5b) for the representative (m', n'): rows are
+    shifted only from m' = 20 on and columns only from n' = 22 on, where
+    the top and bottom, respectively left and right, corner windows are
+    disjoint.  Every grid with 16 <= m <= n has one of 66 representatives,
+    with m' <= 24 and n' <= 28, and (m', n') is in (m, n)'s class
+    (m mod 5, n mod 5).
+    """
+    m_rep = m if m < 20 else 20 + (m - 20) % 5
+    if n < 22:
+        return (m_rep, n), ((m - m_rep) // 5, 0)
+    low = max(m_rep, 22)
+    n_rep = low + (n - low) % 5
+    return (m_rep, n_rep), ((m - m_rep) // 5, (n - n_rep) // 5)
 
 
 def _representatives():
@@ -357,38 +380,52 @@ def _unpack(packed: int) -> tuple[int, ...]:
     return tuple(packed >> CORNER_SIZE * r & 255 for r in range(CORNER_SIZE))
 
 
-def _generate_corner_blocks():
-    """pattern._CORNER_BLOCKS as the sweep gives it: each representative's packed blocks."""
+def _swept_blocks():
+    """Each representative's four packed blocks, as the sweep of its windows gives them."""
     return {
         rep: tuple(_pack(block) for _, block in _window_repairs(*rep)[0])
         for rep in _representatives()
     }
 
 
+def _generate_corner_blocks():
+    """pattern._CORNER_BLOCKS as the sweep gives it.
+
+    Each class (m mod 5, n mod 5) takes the blocks of its first representative.
+    """
+    table = {}
+    for (m, n), blocks in _swept_blocks().items():
+        table.setdefault((m % 5, n % 5), blocks)
+    return dict(sorted(table.items()))
+
+
 def test_corner_table_is_the_generated_one():
-    generated = _generate_corner_blocks()
     table = pattern._CORNER_BLOCKS
-    assert sorted(generated.keys() - table.keys()) == [], "representatives missing from the table"
-    assert sorted(table.keys() - generated.keys()) == [], "entries of no representative"
-    assert generated == table
+    # every representative sweeps to its class's entry, so the class alone keys the blocks
+    for (m, n), blocks in _swept_blocks().items():
+        assert table[m % 5, n % 5] == blocks, (m, n)
+    assert _generate_corner_blocks() == table
     # the 66 representatives read 24 distinct corner windows
     keys = {key for rep in _representatives() for key, _ in _window_repairs(*rep)[0]}
     assert len(keys) == 24
 
 
-def test_corner_table_keys_are_the_representatives_of_every_wide_grid():
-    images = {_representative(m, n)[0] for m in range(16, 80) for n in range(m, 90)}
-    assert set(pattern._CORNER_BLOCKS) == images
-    assert len(images) == 66
-    for rep, blocks in pattern._CORNER_BLOCKS.items():
-        assert len(blocks) == 4, rep
-        assert all(isinstance(b, int) and 0 <= b < 1 << 64 for b in blocks), rep
+def test_corner_table_keys_are_the_classes_of_every_wide_grid():
+    classes = {(m % 5, n % 5) for m in range(16, 80) for n in range(m, 90)}
+    assert set(pattern._CORNER_BLOCKS) == classes == {(a, b) for a in range(5) for b in range(5)}
+    # the 66 representatives fill every class
+    assert {(m % 5, n % 5) for m, n in _representatives()} == classes
+    for key, blocks in pattern._CORNER_BLOCKS.items():
+        assert len(blocks) == 4, key
+        assert all(isinstance(b, int) and 0 <= b < 1 << 64 for b in blocks), key
 
 
 def test_each_corner_block_drops_its_net():
-    # a block holds the unrepaired class's members in its 8x8 region less the corner's net
+    # a block holds the unrepaired class's members in its 8x8 region less the corner's net,
+    # in each representative of its class
     k = CORNER_SIZE
-    for (m, n), blocks in pattern._CORNER_BLOCKS.items():
+    for m, n in _representatives():
+        blocks = pattern._CORNER_BLOCKS[m % 5, n % 5]
         s = choose_residue(m, n)
         rows = projected_class(m, n, s)
         corners = pattern._corners(m, n, s)
@@ -412,30 +449,18 @@ def test_corner_blocks_are_the_sweep_of_the_window_alone():
             assert len(block) == CORNER_SIZE and all(0 <= b < 1 << CORNER_SIZE for b in block)
 
 
-def test_a_representative_missing_from_the_table_names_its_grid(monkeypatch):
-    assert _representative(28, 31)[0] == (23, 26)
-    table = dict(pattern._CORNER_BLOCKS)
-    del table[23, 26]
-    monkeypatch.setattr(pattern, "_CORNER_BLOCKS", table)
-    with pytest.raises(ConstructionError, match=r"\(28, 31\).*\(23, 26\)"):
-        build_big_grid_set(28, 31)
-    monkeypatch.setattr(pattern, "_CORNER_BLOCKS", {})
-    with pytest.raises(ConstructionError, match=r"\(16, 16\)"):
-        build_big_grid_set(16, 16)
-
-
 @pytest.mark.parametrize("m,n", [(16, 16), (28, 31)])
 def test_a_flipped_bit_in_the_table_names_its_grid(m, n, monkeypatch):
-    rep, _ = _representative(m, n)
-    entry = pattern._CORNER_BLOCKS[rep]
+    key = m % 5, n % 5
+    entry = pattern._CORNER_BLOCKS[key]
     for corner in range(4):
         for bit in range(64):
             flipped = list(entry)
             flipped[corner] ^= 1 << bit
-            monkeypatch.setitem(pattern._CORNER_BLOCKS, rep, tuple(flipped))
+            monkeypatch.setitem(pattern._CORNER_BLOCKS, key, tuple(flipped))
             with pytest.raises(ConstructionError, match=rf"\({m}, {n}\)"):
                 build_big_grid_set(m, n)
-    monkeypatch.setitem(pattern._CORNER_BLOCKS, rep, entry)
+    monkeypatch.setitem(pattern._CORNER_BLOCKS, key, entry)
     assert verify_set(build_big_grid_set(m, n)).ok
 
 
@@ -501,10 +526,13 @@ def test_corner_repair_is_periodic():
     every corner window, and with it every repair.  Every grid with
     m >= 16 is a copy (m' + 5a, n' + 5b) of one of 66 representatives,
     with m' <= 24 and n' <= 28, where a = 0 when m' < 20 and b = 0 when
-    n' < 22 (`pattern._representative`, the key of `_CORNER_BLOCKS`).  Its
-    corner windows are the representative's, so its own repair gives the
-    representative's blocks, which is what lets the build read them from
-    the table; here each copy's keys are computed afresh from its own rows.
+    n' < 22 (`_representative`).  Its corner windows are the
+    representative's, so its own repair gives the representative's blocks,
+    which are its class's `_CORNER_BLOCKS` entry, since the copy and the
+    representative share (m mod 5, n mod 5) and every representative of a
+    class sweeps to that entry (`test_corner_table_is_the_generated_one`).
+    That is what lets the build read the blocks from the table by class
+    alone; here each copy's keys are computed afresh from its own rows.
 
     Validity.  A cell's verdict reads three consecutive rows and columns.
     Outside the 8x8 corner regions the set is the base pattern, so rows
@@ -534,14 +562,14 @@ def test_corner_repair_is_periodic():
 
 def test_corner_repair_search_reads_only_its_window():
     # the test above compares the far copies' window keys; here their corners are
-    # swept afresh over the whole grid and give their representatives' blocks
+    # swept afresh over the whole grid and give their class's blocks
     for m0, n0 in _representatives():
         if n0 < 22:
             continue
         m, n = m0 + (20 if m0 >= 20 else 0), n0 + 20
         repairs, rows = _window_repairs(m, n, _sweep)
         packed = tuple(_pack(block) for _, block in repairs)
-        assert packed == pattern._CORNER_BLOCKS[m0, n0], (m, n)
+        assert packed == pattern._CORNER_BLOCKS[m % 5, n % 5], (m, n)
         assert build_big_grid_set(m, n).bits == _join(rows, n), (m, n)
 
 
@@ -638,7 +666,7 @@ def test_middle_band_edges_match_the_row_reference(m, n):
     # reference writes the table's blocks into the `projected_class` rows
     k, s = CORNER_SIZE, choose_residue(m, n)
     rows = projected_class(m, n, s)
-    blocks = pattern._CORNER_BLOCKS[_representative(m, n)[0]]
+    blocks = pattern._CORNER_BLOCKS[m % 5, n % 5]
     for packed, (_, r1, c1, _) in zip(blocks, pattern._corners(m, n, s)):
         for r, b in enumerate(_unpack(packed), start=r1 - 1):
             rows[r] = rows[r] & ~(((1 << k) - 1) << (c1 - 1)) | b << (c1 - 1)
@@ -687,9 +715,22 @@ def test_interior_is_a_perfect_code():
             assert count == 1, (i, j)
 
 
+def test_the_table_printer_prints_the_table():
+    # `PYTHONPATH=src python tests/test_pattern.py` prints the table for pattern.py
+    src = str(Path(pattern.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, __file__], capture_output=True, text=True, timeout=120, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    head, literal = proc.stdout.split(" = ", 1)
+    assert head == "_CORNER_BLOCKS: dict[tuple[int, int], tuple[int, int, int, int]]"
+    assert ast.literal_eval(literal) == pattern._CORNER_BLOCKS
+
+
 if __name__ == "__main__":
     # print the table for src/quasidom/pattern.py
     print("_CORNER_BLOCKS: dict[tuple[int, int], tuple[int, int, int, int]] = {")
-    for rep, blocks in _generate_corner_blocks().items():
-        print(f"    {rep}: ({', '.join(f'0x{b:016x}' for b in blocks)}),")
+    for key, blocks in _generate_corner_blocks().items():
+        print(f"    {key}: ({', '.join(f'0x{b:016x}' for b in blocks)}),")
     print("}")

@@ -418,8 +418,9 @@ WIDE_FIRST_REPEAT = {
 
 @pytest.mark.parametrize(
     "m",
-    # at widths 17, 18 and 19 the test takes about 0.7, 1.3 and 2.5 s on
-    # 2 shared CPUs; run alone, it peaks near 70, 95 and 150 MB
+    # at widths 17, 18 and 19 the test takes about 0.4, 0.7 and 1.8 s on
+    # 2 shared CPUs; run alone in a fresh pytest process, it peaks (ru_maxrss)
+    # near 76, 96 and 140 MB
     [14, 15, 16, 17, 18, 19],
 )
 def test_big_grid_formula_is_proved_for_every_n(m):
