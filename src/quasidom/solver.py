@@ -11,13 +11,12 @@ period of that sequence, and each column's offsets key a dict that finds
 t with one exact lookup, at any distance.  The columns X^1..X^{t-1} depend
 only on m, so each width keeps them once, in a DPWindow that grows on
 demand: solving or extracting at any n only reads and backtracks once the
-window holds min(n, t - 1) columns.  Each step also records, for each
-word with more than one predecessor, the slot of the one it chose
-(mat_vec's argmin), in 4 bits for most words, and the window keeps those
-slots, so backtracking reads its chain off them and searches nothing.
+window holds min(n, t - 1) columns.  A step keeps no argmin:
+backtracking finds each predecessor again in the stored column it steps
+back into (TropicalMatrix.follow), the first one with the least offset.
 It stops growing with n as well: past column t - d the chain repeats as
-soon as a (stored column, word) state recurs.  So when grow
-finds the repeat it walks, once, each stored column's periodic head and
+soon as a (stored column, word) state recurs.  So when grow finds the
+repeat it walks, once, each stored column's periodic head and
 cycle and the chain below column t - d for every word those walks reach
 there, and keeps them as (m, len) zero masks; an extract at any n >= t - d
 then writes its member mask from them with a few slice assignments.  A
@@ -100,12 +99,9 @@ class DPWindow:
     and ends[r-1] the smallest final word id that reaches it.
     Once repeat = (t, d, c) is set the window is complete: X^r for r >= t is
     the stored column s + (r - s) mod d plus c * ((r - s) // d), s = t - d.
-    slots[r-1] is the step from X^r to X^{r+1} as mat_vec recorded it:
-    its uint8 buffer of each row's chosen predecessor slot at the width of
-    the row's block (the argmin backtrack follows, read by matrix.follow;
-    3,270 bytes at width 13 for 8,385 live words), as a memoryview: for
-    r < len and, once the window is complete, for r = t - 1 as well, the
-    repeat step into X^t, which is X^s shifted.
+    The columns are the window's one record per step: backtracking steps
+    from column r + 1 back to column r by matrix.follow on offsets[r-1],
+    and back out of X^t (X^s shifted) by the repeat step on offsets[t-2].
     While the window grows it maps each stored column's offset bytes to its
     index (index); each offsets entry is a read-only view of its key, so a
     column is held once, and mat_vec steps from the last one.  heads and
@@ -119,7 +115,7 @@ class DPWindow:
     mask is an (m, len) bool array, True at each label 0; a head's and its
     cycle's are the two sides of one C-contiguous array.
     DPWindow(mach) starts empty.  The constructor also takes mins, offsets,
-    values, repeat, ends and slots, in that order, each list left out
+    values, repeat and ends, in that order, each list left out
     starting as a new empty one; index, heads and tails always start
     empty.  A window is a plain mutable object, equal only to itself.
     """
@@ -132,7 +128,6 @@ class DPWindow:
         values: list[int | float] | None = None,
         repeat: tuple[int, int, int] | None = None,
         ends: list[int] | None = None,
-        slots: list[memoryview] | None = None,
     ) -> None:
         self.mach = mach
         self.mins = [] if mins is None else mins
@@ -140,7 +135,6 @@ class DPWindow:
         self.values = [] if values is None else values
         self.repeat = repeat
         self.ends = [] if ends is None else ends
-        self.slots = [] if slots is None else slots
         self.index: dict[bytes, int] = {}
         self.heads: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self.tails: dict[int, np.ndarray] = {}
@@ -149,7 +143,7 @@ class DPWindow:
         return (
             f"DPWindow(mach={self.mach!r}, mins={self.mins!r}, offsets={self.offsets!r}, "
             f"values={self.values!r}, repeat={self.repeat!r}, ends={self.ends!r}, "
-            f"slots={self.slots!r}, heads={self.heads!r}, tails={self.tails!r})"
+            f"heads={self.heads!r}, tails={self.tails!r})"
         )
 
     def __len__(self) -> int:
@@ -175,8 +169,7 @@ class DPWindow:
                 low = int(x.min())
                 off = np.minimum(x - low, OFF_INF).astype(np.uint8)
             else:
-                low, off, slots = mat_vec(self.mach.matrix, self.mins[-1], self.offsets[-1])
-                self.slots.append(memoryview(slots))
+                low, off = mat_vec(self.mach.matrix, self.mins[-1], self.offsets[-1])
             key = off.tobytes()
             # keep the column once, as a read-only view of its key, and free the
             # uint8 array now: held until the next column, it cost about 2,000
@@ -221,7 +214,7 @@ class DPWindow:
         Column j of the mask is True at the 0s of the chain's word at column
         j: the members of the grid's column j.  The chain picks the smallest
         final word id achieving the minimum, then at each column the
-        predecessor mat_vec recorded, the smallest id achieving the step.
+        smallest predecessor id achieving the step (matrix.follow).
         Below s = t - d (or in a window with no repeat yet) it is walked
         straight down.  From s on it is written from the memos _fill left
         at the repeat: the stored column i that X^n reads (locate) picks
@@ -283,8 +276,9 @@ class DPWindow:
         return (self.mach.matrix.table.digits.take(ids, axis=0) == 0).T.copy()
 
     def _walk(self, r: int, p: int) -> np.ndarray:
-        """The chain over columns 1..r (all stored) ending with word p, read down the slots."""
-        return np.array(self.mach.matrix.follow(p, self.slots[: r - 1][::-1])[::-1], np.intp)
+        """The chain over columns 1..r (all stored) ending with word p, stepped back through them."""
+        columns = map(memoryview, reversed(self.offsets[: r - 1]))
+        return np.array(self.mach.matrix.follow(p, columns)[::-1], np.intp)
 
     def _periodic_walk(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """The backtrack down the periodic columns from the final word of stored column i.
@@ -301,10 +295,10 @@ class DPWindow:
         """
         t, d, _ = self.repeat
         s = t - d
-        # slots[j - 1] steps into stored column j; a periodic column that reads
-        # stored column s - 1 is stepped into by the repeat step, slots[t - 2],
-        # as if it were stored column t - 1
-        steps = [self.slots[j - 1] for j in (*range(i, s - 1, -1), *range(t - 1, i, -1))]
+        # stored column j is stepped into from offsets[j - 1]; a periodic column
+        # that reads stored column s - 1 is stepped into by the repeat step, from
+        # offsets[t - 2], as if it were stored column t - 1
+        steps = [memoryview(self.offsets[j - 1]) for j in (*range(i, s - 1, -1), *range(t - 1, i, -1))]
         p = self.ends[i]
         seen: dict[int, int] = {}
         words: list[int] = []

@@ -22,32 +22,24 @@ down one column and its unused slots repeating its first entry, so a pad
 never changes the row's minimum (width 13: 7 blocks, 32,078 slots for
 27,920 entries; widths 2 to 6 need one block).  One gather and one
 minimum down the slots then step a whole block, where a reduction over one
-segment per row cost about 28 ns a row.  A block costs a few numpy calls
+segment per row cost about 28 ns a row; the rows of a 1-high block have
+one predecessor each, so its step is one take.  A block costs a few numpy calls
 whatever its size, so _merge_buckets pads a small bucket into its
 neighbour's block when that costs fewer slots than the calls.
 
-The step also records its argmin.  It gathers each offset as one key,
-offset << 8 | slot (uint16), so the minimum down a block column is the
-least offset in its high byte and, in its low byte, the first slot that
-reaches it.  Slots go up with the predecessor id and a pad repeats slot
-0's id, so that slot names the smallest predecessor id achieving the
-row's minimum: the chain backtracking follows.  Each block picks its own
-key: one more than 256 slots high gathers offset << 16 | slot (uint32),
-and only that block moves 4-byte keys (width 21 has one, 512 high, for
-six rows; width 19's longest list has 244 entries).  A row of a 1-high
-block has one predecessor, slot 0, so that block's step is one take of
-the keys, with no slot to add, reduce or record.  A step keeps its slots
-in one uint8 buffer at the width of their block, class by class in block
-order (slot_classes): 4 bits a row for blocks 2..16 high, a byte up to
-256 high, two bytes above.  That is 3,270 bytes a step for the 8,385 live
-words of width 13, and 10.1 MB for the width-19 window where a byte a
-word took 22.7 MB.  follow(p, slots) reads each row's slot from its
-class at its place in block order, and the ids back down the rows' block
-columns.  The keys and the packing cost a step a few numpy calls and
-save every search for a predecessor when backtracking: growing the
-width-13 window to its repeat takes about 10 ms, and widths 2 to 13
-about 25 ms, 5% more than with a byte a word (in process, 2 shared
-x86-64 CPUs).
+The step keeps no argmin: the column it steps from determines it, and the
+DP window stores every column anyway.  follow(p, columns) walks row p back
+through stored columns, each time taking, down p's block column, the
+first of its pred_ptr[p+1] - pred_ptr[p] predecessors with the least
+offset.  Slots go up with the predecessor id, so that is the smallest id
+achieving the row's minimum, the chain backtracking follows; a pad is
+never read.  A follow step reads a few ints through memoryviews, about
+1 us in pure Python, and only backtracking pays it (the window fills of
+widths 2 to 13 take 7,227).  A step that also recorded its argmin, as one
+key offset << 8 | slot gathered per slot and packed per row, took about
+a third longer (width 13: about 74 against 55 us a step) and kept a
+buffer per column beside the offsets, 10.1 MB at width 19 (in process, 2
+shared x86-64 CPUs).
 
 Rows, cost vectors and predecessor ids index the rows of a matrix's table.
 The solver builds its matrix on the live words alone (those with a
@@ -60,17 +52,16 @@ peak memory: at width 13 the one-shot join peaked near 11 MB under
 tracemalloc to keep 0.5 MB of predecessor lists.  The join's lists and
 the CSR pred_idx they form are int32 and live only until the blocks are
 built, each block filled over its own index array, so at width 19 the
-build peaks near 106 MB of RSS, where one int64 pred_idx kept beside the
-blocks peaked at 145 MB (Python 3.11, numpy 2.4).  pred_ptr is int32 and
-row_zeros int8 (a zero count is at most the width): with both int64, the
-width-19 build and window, when it kept a byte of slots a word, peaked at
-134 MB instead of 127-129 MB; with the slots at the width of their
-block it peaks at 114 MB.  follow(p, slots) reads the chosen entries of
-a backtracked chain down the rows' block columns, through one record of
-each row's block and place in block order.  The blocks stay int64 (intp),
-although int32 would halve them: numpy casts any other index dtype on
-every fancy index, so at width 13 one gather through the 32,078 slots
-takes about twice as long with an int32 index (110 against 35-55 us).
+build peaks near 98 MB of RSS, where one int64 pred_idx kept beside the
+blocks peaked at 145 MB (Python 3.11, numpy 2.4), and growing the window
+and backtracking at n = 2,000 take it to 105 MB.  pred_ptr is int32 and
+row_zeros int8, a zero count being at most the width.  follow reads a
+chain's entries down the rows' block columns, through one record of each
+row's block, place in block order and pred_ptr.  The blocks stay int64
+(intp), although int32 would halve them: numpy casts any other index
+dtype on every fancy index, so at width 13 one gather through the 32,078
+slots takes about twice as long with an int32 index (110 against
+35-55 us).
 """
 
 from __future__ import annotations
@@ -98,10 +89,12 @@ OFF_INF = 255
 # ones raise it (34.4 MB at 8,192 rows, 41.0 MB in one block, 32.3 MB here).
 _BLOCK_ROWS = 4096
 
-# What one more index block costs mat_vec, in slots: its gather, its slot
-# numbers and its minimum are numpy calls of about 1-1.5 us each, where a
-# slot costs about 2 ns (width 13; Python 3.11, numpy 2.4, 2 shared x86-64
-# CPUs; set for the step before it recorded slots, and not re-tuned since).
+# What one more index block costs mat_vec, in slots: its gather and its
+# minimum are numpy calls of about 1-1.5 us each, where a slot costs about
+# 2 ns.  Growing widths 2..13 to their repeats took the same time within
+# noise (about 21 ms) at 256, 1,024, 4,096 and 16,384, and about 30% longer
+# at 65,536; width 19 builds the same 9 blocks at 1,024 to 16,384 (Python
+# 3.11, numpy 2.4, 2 shared x86-64 CPUs, in process).
 _BLOCK_COST = 1024
 
 
@@ -118,16 +111,9 @@ class TropicalMatrix:
     row's ascending list down one column, padded with its first entry.
     placed rows have a predecessor, each one block column; block_pos[p] is
     row p's place in the order of those columns, block by block, and
-    placed for a row without one.  columns[b] is block b's slot
-    numbers as a column of its key dtype: uint16, or uint32 above 256
-    slots.  The blocks go up in height, so the rows of each class of
-    blocks that a step records slots for take one run of places:
-    slot_classes is (first place, end place, first byte in the step's slot
-    buffer) for the 4-bit (2..16 high), 8-bit (17..256) and 16-bit classes,
-    and slot_bytes is the buffer's length.  Of a 4-bit class's n rows, the
-    first ceil(n / 2) take the low 4 bits of its bytes and the others the
-    high 4 bits, in order; 16-bit slots are little-endian.  A matrix is
-    equal only to itself.
+    placed for a row without one.  The blocks go up in height.  follow
+    reads a row's predecessors down its block column, the first
+    pred_ptr[p+1] - pred_ptr[p] slots.  A matrix is equal only to itself.
     """
 
     def __init__(
@@ -159,29 +145,11 @@ class TropicalMatrix:
         self.blocks = tuple(blocks)
         self.placed = len(rows)
         self.block_pos = block_pos
-        heights = [b.shape[0] for b in blocks]
-        self.columns = tuple(
-            np.arange(h, dtype=np.uint32 if h > 256 else np.uint16)[:, None] for h in heights
-        )
-        # the blocks go up in height, so each class of them is one run of places
-        bits = [0 if h == 1 else 4 if h <= 16 else 8 if h <= 256 else 16 for h in heights]
-        classes, at = {}, 0
-        for size in (4, 8, 16):
-            first = sum(b.shape[1] for b, w in zip(blocks, bits) if w < size)
-            end = sum(b.shape[1] for b, w in zip(blocks, bits) if w <= size)
-            classes[size] = first, end, at
-            at += ((end - first) * size + 7) >> 3
-        self.slot_classes = tuple(classes.values())
-        self.slot_bytes = at
         # what follow() reads: for each block, its slots as a flat memoryview, its
-        # first place in block order, its width, and where its rows' recorded
-        # slots sit in a step's slot buffer (see _slot_read); then each row's
-        # block and block_pos as memoryviews
-        views = [
-            (memoryview(block.reshape(-1)), start, block.shape[1], *_slot_read(w, *classes.get(w, (0, 0, 0))))
-            for block, start, w in zip(blocks, starts, bits)
-        ]
-        self._views = views, memoryview(block_of), memoryview(block_pos)
+        # first place in block order and its width; then each row's block,
+        # block_pos and pred_ptr as memoryviews
+        views = [(memoryview(block.reshape(-1)), start, block.shape[1]) for block, start in zip(blocks, starts)]
+        self._views = views, memoryview(block_of), memoryview(block_pos), memoryview(pred_ptr)
 
     def __repr__(self) -> str:
         return (
@@ -197,44 +165,31 @@ class TropicalMatrix:
     def finite_entries(self) -> int:
         return int(self.pred_ptr[-1])
 
-    def follow(self, p: int, slots: Iterable[memoryview]) -> list[int]:
-        """The chain from row p down the given steps' recorded slots, as ids.
+    def follow(self, p: int, columns: Iterable[memoryview]) -> list[int]:
+        """The chain from row p back through the given columns' uint8 offsets, as ids.
 
-        p, then the predecessor that the first step's slots (a third result
-        of mat_vec, as a memoryview) name for p, then the one the second
-        step's name for that, and so on.  Every row on the chain must have a
-        predecessor.  Memoryviews read ints without numpy scalars.
+        p, then the predecessor of p that the step out of the first column
+        chose, then the one the step out of the second chose for that, and
+        so on.  Each step's choice is the first of p's predecessors, so the
+        smallest id, with the least offset in its column: mat_vec's argmin.
+        Every row on the chain must have a predecessor.  Memoryviews read
+        ints without numpy scalars.
         """
-        views, block_of, pos = self._views
+        views, block_of, pos, ptr = self._views
         ids = [p]
-        for buf in slots:
-            q = pos[p]
-            flat, start, width, bits, lo, split, hi = views[block_of[p]]
-            if bits == 4:
-                slot = buf[lo + q] & 15 if q < split else buf[hi + q] >> 4
-            elif bits == 8:
-                slot = buf[lo + q]
-            elif bits:  # little-endian
-                slot = buf[lo + 2 * q] | buf[lo + 2 * q + 1] << 8
-            else:  # a 1-high block: the row's one predecessor
-                slot = 0
-            p = flat[q - start + slot * width]
+        for off in columns:
+            flat, start, width = views[block_of[p]]
+            at = pos[p] - start
+            end = at + width * (ptr[p + 1] - ptr[p])
+            # p's predecessors, ascending, down its block column; a later one
+            # replaces the choice only with a strictly smaller offset
+            p = flat[at]
+            best = off[p]
+            for q in flat[at + width : end : width]:
+                if off[q] < best:
+                    p, best = q, off[q]
             ids.append(p)
         return ids
-
-
-def _slot_read(bits: int, first: int, end: int, at: int) -> tuple[int, int, int, int]:
-    """Where a step's slot buffer holds the slot of the row at place q of a class.
-
-    bits per slot, then lo, split and hi, for the class's places first..end
-    and its first byte at: a byte row's slot is byte lo + q and a 16-bit
-    row's bytes lo + 2q and lo + 2q + 1; a 4-bit row's is the low 4 bits of
-    byte lo + q for q < split, else the high 4 bits of byte hi + q.
-    """
-    if bits == 4:
-        fold = (end - first + 1) >> 1
-        return bits, at - first, first + fold, at - first - fold
-    return bits, at - (bits >> 3) * first, 0, 0
 
 
 def _merge_buckets(sizes: list[int]) -> list[tuple[int, int]]:
@@ -298,68 +253,37 @@ def build_transition_matrix(table: WordTable) -> TropicalMatrix:
     return TropicalMatrix(table, row_zeros, ptr, pred_idx)
 
 
-def mat_vec(
-    matrix: TropicalMatrix, low: int, off: np.ndarray
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """One min-plus step: out[p] = min over q of A[p][q] + x[q], for x = low + off, and its argmin.
+def mat_vec(matrix: TropicalMatrix, low: int, off: np.ndarray) -> tuple[int, np.ndarray]:
+    """One min-plus step: out[p] = min over q of A[p][q] + x[q], for x = low + off.
 
     A column is its minimum `low` plus uint8 offsets above it, OFF_INF where
     infinite; out comes back the same way, its offsets in table order and
     its minimum _INF when it is infinite everywhere.  Exploits the
     row-constant structure: out[p] = zeros(p) + low + the least offset over
-    p's predecessors.  Each block of matrix.blocks is one gather of the keys
-    offset << 8 | slot (see the module docstring) and one minimum down its
-    slots into a buffer in block order; block_pos puts the least keys in
-    table order, and the zeros are added to their offsets in int16.  The
-    third result is the step's uint8 slot buffer, matrix.slot_bytes long:
-    for each row in a block 2 or more high, in the layout of
-    matrix.slot_classes, the slot of its chosen predecessor, the first
-    slot, so the smallest id, that reaches the row's minimum (0 when that
-    minimum is infinite).  matrix.follow reads its id.
-    Raises ValueError unless off is a uint8 array of length k, and
-    ConstructionError when a finite offset of out would not fit a uint8.
+    p's predecessors.  Each block of matrix.blocks is one gather of the
+    offsets and one minimum down its slots into a buffer in block order;
+    block_pos puts the least offsets in table order, and the zeros are
+    added to them in int16.  The argmin is not kept: matrix.follow finds it
+    again from off.  Raises ValueError unless off is a uint8 array of
+    length k, and ConstructionError when a finite offset of out would not
+    fit a uint8.
     """
     k = matrix.k
     if k != len(off):
         raise ValueError("matrix and vector sizes disagree")
     if off.dtype != np.uint8:
         raise ValueError(f"offsets must be uint8, got {off.dtype}")
-    keys = off.astype(np.uint16) << 8
-    least = np.empty(matrix.placed + 1, dtype=np.uint16)
-    least[-1] = OFF_INF << 8  # the rows without a predecessor
-    slots = np.empty(matrix.slot_bytes, np.uint8)
-    (a, b, at4), (_, c, at8), (_, _, at16) = matrix.slot_classes
+    least = np.empty(matrix.placed + 1, dtype=np.uint8)
+    least[-1] = OFF_INF  # the rows without a predecessor
     lo = 0
-    for block, column in zip(matrix.blocks, matrix.columns):
-        height, width = block.shape
-        hi = lo + width
-        if height == 1:  # a row's one predecessor is its slot 0: nothing to reduce or record
-            keys.take(block[0], out=least[lo:hi], mode="clip")
-        elif height <= 256:
-            gathered = keys[block]
-            gathered |= column
-            np.minimum.reduce(gathered, axis=0, out=least[lo:hi])
-        else:  # keys offset << 16 | slot, the slot kept in two bytes, little-endian
-            gathered = off[block].astype(np.uint32)
-            gathered <<= 16
-            gathered |= column
-            best = np.minimum.reduce(gathered, axis=0)
-            at = at16 + 2 * (lo - c)
-            slots[at : at + 2 * width].view("<u2")[:] = best  # the low 16 bits
-            least[lo:hi] = best >> 16 << 8
+    for block in matrix.blocks:
+        hi = lo + block.shape[1]
+        if block.shape[0] == 1:  # a row's one predecessor: nothing to reduce
+            off.take(block[0], out=least[lo:hi], mode="clip")  # clip: unbuffered
+        else:
+            np.minimum.reduce(off.take(block), axis=0, out=least[lo:hi])
         lo = hi
-    half = (b - a) >> 1
-    fold = b - a - half
-    if half:  # slots below 16: row a + i's in the low 4 bits of byte i, row a + fold + i's above
-        folded = least[a + fold : b] << 4
-        folded |= least[a : a + half]
-        slots[at4 : at4 + half] = folded  # the low bytes
-    if fold > half:
-        slots[at4 + half] = least.item(a + half) & 15
-    if c > b:
-        slots[at8 : at8 + c - b] = least[b:c]  # the low bytes
     least = least.take(matrix.block_pos)  # in table order
-    least >>= 8
     inf = least == OFF_INF
     step = least.astype(np.int16)
     step += matrix.row_zeros  # at least OFF_INF where inf
@@ -367,7 +291,7 @@ def mat_vec(
     if rise >= OFF_INF:  # the least entry may be an infinite one
         finite = step[~inf]
         if not finite.size:
-            return int(_INF), np.full(k, OFF_INF, dtype=np.uint8), slots
+            return int(_INF), np.full(k, OFF_INF, dtype=np.uint8)
         rise = int(finite.min())
     step -= rise
     step[inf] = -1  # wraps to OFF_INF in the uint8 cast, below every finite offset here
@@ -377,4 +301,4 @@ def mat_vec(
             f"a DP column spreads {top} above its minimum, "
             f"more than the {OFF_INF - 1} a uint8 offset holds"
         )
-    return low + rise, step.astype(np.uint8), slots
+    return low + rise, step.astype(np.uint8)

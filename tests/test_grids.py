@@ -19,7 +19,7 @@ from quasidom.grids import (
     rule_faults,
     verify_set,
 )
-from quasidom.solver import _window_cache, machinery, solve_width
+from quasidom.solver import _machinery_cache, _window_cache, machinery, solve_width
 from quasidom.words import can_follow, is_final, is_initial, is_suitable, zeros
 
 
@@ -467,6 +467,33 @@ def test_extraction_over_the_whole_range_matches_a_pinned_digest():
             grids += 1
     assert grids == 2346
     assert digest.hexdigest()[:16] == EXTRACT_RANGE_DIGEST
+
+
+# first 16 hex digits of one sha256 over the bits of extract_min_set(a, b), in turn,
+# each as ceil(a * b / 8) little-endian bytes, for (a, b) = (m, n) then (n, m) for
+# each n in (m, 50, 97, 2000): widths past the ones EXTRACT_RANGE_DIGEST pins,
+# recorded from the DP that kept each step's argmin
+WIDE_EXTRACT_DIGESTS = {
+    14: "b6dce0fa625b2b23", 15: "ae7b8080f3244299", 16: "2076653fe851f736",
+    17: "5aa2c6ec32c2210c", 19: "609eccbff7b73c60",
+}
+
+
+@pytest.mark.parametrize(
+    "m", [14, 15, 16, 17, pytest.param(19, marks=pytest.mark.slow)]
+)
+def test_extraction_past_width_13_matches_a_pinned_digest(m):
+    digest = hashlib.sha256()
+    try:
+        for n in (m, 50, 97, 2000):
+            for a, b in ((m, n), (n, m)):
+                bits = extract_min_set(a, b).bits
+                digest.update(bits.to_bytes((a * b + 7) // 8, "little"))
+    finally:
+        if m > 15:  # no other test of the default run keeps these widths
+            _machinery_cache.pop(m, None)
+            _window_cache.pop(m, None)
+    assert digest.hexdigest()[:16] == WIDE_EXTRACT_DIGESTS[m]
 
 
 def test_extraction_memory_is_bounded_by_the_fold():

@@ -32,7 +32,7 @@ from quasidom.tropical import (
 )
 from quasidom.words import WordTable, enumerate_suitable
 from test_tropical import (
-    assert_slots_pick_the_smallest_predecessor,
+    assert_follow_picks_the_smallest_predecessor,
     predecessors,
     reference_compact,
     reference_mat_vec,
@@ -471,29 +471,6 @@ def test_width13_window_holds_84_uint8_columns():
 
 
 
-# bytes of one step's recorded slots, widths 2..13: 4 bits a row in blocks 2..16
-# high, a byte in taller ones, none in a 1-high block
-SLOT_BYTES = dict(zip(range(2, 14), [3, 5, 10, 20, 38, 75, 146, 284, 563, 1110, 2106, 3270]))
-
-
-@pytest.mark.parametrize("m", sorted(SLOT_BYTES))
-def test_each_step_records_its_slots_in_at_most_half_a_byte_a_word(m):
-    _, window = run_dp(m, 10**6, keep_trace=True)
-    live = window.mach.matrix.k
-    assert window.mach.matrix.slot_bytes == SLOT_BYTES[m] <= (live + 1) // 2
-    assert all(v.nbytes == SLOT_BYTES[m] for v in window.slots)
-
-
-def test_width13_window_records_3270_bytes_of_slots_a_step():
-    _window_cache.pop(13, None)
-    solve_width(13, 1000)
-    window = _window_cache[13]
-    # a step into each of the 83 stored columns after the first, then the repeat step
-    assert len(window.slots) == 84
-    assert all(isinstance(v, memoryview) and v.nbytes == 3270 for v in window.slots)
-    # 0.27 MB, where a byte for each of the 8,385 live words took 0.70 MB
-    assert sum(v.nbytes for v in window.slots) == 84 * 3270
-
 def ring_window(k, cost):
     """A DPWindow over a k-word ring, not a grid DP: word p's only predecessor is p - 1 mod k.
 
@@ -540,12 +517,12 @@ def test_a_zero_cost_ring_folds_with_no_increment():
 
 @pytest.mark.parametrize("m", range(2, 14))
 def test_recorded_slots_pick_the_smallest_predecessor(m):
+    # backtracking steps back into every stored column, the last one also from
+    # column t by the repeat step, and follow finds each step's argmin in its offsets
     _, window = run_dp(m, 10**6, keep_trace=True)
-    # slots[j] is the step from stored column j + 1; the last is the repeat step into column t
-    assert len(window.slots) == len(window) == window.repeat[0] - 1
-    for j, slots in enumerate(window.slots):
-        x = window.column(j + 1)
-        assert_slots_pick_the_smallest_predecessor(window.mach.matrix, x, np.asarray(slots))
+    assert len(window.offsets) == len(window) == window.repeat[0] - 1
+    for j, off in enumerate(window.offsets):
+        assert_follow_picks_the_smallest_predecessor(window.mach.matrix, window.column(j + 1), off)
 
 
 @pytest.mark.parametrize("k,cost", [(20, 1), (5, 0)])
@@ -553,11 +530,11 @@ def test_ring_slots_name_the_one_predecessor(k, cost):
     window = ring_window(k, cost)
     window.grow(100)
     matrix = window.mach.matrix
-    assert len(window.slots) == k
-    for j, slots in enumerate(window.slots):
-        assert_slots_pick_the_smallest_predecessor(matrix, window.column(j + 1), np.asarray(slots))
+    assert len(window.offsets) == k
+    for j, off in enumerate(window.offsets):
+        assert_follow_picks_the_smallest_predecessor(matrix, window.column(j + 1), off)
         # column j + 2 is finite at word (j + 1) mod k alone, stepped from word j
-        assert matrix.follow((j + 1) % k, [slots]) == [(j + 1) % k, j], j
+        assert matrix.follow((j + 1) % k, [memoryview(off)]) == [(j + 1) % k, j], j
 
 
 def test_warm_solve_width_is_a_lookup():
@@ -576,7 +553,7 @@ def test_offsets_that_do_not_fit_a_uint8_raise():
     matrix = TropicalMatrix(
         WordTable(1, np.zeros((3, 1), np.uint8)), np.array([0, 254, 0]), np.arange(4), ids
     )
-    low, off, _ = mat_vec(matrix, 7, np.array([0, 0, OFF_INF], np.uint8))
+    low, off = mat_vec(matrix, 7, np.array([0, 0, OFF_INF], np.uint8))
     assert low == 7 and off.tolist() == [0, 254, OFF_INF]
     text = "a DP column spreads 255 above its minimum, more than the 254 a uint8 offset holds"
     with pytest.raises(RuntimeError, match=f"^{text}$"):
@@ -600,7 +577,7 @@ def test_engine_objects_are_equal_only_to_themselves():
     twins = [
         (mach, Machinery(mach.matrix, mach.initial, mach.finals)),
         (window, DPWindow(
-            mach, window.mins, window.offsets, window.values, window.repeat, window.ends, window.slots
+            mach, window.mins, window.offsets, window.values, window.repeat, window.ends
         )),
         (mach.matrix, build_transition_matrix(table)),
         (table, WordTable(table.m, table.digits)),
@@ -676,17 +653,15 @@ def walk_backtrack(window, n):
 def cold_window(window, n):
     """The window a cold run_dp(m, n) leaves, cut from a complete one.
 
-    It holds min(n, t - 1) columns, the steps between them (and the repeat
-    step) and the repeat only when n >= t, and then memos filled as grow
-    fills them, else empty ones; building it this way skips re-running the
-    DP at every n.
+    It holds min(n, t - 1) columns, the repeat only when n >= t, and then
+    memos filled as grow fills them, else empty ones; building it this way
+    skips re-running the DP at every n.
     """
     t = window.repeat[0]
     kept = min(n, t - 1)
     cut = DPWindow(
         window.mach, window.mins[:kept], window.offsets[:kept], window.values[:kept],
         window.repeat if n >= t else None, window.ends[:kept],
-        window.slots if n >= t else window.slots[: kept - 1],
     )
     if n >= t:
         cut._fill()
@@ -725,7 +700,7 @@ def test_tiled_backtrack_matches_the_column_walk(m):
         _, window = run_dp(m, n, keep_trace=True)
         cut = cold_window(full, n)
         assert (window.mins, window.repeat, window.ends) == (cut.mins, cut.repeat, cut.ends), n
-        assert [bytes(v) for v in window.slots] == [bytes(v) for v in cut.slots], n
+        assert [off.tobytes() for off in window.offsets] == [off.tobytes() for off in cut.offsets], n
         assert same_set(window, window.backtrack(n), expected[n]), ("popped", n)
     _, warm = run_dp(m, 10**6, keep_trace=True)
     for n, (ids, _) in expected.items():

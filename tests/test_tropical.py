@@ -34,11 +34,11 @@ def predecessors(matrix, p):
 
     Read down row p's block column through the record that follow() reads.
     """
-    views, block_of, pos = matrix._views
+    views, block_of, pos, _ = matrix._views
     count = int(matrix.pred_ptr[p + 1] - matrix.pred_ptr[p])
     if not count:
         return np.empty(0, np.int64)
-    flat, start, width = views[block_of[p]][:3]
+    flat, start, width = views[block_of[p]]
     col = pos[p] - start
     return np.asarray(flat[col : col + count * width : width], np.int64)
 
@@ -103,54 +103,26 @@ def reference_compact(data):
     return low, np.where(finite, spread, OFF_INF).astype(np.uint8)
 
 
-def decode_slots(matrix, slots):
-    """Each row's recorded slot in a step's slot buffer, in table order, as int64.
+def assert_follow_picks_the_smallest_predecessor(matrix, x, off):
+    """follow's step out of the column x, kept as uint8 offsets off, against the reference step.
 
-    The buffer holds the slots of each class of blocks (slot_classes: first
-    place, end place, first byte) in block order.  Blocks 2..16 high take
-    4 bits a row: of the class's n rows, the first ceil(n / 2) fill the low
-    4 bits of its bytes and the others the high 4 bits, which an odd n
-    leaves 0 in the last byte.  Blocks up to 256 high take a byte a row, and
-    taller ones two bytes, little-endian.  A row in a 1-high block or with
-    no predecessor reads 0.
-    """
-    slots = np.asarray(slots)
-    assert slots.dtype == np.uint8 and slots.shape == (matrix.slot_bytes,)
-    (a, b, at4), (_, c, at8), (_, e, at16) = matrix.slot_classes
-    assert at8 == at4 + (b - a + 1) // 2 and at16 == at8 + c - b
-    assert matrix.slot_bytes == at16 + 2 * (e - c) and e == matrix.placed
-    placed = np.zeros(matrix.placed + 1, np.int64)  # the last place: the rows without a predecessor
-    packed = slots[at4:at8]
-    nibbles = np.concatenate([packed & 15, packed >> 4])
-    assert not nibbles[b - a :].any()
-    placed[a:b] = nibbles[: b - a]
-    placed[b:c] = slots[at8:at16]
-    placed[c:e] = slots[at16:].view("<u2")
-    return placed[matrix.block_pos]
-
-
-def assert_slots_pick_the_smallest_predecessor(matrix, x, slots):
-    """A step's slot buffer against the reference step on the int64 column x.
-
-    A row whose step is finite must name, by its slot (decode_slots), the
-    smallest predecessor id q with row_zeros[p] + x[q] equal to
-    reference_mat_vec's entry, and follow must read that id back (on up to
-    about 500 rows); any other row reads slot 0.
+    For every row p with a predecessor, matrix.follow(p, [off])[1] must be
+    the smallest predecessor id q with row_zeros[p] + x[q] equal to
+    reference_mat_vec's entry, or p's first predecessor where that entry
+    is infinite.
     """
     y = reference_mat_vec(matrix, x)
     idx, ptr, counts = pred_idx(matrix), matrix.pred_ptr, np.diff(matrix.pred_ptr)
+    placed = np.flatnonzero(counts)
+    if not placed.size:
+        return
     rows = np.repeat(np.arange(matrix.k), counts)
     reach = (x[idx] < _INF) & (matrix.row_zeros[rows] + x[idx] == y[rows])
     slot = np.arange(len(idx)) - ptr[rows]
-    first, rows_with = np.zeros(matrix.k, np.int64), counts > 0
-    if idx.size:
-        first[rows_with] = np.minimum.reduceat(np.where(reach, slot, len(idx)), ptr[:-1][rows_with])
-    decoded = decode_slots(matrix, slots)
-    assert np.array_equal(decoded, np.where(y < _INF, first, 0))
-    finite = np.flatnonzero(y < _INF)
-    view = memoryview(np.asarray(slots))
-    for p in finite[:: max(1, len(finite) // 500)].tolist():
-        assert matrix.follow(p, [view]) == [p, int(idx[ptr[p] + decoded[p]])], p
+    first = np.minimum.reduceat(np.where(reach, slot, len(idx)), ptr[placed])
+    expected = idx[ptr[placed] + np.where(y[placed] < _INF, first, 0)]
+    view = memoryview(np.asarray(off))
+    assert [matrix.follow(p, [view])[1] for p in placed.tolist()] == expected.tolist()
 
 
 def expand(low, off):
@@ -160,7 +132,7 @@ def expand(low, off):
 
 def step(matrix, x):
     """mat_vec on an int64 column, as an int64 column."""
-    low, off, _ = mat_vec(matrix, *reference_compact(x))
+    low, off = mat_vec(matrix, *reference_compact(x))
     return expand(low, off)
 
 
@@ -301,14 +273,14 @@ def test_restrict_keeps_the_submatrix_of_the_kept_words(m):
         for p in range(kept.k):
             assert (np.diff(predecessors(kept, p)) > 0).all()
         x = np.arange(kept.k, dtype=np.int64) % 7
-        low, off, _ = mat_vec(kept, 0, x.astype(np.uint8))
+        low, off = mat_vec(kept, 0, x.astype(np.uint8))
         assert off.shape == (kept.k,)
         assert np.array_equal(expand(low, off), reference_mat_vec(kept, x))
 
 
 def test_mat_vec_absorbs_infinity(t2):
     table, matrix, _ = t2
-    low, off, _ = mat_vec(matrix, int(_INF), np.full(table.k, OFF_INF, dtype=np.uint8))
+    low, off = mat_vec(matrix, int(_INF), np.full(table.k, OFF_INF, dtype=np.uint8))
     assert low == _INF and (off == OFF_INF).all()
 
 
@@ -336,14 +308,14 @@ MATRIX3 = build_transition_matrix(TABLE3)
 @given(_columns(TABLE3), _columns(TABLE3))
 def test_mat_vec_monotone(x, y):
     lo = reference_compact(np.minimum(expand(*x), expand(*y)))
-    assert (expand(*mat_vec(MATRIX3, *lo)[:2]) <= expand(*mat_vec(MATRIX3, *x)[:2])).all()
+    assert (expand(*mat_vec(MATRIX3, *lo)) <= expand(*mat_vec(MATRIX3, *x))).all()
 
 
 @given(_columns(TABLE3), st.integers(min_value=0, max_value=10))
 def test_mat_vec_translation_equivariance(x, c):
     low, off = x
-    out_low, out, _ = mat_vec(MATRIX3, low, off)
-    shifted_low, shifted, _ = mat_vec(MATRIX3, low + c, off)
+    out_low, out = mat_vec(MATRIX3, low, off)
+    shifted_low, shifted = mat_vec(MATRIX3, low + c, off)
     assert np.array_equal(shifted, out)
     assert shifted_low == (_INF if out_low == _INF else out_low + c)
 
@@ -353,7 +325,7 @@ def test_mat_vec_infinite_only_through_infinite_predecessors(x):
     # out[p] is infinite exactly when every predecessor of p is: rows with
     # none, and the all-infinite column, included
     for low, off in (x, (x[0], np.full(TABLE3.k, OFF_INF, np.uint8))):
-        _, out, _ = mat_vec(MATRIX3, low, off)
+        _, out = mat_vec(MATRIX3, low, off)
         for p in range(MATRIX3.k):
             assert (out[p] == OFF_INF) == bool((off[predecessors(MATRIX3, p)] == OFF_INF).all())
 
@@ -375,7 +347,7 @@ def test_single_predecessor_row_is_translation():
 def test_rows_without_predecessors_stay_infinite():
     table = enumerate_suitable(4)
     matrix = build_transition_matrix(table)
-    low, out, _ = mat_vec(matrix, 0, np.zeros(table.k, dtype=np.uint8))
+    low, out = mat_vec(matrix, 0, np.zeros(table.k, dtype=np.uint8))
     assert low == 0
     for p in range(table.k):
         if len(predecessors(matrix, p)) == 0:
@@ -427,7 +399,7 @@ def _reference_step(matrix, low, off):
 def _step_or_error(matrix, low, off):
     """mat_vec as (low, offsets as a list), or the RuntimeError text."""
     try:
-        low, out, _ = mat_vec(matrix, low, off)
+        low, out = mat_vec(matrix, low, off)
     except RuntimeError as err:
         return str(err)
     assert out.dtype == np.uint8 and out.shape == (matrix.k,)
@@ -519,7 +491,8 @@ def test_mat_vec_rejects_offsets_that_are_not_uint8(t2):
 
 @pytest.mark.parametrize("m", range(2, 14))
 def test_mat_vec_slots_pick_the_smallest_predecessor_on_ties(m):
-    # few distinct offsets, so most rows tie between predecessors
+    # few distinct offsets, so most rows tie between predecessors: follow picks
+    # the first block slot, so the smallest id, that reaches the minimum
     from quasidom.solver import machinery
 
     matrix = machinery(m).matrix
@@ -527,9 +500,7 @@ def test_mat_vec_slots_pick_the_smallest_predecessor_on_ties(m):
     for top, inf_share in [(0, 0.0), (2, 0.3), (5, 0.0), (20, 0.8)]:
         off = rng.integers(0, top + 1, matrix.k).astype(np.uint8)
         off[rng.random(matrix.k) < inf_share] = OFF_INF
-        low, out, slots = mat_vec(matrix, 4, off)
-        assert slots.dtype == np.uint8
-        assert_slots_pick_the_smallest_predecessor(matrix, expand(4, off), slots)
+        assert_follow_picks_the_smallest_predecessor(matrix, expand(4, off), off)
 
 
 def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
@@ -540,27 +511,23 @@ def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
     table = WordTable(1, np.zeros((k, 1), np.uint8))
     matrix = TropicalMatrix(table, np.ones(k, np.int64), ptr, idx)
     assert [b.shape for b in matrix.blocks] == [(1, 300), (512, 1)]
-    # only the tall block gathers uint32 keys; the 1-high one records no slot
-    assert [c.dtype for c in matrix.columns] == [np.uint16, np.uint32]
-    assert (matrix.slot_classes, matrix.slot_bytes) == (((300, 300, 0), (300, 300, 0), (300, 301, 0)), 2)
     off = np.full(k, 9, np.uint8)
     off[[270, 280, 290]] = 2  # ties past slot 255: the smallest id, 270, is slot 269
     off[5] = OFF_INF
-    low, out, slots = mat_vec(matrix, 0, off)
-    assert slots.dtype == np.uint8 and decode_slots(matrix, slots)[0] == 269
-    assert matrix.follow(0, [memoryview(slots)]) == [0, 270]
+    low, out = mat_vec(matrix, 0, off)
+    assert matrix.blocks[1][269, 0] == 270
+    assert matrix.follow(0, [memoryview(off)]) == [0, 270]
     assert (low, out[0]) == (3, 0)
-    assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
+    assert_follow_picks_the_smallest_predecessor(matrix, expand(0, off), off)
     rng = np.random.default_rng(300)
     for _ in range(5):
         off = rng.integers(0, 4, k).astype(np.uint8)
-        slots = mat_vec(matrix, 0, off)[2]
-        assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
+        assert_follow_picks_the_smallest_predecessor(matrix, expand(0, off), off)
 
 
 def test_slots_of_every_class_pick_the_smallest_predecessor():
-    # rows with 1, 2..16, 17..256 and 257..700 predecessors, so every class of
-    # blocks holds rows, an odd count of 4-bit ones, and some rows have none
+    # rows with 1, 2..16, 17..256 and 257..700 predecessors, so blocks of every
+    # height class hold rows, and some rows have none
     rng = np.random.default_rng(7)
     counts = np.concatenate([
         np.ones(1500, np.int64), rng.integers(2, 17, 701), rng.integers(17, 257, 40),
@@ -572,15 +539,12 @@ def test_slots_of_every_class_pick_the_smallest_predecessor():
     idx = np.concatenate([np.sort(rng.choice(k, c, replace=False)) for c in counts])
     table = WordTable(1, np.zeros((k, 1), np.uint8))
     matrix = TropicalMatrix(table, rng.integers(0, 3, k).astype(np.int8), ptr, idx)
-    (a, b, _), (_, c, _), (_, e, _) = matrix.slot_classes
-    assert 0 < a < b < c < e == matrix.placed and (b - a) % 2 == 1
-    assert [col.dtype for col in matrix.columns] == [
-        np.uint32 if blk.shape[0] > 256 else np.uint16 for blk in matrix.blocks
-    ]
-    assert matrix.slot_bytes == (b - a + 1) // 2 + (c - b) + 2 * (e - c)
+    heights = [b.shape[0] for b in matrix.blocks]
+    assert heights[0] == 1 and heights[-1] > 256 and any(2 <= h <= 16 for h in heights)
+    assert any(16 < h <= 256 for h in heights) and matrix.placed == k - 20
     for top, inf_share in [(0, 0.0), (2, 0.2), (9, 0.5), (200, 0.0)]:
         off = rng.integers(0, top + 1, k).astype(np.uint8)
         off[rng.random(k) < inf_share] = OFF_INF
-        low, out, slots = mat_vec(matrix, 0, off)
+        low, out = mat_vec(matrix, 0, off)
         assert np.array_equal(expand(low, out), reference_mat_vec(matrix, expand(0, off)))
-        assert_slots_pick_the_smallest_predecessor(matrix, expand(0, off), slots)
+        assert_follow_picks_the_smallest_predecessor(matrix, expand(0, off), off)
