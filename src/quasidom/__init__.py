@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 _HOMES = {
     "ConstructionError": "errors",
     "GridSet": "grids",
-    "INFINITY": "tropical",
     "InvalidSetError": "errors",
     "MalformedSetError": "errors",
     "MalformedWordError": "errors",

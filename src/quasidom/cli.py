@@ -1,9 +1,11 @@
 """Command-line interface with stable, scriptable output.
 
-Exit codes: 0 on success, 1 when a computation is infeasible or a
-verification fails, 2 on usage errors.  With --json every result is a
-single envelope object on stdout, written by the C JSON encoder; errors
-become {"error": ...} objects.
+Exit codes: 0 on success, 1 when a verification fails or a command ends
+in an error (malformed input, a refused or unsupported request, or an
+engine that broke its own invariant), 2 on usage errors.  Every grid has
+an independent [1,2]-set, so every value is an integer.  With --json every
+result is a single envelope object on stdout, written by the C JSON
+encoder; errors become {"error": ...} objects.
 
 Each command imports its engine when it runs, so the interpreter loads
 only what the command needs: `--version`, `value` and `formula` (results
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from itertools import compress
@@ -39,10 +40,6 @@ from .formulas import DEFAULT_MAX_D, DEFAULT_MAX_N
 
 if TYPE_CHECKING:
     from .grids import GridSet
-
-
-def _render_value(v) -> str | int:
-    return "infeasible" if v == math.inf else int(v)
 
 
 def _envelope(command: str, inputs: dict, started: float, **fields) -> dict:
@@ -74,34 +71,31 @@ def _emit_set(gs: GridSet, args) -> str:
     return f"{len(gs)} members: " + " ".join(f"({i},{j})" for i, j in gs.sorted_members())
 
 
+def _answer(args, engine) -> int:
+    """Time engine(m, n) and write its value as the command's envelope and line."""
+    t = time.perf_counter()
+    v = engine(args.m, args.n)
+    env = _envelope(args.subcommand, {"m": args.m, "n": args.n}, t, value=v)
+    _emit(env, args, f"{args.subcommand}({args.m},{args.n}) = {v}")
+    return 0
+
+
 def _cmd_value(args) -> int:
     from .formulas import value
 
-    t = time.perf_counter()
-    v = value(args.m, args.n)
-    env = _envelope("value", {"m": args.m, "n": args.n}, t, value=_render_value(v))
-    _emit(env, args, f"value({args.m},{args.n}) = {_render_value(v)}")
-    return 0
+    return _answer(args, value)
 
 
 def _cmd_solve(args) -> int:
     from .solver import solve_width
 
-    t = time.perf_counter()
-    v = solve_width(args.m, args.n)
-    env = _envelope("solve", {"m": args.m, "n": args.n}, t, value=_render_value(v))
-    _emit(env, args, f"solve({args.m},{args.n}) = {_render_value(v)}")
-    return 0 if v != math.inf else 1
+    return _answer(args, solve_width)
 
 
 def _cmd_formula(args) -> int:
     from .formulas import closed_form
 
-    t = time.perf_counter()
-    v = closed_form(args.m, args.n)
-    env = _envelope("formula", {"m": args.m, "n": args.n}, t, value=v)
-    _emit(env, args, f"formula({args.m},{args.n}) = {v}")
-    return 0
+    return _answer(args, closed_form)
 
 
 def _cmd_period(args) -> int:
@@ -223,17 +217,17 @@ def _cmd_oracle(args) -> int:
             f"({args.m}, {args.n}) is beyond both oracle engines"
         )
     witness = result.witness
-    if witness is not None and m != args.m:  # solved over the transposed grid
+    if m != args.m:  # solved over the transposed grid
         witness = witness.transpose()
     env = _envelope(
         "oracle", {"m": args.m, "n": args.n, "mode": args.mode}, t,
-        value=_render_value(result.value),
+        value=result.value,
         engine=engine,
         set=witness,
     )
-    human = f"oracle({args.m},{args.n},{args.mode}) = {_render_value(result.value)} [{engine}]"
+    human = f"oracle({args.m},{args.n},{args.mode}) = {result.value} [{engine}]"
     _emit(env, args, human, witness if args.ascii else None)
-    return 0 if result.value != math.inf else 1
+    return 0
 
 
 def _cmd_words(args) -> int:

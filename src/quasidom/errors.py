@@ -25,8 +25,10 @@ class ConstructionError(RuntimeError):
     """An engine broke one of its own invariants: a bug, not bad input.
 
     The pattern's corner repair or the DP gave a set of the wrong size or
-    an invalid one, an extracted set disagrees with the DP value, or a DP
-    column spreads past its uint8 offsets.
+    an invalid one, an extracted set disagrees with the DP value, a DP
+    column spreads past its uint8 offsets, a DP column reaches no final
+    word, or an oracle finds no set.  Every grid has an independent
+    [1,2]-set, so the last two can only be bugs.
     """
 
 

@@ -6,14 +6,14 @@ tests each subset with `grids.rule_faults`, the test behind `verify_set`,
 and a column-profile dynamic program over membership masks with capped
 dominator counts (for grids with at most 5 rows).  Mode "i12" asks for
 independent [1,2]-sets, mode "i" for plain independent dominating sets.
+Every grid has both, so an engine that finds none raises ConstructionError.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
-from .errors import UnsupportedGridError
+from .errors import ConstructionError, UnsupportedGridError
 from .grids import GridSet, rule_faults
 
 MODES = ("i12", "i")
@@ -24,14 +24,21 @@ PROFILE_COL_LIMIT = 50
 
 
 class OracleResult(NamedTuple):
-    value: int | float
-    witness: GridSet | None
+    value: int
+    witness: GridSet
     mode: str
 
 
 def _check_mode(mode: str) -> None:
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _no_set(m: int, n: int, mode: str, engine: str) -> str:
+    return (
+        f"the {engine} found no set of the {m} x {n} grid in mode {mode}; "
+        "every grid has an independent [1,2]-set, so this is a bug"
+    )
 
 
 def _check_subsets(m: int, n: int, mode: str, engine: str) -> None:
@@ -54,7 +61,7 @@ def brute_force_min(m: int, n: int, mode: str = "i12") -> OracleResult:
     _check_subsets(m, n, mode, "exhaustive oracle")
     masks = enumerate_valid_masks(m, n, mode)
     if not masks:
-        return OracleResult(value=math.inf, witness=None, mode=mode)
+        raise ConstructionError(_no_set(m, n, mode, "exhaustive oracle"))
     size = min(s.bit_count() for s in masks)
     best = max((s for s in masks if s.bit_count() == size), key=lambda s: f"{s:0{m * n}b}"[::-1])
     return OracleResult(value=size, witness=GridSet.from_bits(m, n, best), mode=mode)
@@ -139,7 +146,7 @@ def profile_dp_min(m: int, n: int, mode: str = "i12") -> OracleResult:
         if all(mask >> i & 1 or lo <= counts[i] <= hi for i in range(m))
     ]
     if not finals:
-        return OracleResult(value=math.inf, witness=None, mode=mode)
+        raise ConstructionError(_no_set(m, n, mode, "profile oracle"))
     cost, hist = min(finals)
     # column j of the witness is hist[j - 1], with row i at bit i - 1
     members = [(i + 1, j + 1) for j, mu in enumerate(hist) for i in range(m) if mu >> i & 1]

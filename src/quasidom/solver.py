@@ -40,12 +40,11 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .errors import PeriodNotFoundError, UnsupportedGridError
+from .errors import ConstructionError, PeriodNotFoundError, UnsupportedGridError
 # closed forms and period bounds live in formulas, which loads no numpy; re-exported here
 from .formulas import DEFAULT_MAX_D, DEFAULT_MAX_N, big_grid_value, closed_form, value  # noqa: F401
 from .tropical import (
     _INF,
-    INFINITY,
     OFF_INF,
     TropicalMatrix,
     build_initial_vector,
@@ -106,8 +105,8 @@ class DPWindow:
     index (index); each offsets entry is a read-only view of its key, so a
     column is held once, and mat_vec steps from the last one.  heads and
     tails are backtrack's memos, filled complete when grow finds the repeat
-    (see _fill): heads[i], for each stored column i with a finite value at
-    or past column t - d, is the periodic walk down from its final word as
+    (see _fill): heads[i], for each stored column i at or past column
+    t - d, is the periodic walk down from its final word as
     (head ids, cycle ids, head zero mask, cycle zero mask), the last over
     as many whole cycles as reach _CYCLE_SPAN columns, and tails[w], for
     each word w that one of those walks reaches at column t - d, is the
@@ -125,7 +124,7 @@ class DPWindow:
         mach: Machinery,
         mins: list[int] | None = None,
         offsets: list[np.ndarray] | None = None,
-        values: list[int | float] | None = None,
+        values: list[int] | None = None,
         repeat: tuple[int, int, int] | None = None,
         ends: list[int] | None = None,
     ) -> None:
@@ -157,7 +156,9 @@ class DPWindow:
         row costs are non-negative, so no column's minimum falls).  No two
         stored columns are equal, or the window would have stopped at the
         later one, so the offsets key a single index and one exact lookup
-        per column finds the repeat at any distance d.
+        per column finds the repeat at any distance d.  Raises
+        ConstructionError if a stored column reaches no final word: every
+        grid has an independent [1,2]-set, so that is a bug.
         """
         if self.repeat is not None or len(self.mins) >= n:
             return
@@ -180,11 +181,16 @@ class DPWindow:
                 self.repeat = (r, r - 1 - i, low - self.mins[i])
                 self._fill()
                 return
-            self.mins.append(low)
-            self.offsets.append(off)
             end = int(finals[off.take(finals).argmin()])  # the first, so smallest, minimal id
             best = off.item(end)
-            self.values.append(INFINITY if best == OFF_INF else low + best)
+            if best == OFF_INF:
+                raise ConstructionError(
+                    f"the width-{self.mach.matrix.table.m} DP reaches no final word at column {r}; "
+                    "every grid has an independent [1,2]-set, so this is a bug"
+                )
+            self.mins.append(low)
+            self.offsets.append(off)
+            self.values.append(low + best)
             self.ends.append(end)
 
     def locate(self, r: int) -> tuple[int, int]:
@@ -203,12 +209,12 @@ class DPWindow:
         off = self.offsets[i]
         return np.where(off == OFF_INF, _INF, off + np.int64(self.mins[i] + shift))
 
-    def value(self, r: int) -> int | float:
+    def value(self, r: int) -> int:
         """The grid value at n = r: the minimum of X^r over final words."""
         i, shift = self.locate(r)
         return self.values[i] + shift
 
-    def backtrack(self, n: int) -> tuple[np.ndarray, int | float]:
+    def backtrack(self, n: int) -> tuple[np.ndarray, int]:
         """The zero mask of a minimum chain of columns 1..n, as an (m, n) bool array, and its cost.
 
         Column j of the mask is True at the 0s of the chain's word at column
@@ -223,9 +229,6 @@ class DPWindow:
         head, then the head mask, whatever n is.
         """
         i, _ = self.locate(n)
-        if self.values[i] == INFINITY:
-            m = self.mach.matrix.table.m
-            raise UnsupportedGridError(f"no independent [1,2]-set exists for ({m}, {n})")
         s = n + 1 if self.repeat is None else self.repeat[0] - self.repeat[1]
         if n < s:
             return self._zeros(self._walk(n, self.ends[i])), self.value(n)
@@ -259,8 +262,6 @@ class DPWindow:
         t, d, _ = self.repeat
         s = t - d
         for i in range(s - 1, t - 1):  # the stored columns X^n reads for n >= s
-            if self.values[i] == INFINITY:
-                continue
             head, cycle = self._periodic_walk(i)
             # one mask for the head and the cycle's copies, cut in two
             zeros = self._zeros(np.concatenate([head, *[cycle] * -(-_CYCLE_SPAN // len(cycle))]))
@@ -327,7 +328,10 @@ def run_dp(
     if m < 1 or n < 1:
         raise UnsupportedGridError(f"grid dimensions must be positive, got ({m}, {n})")
     if m < 2:
-        raise UnsupportedGridError("the word machinery needs at least 2 rows; use the oracle for paths")
+        raise UnsupportedGridError(
+            "the word machinery needs at least 2 rows; for a path of N vertices, "
+            "use `value 1 N` for its value, or `oracle 1 N` for a set when N <= 50"
+        )
     mach = machinery(m)
     window = _window_cache.get(m)
     if window is None:
@@ -336,14 +340,12 @@ def run_dp(
     return mach, window if keep_trace else [window.column(n)]
 
 
-def solve_width(m: int, n: int) -> int | float:
+def solve_width(m: int, n: int) -> int:
     """Minimum independent [1,2]-set size of the m x n grid, by the DP.
 
     A lookup in the width's window plus the fold's shift.  The grid is
     transposed so the DP runs over the shorter side, unless that side is a
-    single row, which the word machinery does not cover.  Returns math.inf
-    if no final word is reachable (never the case for the grids in range;
-    treat it as a bug signal).
+    single row, which the word machinery does not cover.
     """
     if 2 <= n < m:
         m, n = n, m
@@ -395,12 +397,7 @@ def detect_period(
         raise PeriodNotFoundError(f"no period for m={m} within d<={max_d}, n<={max_n}; raise the bounds")
     t, d, c = repeat
     n0 = t - d
-    boundary = {}
-    for r in range(n0, t):
-        v = window.value(r)
-        if v == INFINITY:
-            raise PeriodNotFoundError(f"m={m}: boundary value at n={r} is infeasible")
-        boundary[r] = int(v)
+    boundary = {r: window.value(r) for r in range(n0, t)}
     return PeriodCertificate(m=m, n0=n0, d=d, c=c, boundary=boundary)
 
 

@@ -66,15 +66,12 @@ slots takes about twice as long with an int32 index (110 against
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 
 import numpy as np
 
 from .errors import ConstructionError
 from .words import WordTable, follow_blocks, follow_pairs
-
-INFINITY = math.inf
 
 # Internal int64 sentinel; finite costs stay far below it so one addition
 # can never wrap.

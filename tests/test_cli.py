@@ -185,6 +185,56 @@ def test_pattern_outside_its_domain_is_a_typed_error(capsys):
         assert env["error"]["type"] == "UnsupportedGridError"
 
 
+# solve and extract refuse a single row; the text names the commands that answer a path
+SINGLE_ROW_REFUSAL = (
+    "the word machinery needs at least 2 rows; for a path of N vertices, "
+    "use `value 1 N` for its value, or `oracle 1 N` for a set when N <= 50"
+)
+
+
+def test_the_single_row_refusal_names_commands_that_answer_a_path(capsys):
+    from quasidom.oracle import PROFILE_COL_LIMIT
+
+    n = PROFILE_COL_LIMIT
+    assert SINGLE_ROW_REFUSAL.endswith(f"N <= {n}")
+    for argv in (["value", "1", str(n)], ["oracle", "1", str(n)]):
+        code, env = run_json(capsys, *argv)
+        assert code == 0 and env["value"] == (n + 2) // 3, argv
+    code, env = run_json(capsys, "oracle", "1", str(n + 1))
+    assert code == 1 and env["error"]["type"] == "UnsupportedGridError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *[["value", str(m), str(m + 5)] for m in range(1, 14)],
+        ["value", "14", "20"],
+        ["value", "20", "30"],
+        ["solve", "4", "10"],
+        ["solve", "12", "5"],
+        ["formula", "5", "7"],
+        ["oracle", "5", "3"],
+        ["oracle", "4", "30"],
+        ["oracle", "3", "5", "--mode", "i"],
+        ["pattern", "14", "20"],
+        ["extract", "4", "9"],
+    ],
+)
+def test_every_value_is_a_json_integer(capsys, argv):
+    # a value of 3.0 would pass an == test
+    code, env = run_json(capsys, *argv)
+    assert code == 0
+    assert type(env["value"]) is int
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_every_period_boundary_value_is_a_json_integer(capsys, m):
+    code, env = run_json(capsys, "period", str(m))
+    assert code == 0
+    assert env["certificate"]["boundary"]
+    assert all(type(v) is int for v in env["certificate"]["boundary"].values())
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -192,9 +242,10 @@ def test_pattern_outside_its_domain_is_a_typed_error(capsys):
         (["solve", "5", "0"], "grid dimensions must be positive, got (5, 0)"),
         (["extract", "0", "5"], "grid dimensions must be positive, got (0, 5)"),
         (["extract", "-1", "-1"], "grid dimensions must be positive, got (-1, -1)"),
-        (["solve", "1", "5"], "the word machinery needs at least 2 rows; use the oracle for paths"),
+        (["solve", "1", "5"], SINGLE_ROW_REFUSAL),
         (["period", "5", "--max-n", "0"], "period bound max_n must be positive, got 0"),
         (["period", "5", "--max-d", "0"], "period bound max_d must be positive, got 0"),
+        (["extract", "1", "5"], SINGLE_ROW_REFUSAL),
     ],
 )
 def test_non_positive_sides_and_bounds_are_refused_before_any_work(capsys, monkeypatch, argv, message):

@@ -5,7 +5,8 @@ from types import SimpleNamespace
 import pytest
 from test_grids import reference_verify_set
 
-from quasidom.errors import UnsupportedGridError
+from quasidom import oracle
+from quasidom.errors import ConstructionError, UnsupportedGridError
 from quasidom.grids import GridSet, verify_set
 from quasidom.oracle import brute_force_min, enumerate_valid_masks, profile_dp_min
 
@@ -15,6 +16,13 @@ def test_known_small_values():
     assert brute_force_min(1, 3, "i12").value == 1
     assert brute_force_min(1, 3, "i12").witness.members == frozenset({(1, 2)})
     assert brute_force_min(4, 4, "i12").value == 4
+
+
+def test_an_exhaustive_search_with_no_valid_subset_is_a_construction_error(monkeypatch):
+    # every mask leaves a cell undominated
+    monkeypatch.setattr(oracle, "rule_faults", lambda m, n, s: (0, 0, 1, 0, 0))
+    with pytest.raises(ConstructionError, match="exhaustive oracle found no set of the 2 x 3 grid in mode i12;"):
+        brute_force_min(2, 3)
 
 
 def test_profile_known_values():

@@ -418,9 +418,9 @@ WIDE_FIRST_REPEAT = {
 
 @pytest.mark.parametrize(
     "m",
-    # at widths 17, 18 and 19 the test takes about 0.4, 0.7 and 1.8 s on
+    # at widths 17, 18 and 19 the test takes about 0.5, 1.1 and 2.4 s on
     # 2 shared CPUs; run alone in a fresh pytest process, it peaks (ru_maxrss)
-    # near 76, 96 and 140 MB
+    # near 74, 92 and 131 MB (Python 3.11.7, numpy 2.4.6)
     [14, 15, 16, 17, 18, 19],
 )
 def test_big_grid_formula_is_proved_for_every_n(m):
@@ -515,6 +515,14 @@ def test_a_zero_cost_ring_folds_with_no_increment():
     assert zeros.shape == (1, 100) and zeros.all() and best == 0
 
 
+def test_a_column_that_reaches_no_final_word_is_a_construction_error():
+    # only word 2 is final, and column 1 is finite at word 0 alone
+    ring = ring_window(3, cost=1)
+    window = DPWindow(Machinery(ring.mach.matrix, ring.mach.initial, np.array([False, False, True])))
+    with pytest.raises(ConstructionError, match="width-1 DP reaches no final word at column 1;"):
+        window.grow(5)
+
+
 @pytest.mark.parametrize("m", range(2, 14))
 def test_recorded_slots_pick_the_smallest_predecessor(m):
     # backtracking steps back into every stored column, the last one also from
@@ -526,7 +534,7 @@ def test_recorded_slots_pick_the_smallest_predecessor(m):
 
 
 @pytest.mark.parametrize("k,cost", [(20, 1), (5, 0)])
-def test_ring_slots_name_the_one_predecessor(k, cost):
+def test_follow_steps_a_ring_back_to_its_one_predecessor(k, cost):
     window = ring_window(k, cost)
     window.grow(100)
     matrix = window.mach.matrix

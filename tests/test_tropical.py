@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from quasidom import tropical
 from quasidom.tropical import (
-    INFINITY,
     OFF_INF,
     _INF,
     TropicalMatrix,
@@ -67,9 +66,9 @@ def dense(matrix):
 
 
 def entry(table, x, word):
-    """The cost of word in the int64 cost array x, as an int or INFINITY."""
+    """The cost of word in the int64 cost array x, as an int or math.inf."""
     v = x[table.words.index(word)]
-    return INFINITY if v >= _INF else int(v)
+    return math.inf if v >= _INF else int(v)
 
 
 def reference_mat_vec(matrix, x):
@@ -147,7 +146,7 @@ def test_initial_vector_length2(t2):
     assert entry(table, x1, "01") == 1
     assert entry(table, x1, "10") == 1
     for w in ("02", "13", "20", "31"):
-        assert entry(table, x1, w) == INFINITY
+        assert entry(table, x1, w) == math.inf
 
 
 def test_initial_vector_finite_entries_count_zeros():
@@ -156,7 +155,7 @@ def test_initial_vector_finite_entries_count_zeros():
         x1 = build_initial_vector(table)
         for w in table:
             v = entry(table, x1, w)
-            if v != INFINITY:
+            if v != math.inf:
                 assert v == zeros(w)
     table3 = enumerate_suitable(3)
     assert entry(table3, build_initial_vector(table3), "020") == 2
@@ -244,7 +243,7 @@ def test_vectors_match_word_predicates(m):
     initial = build_initial_vector(table)
     matrix = build_transition_matrix(table)
     assert [entry(table, initial, w) for w in table] == [
-        zeros(w) if is_initial(w) else INFINITY for w in table
+        zeros(w) if is_initial(w) else math.inf for w in table
     ]
     assert final_mask(table).tolist() == [is_final(w) for w in table]
     assert matrix.row_zeros.tolist() == [zeros(w) for w in table]
@@ -383,7 +382,7 @@ def test_iterates_match_exhaustive_chain_enumeration(m, depth):
         if r > 1:
             x = step(matrix, x)
         for w in table:
-            expected = best[r].get(w, INFINITY)
+            expected = best[r].get(w, math.inf)
             assert entry(table, x, w) == expected, (m, r, w)
 
 
@@ -503,7 +502,7 @@ def test_mat_vec_slots_pick_the_smallest_predecessor_on_ties(m):
         assert_follow_picks_the_smallest_predecessor(matrix, expand(4, off), off)
 
 
-def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
+def test_follow_picks_the_smallest_of_300_tied_predecessors():
     # row 0 follows every other row; row p > 0 follows row p - 1 only
     k = 301
     ptr = np.concatenate([[0], 300 + np.arange(k)])
@@ -512,7 +511,7 @@ def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
     matrix = TropicalMatrix(table, np.ones(k, np.int64), ptr, idx)
     assert [b.shape for b in matrix.blocks] == [(1, 300), (512, 1)]
     off = np.full(k, 9, np.uint8)
-    off[[270, 280, 290]] = 2  # ties past slot 255: the smallest id, 270, is slot 269
+    off[[270, 280, 290]] = 2  # three ties: follow picks the smallest id, 270, at block slot 269
     off[5] = OFF_INF
     low, out = mat_vec(matrix, 0, off)
     assert matrix.blocks[1][269, 0] == 270
@@ -525,7 +524,7 @@ def test_a_row_of_300_predecessors_keys_its_slots_in_uint16():
         assert_follow_picks_the_smallest_predecessor(matrix, expand(0, off), off)
 
 
-def test_slots_of_every_class_pick_the_smallest_predecessor():
+def test_follow_picks_the_smallest_predecessor_in_blocks_of_every_height():
     # rows with 1, 2..16, 17..256 and 257..700 predecessors, so blocks of every
     # height class hold rows, and some rows have none
     rng = np.random.default_rng(7)
